@@ -2,7 +2,6 @@
 
 from .assembly import (
     FeSpace,
-    SymMatrix,
     assemble_mass,
     assemble_penalty,
     assemble_stiffness,

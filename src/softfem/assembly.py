@@ -2,77 +2,29 @@
 
 Builds the degree-p space with homogeneous Dirichlet elimination and
 assembles the mass matrix M, the stiffness matrix K, the gradient-jump
-penalty S, and the softened matrix K - eta*S. Assembly order is
-deterministic, so repeated builds are bit-identical.
+penalty S, and the softened matrix K - eta*S. Each matrix is one batched
+product of local matrices over all elements (or faces) and one scatter into
+a canonical scipy CSR matrix, following Cuvelier, Japhet & Scarella, "An
+efficient way to assemble finite element matrices in vector languages",
+BIT 56 (2016). Assembly is deterministic, so repeated builds are
+bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .coefficient import CoefficientField, parse_coefficient
 from .mesh import Mesh
-from .polyref import ReferenceBasis, cuboid_rule, gauss_legendre_rule, simplex_rule
+from .polyref import ReferenceBasis, cuboid_rule, simplex_rule
 
 
 class AssemblyError(RuntimeError):
     """Raised when a coefficient cannot be evaluated on an element."""
-
-
-class SymMatrix:
-    """Symmetric sparse matrix in canonical (sorted, merged) COO form."""
-
-    def __init__(self, n, rows, cols, vals):
-        self.n = n
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if len(rows):
-            key = rows * n + cols
-            uniq, inv = np.unique(key, return_inverse=True)
-            merged = np.zeros(len(uniq))
-            np.add.at(merged, inv, vals)
-            keep = merged != 0.0
-            uniq, merged = uniq[keep], merged[keep]
-            rows, cols, vals = uniq // n, uniq % n, merged
-        self.rows, self.cols, self.vals = rows, cols, vals
-        self._csr = None
-
-    def tocsr(self):
-        if self._csr is None:
-            self._csr = sp.csr_matrix(
-                (self.vals, (self.rows, self.cols)), shape=(self.n, self.n)
-            )
-        return self._csr
-
-    def toarray(self):
-        return self.tocsr().toarray()
-
-    def matvec(self, x):
-        return self.tocsr() @ x
-
-    def norm1(self):
-        return sp.linalg.norm(self.tocsr(), 1) if len(self.vals) else 0.0
-
-    def is_symmetric(self):
-        c = self.tocsr()
-        return (c != c.T).nnz == 0
-
-    def __sub__(self, other):
-        if not isinstance(other, SymMatrix) or other.n != self.n:
-            raise ValueError("order mismatch")
-        rows = np.concatenate([self.rows, other.rows])
-        cols = np.concatenate([self.cols, other.cols])
-        vals = np.concatenate([self.vals, -other.vals])
-        return SymMatrix(self.n, rows, cols, vals)
-
-    def scaled(self, alpha):
-        return SymMatrix(self.n, self.rows, self.cols, alpha * self.vals)
 
 
 @dataclass
@@ -120,57 +72,29 @@ def build_space(mesh, p):
 def _build_tensor_space(mesh, p):
     d = mesh.d
     basis = ReferenceBasis("interval" if d == 1 else "cuboid", p, d=d)
-    axes = mesh.axes
-    ref1 = basis.nodes[: p + 1, 0] if d == 1 else np.unique(basis.nodes[:, 0])
-    axis_nodes = []
-    for b in axes:
-        nodes = []
-        for e in range(len(b) - 1):
-            mapped = b[e] + 0.5 * (ref1[:-1] + 1.0) * (b[e + 1] - b[e])
-            nodes.extend(mapped.tolist())
-        nodes.append(b[-1])
-        axis_nodes.append(np.array(nodes))
-    counts = [len(a) for a in axis_nodes]
-    strides = [1]
-    for c in counts[:-1]:
-        strides.append(strides[-1] * c)
+    ref1 = np.unique(basis.nodes[:, 0])
+    axis_nodes = [
+        np.append(
+            (b[:-1, None] + 0.5 * (ref1[:-1] + 1.0) * np.diff(b)[:, None]).ravel(), b[-1]
+        )
+        for b in mesh.axes
+    ]
+    counts = tuple(len(a) for a in axis_nodes)
     n_full = int(np.prod(counts))
 
-    cells = [len(b) - 1 for b in axes]
-    ne = mesh.n_elements
-    nloc = (p + 1) ** d
-    element_dofs = np.empty((ne, nloc), dtype=np.int64)
-    for e in range(ne):
-        idx = e
-        cell = []
-        for ax in range(d):
-            cell.append(idx % cells[ax])
-            idx //= cells[ax]
-        for m in range(nloc):
-            rem = m
-            gid = 0
-            for ax in range(d):
-                i = rem % (p + 1)
-                rem //= p + 1
-                gid += (cell[ax] * p + i) * strides[ax]
-            element_dofs[e, m] = gid
+    # multi-indices (axis 0 fastest, as in the mesh and the reference basis)
+    # of the element cells, the local nodes and the global nodes
+    cells = tuple(len(b) - 1 for b in mesh.axes)
+    cell = np.stack(np.unravel_index(np.arange(mesh.n_elements), cells, order="F"), axis=-1)
+    local = np.stack(
+        np.unravel_index(np.arange((p + 1) ** d), (p + 1,) * d, order="F"), axis=-1
+    )
+    node = cell[:, None, :] * p + local[None, :, :]
+    element_dofs = np.ravel_multi_index(tuple(np.moveaxis(node, -1, 0)), counts, order="F")
 
-    node_coords = np.empty((n_full, d))
-    for gid in range(n_full):
-        rem = gid
-        for ax in range(d):
-            node_coords[gid, ax] = axis_nodes[ax][rem % counts[ax]]
-            rem //= counts[ax]
-
-    boundary = np.zeros(n_full, dtype=bool)
-    for gid in range(n_full):
-        rem = gid
-        for ax in range(d):
-            i = rem % counts[ax]
-            rem //= counts[ax]
-            if i == 0 or i == counts[ax] - 1:
-                boundary[gid] = True
-                break
+    grid = np.unravel_index(np.arange(n_full), counts, order="F")
+    node_coords = np.stack([a[i] for a, i in zip(axis_nodes, grid)], axis=1)
+    boundary = np.any([(i == 0) | (i == c - 1) for i, c in zip(grid, counts)], axis=0)
     return _finish_space(mesh, p, basis, element_dofs, n_full, boundary, node_coords)
 
 
@@ -252,44 +176,53 @@ def _finish_space(mesh, p, basis, element_dofs, n_full, boundary, node_coords):
 # -- element geometry ------------------------------------------------------
 
 
-def element_map(space, e):
-    """Affine map data for element e.
+class ElementMap(NamedTuple):
+    """Affine maps x = v + J (xi - xi_v) of all elements of a mesh.
 
-    Returns (to_phys, to_ref, grad_scale, detj) where grad_scale transforms
-    reference gradients (nq, nloc, d) to physical ones.
+    Each map is anchored at a vertex v (ne, d) of its element, whose
+    reference coordinates xi_v (d,) are -1 on tensor cells and 0 on
+    simplices. J and Jinv are (ne, d, d) and detj is (ne,). A reference
+    gradient g (a row vector) maps to the physical gradient g @ Jinv.
+
+    A vertex anchor keeps the maps exact at that vertex and the reference
+    coordinates of face points accurate to rounding in the element size; an
+    anchor at the cell centre c would cost eps * |c| / h there.
+    """
+
+    v: np.ndarray
+    xi_v: np.ndarray
+    J: np.ndarray
+    Jinv: np.ndarray
+    detj: np.ndarray
+
+    def to_phys(self, xi):
+        """Images (ne, nq, d) of the reference points xi (nq, d) in every element."""
+        return self.v[:, None, :] + (xi - self.xi_v) @ self.J.transpose(0, 2, 1)
+
+    def to_ref(self, x, elements):
+        """Reference coordinates of physical points x (..., nq, d) in the
+        elements of the same leading shape (...)."""
+        dx = x - self.v[elements][..., None, :]
+        return self.xi_v + dx @ np.swapaxes(self.Jinv[elements], -1, -2)
+
+
+def element_map(space):
+    """The affine maps of every element of the space's mesh.
+
+    Tensor cells map [-1,1]^d from their lowest corner with J = diag(span/2);
+    triangles map the unit simplex from v0 with the edge vectors v1 - v0 and
+    v2 - v0 as the columns of J.
     """
     mesh = space.mesh
-    verts = mesh.vertices[mesh.elements[e]]
+    verts = mesh.vertices[mesh.elements]
     if mesh.kind == "tensor":
-        lo, hi = verts.min(axis=0), verts.max(axis=0)
-        span = hi - lo
-
-        def to_phys(xi):
-            return lo + 0.5 * (np.atleast_2d(xi) + 1.0) * span
-
-        def to_ref(x):
-            return 2.0 * (np.atleast_2d(x) - lo) / span - 1.0
-
-        def grad_scale(g):
-            return g * (2.0 / span)
-
-        detj = float(np.prod(span)) / 2**mesh.d
-    else:
-        v0 = verts[0]
-        B = np.column_stack([verts[1] - v0, verts[2] - v0])
-        Binv = np.linalg.inv(B)
-
-        def to_phys(xi):
-            return v0 + np.atleast_2d(xi) @ B.T
-
-        def to_ref(x):
-            return (np.atleast_2d(x) - v0) @ Binv.T
-
-        def grad_scale(g):
-            return np.einsum("qld,de->qle", g, Binv)
-
-        detj = float(np.linalg.det(B))
-    return to_phys, to_ref, grad_scale, detj
+        lo = verts.min(axis=1)
+        half = 0.5 * (verts.max(axis=1) - lo)
+        J, Jinv = half[:, :, None] * np.eye(mesh.d), (1.0 / half)[:, :, None] * np.eye(mesh.d)
+        return ElementMap(lo, -np.ones(mesh.d), J, Jinv, half.prod(axis=1))
+    v0 = verts[:, 0]
+    B = np.stack([verts[:, 1] - v0, verts[:, 2] - v0], axis=2)
+    return ElementMap(v0, np.zeros(2), B, np.linalg.inv(B), np.linalg.det(B))
 
 
 def assembly_quadrature(space):
@@ -300,55 +233,49 @@ def assembly_quadrature(space):
     return simplex_rule(2 * p + 2)
 
 
-def _kappa_values(kappa, pts, e):
-    vals = np.asarray(kappa(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise AssemblyError(f"coefficient evaluation failed on element {e}")
+def _kappa_values(kappa, pts):
+    """kappa at the physical points (ne, nq, d) of every element."""
+    vals = np.asarray(kappa(pts.reshape(-1, pts.shape[-1])), dtype=float)
+    vals = vals.reshape(pts.shape[:2])
+    bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+    if len(bad):
+        raise AssemblyError(f"coefficient evaluation failed on element {bad[0]}")
     return vals
 
 
 def element_kappa_min(space, kappa):
     """Per-element minimum of kappa over the assembly quadrature nodes."""
     quad = assembly_quadrature(space)
-    out = np.empty(space.mesh.n_elements)
-    for e in range(space.mesh.n_elements):
-        to_phys, _, _, _ = element_map(space, e)
-        out[e] = _kappa_values(kappa, to_phys(quad.nodes), e).min()
-    return out
+    return _kappa_values(kappa, element_map(space).to_phys(quad.nodes)).min(axis=1)
 
 
-def _assemble_cellwise(space, local_matrix, reduced=True):
+def _scatter(space, local, dofs, reduced):
+    """Sum the local matrices (nb, nl, nl) on the full dofs (nb, nl) into a
+    canonical CSR matrix, leaving out eliminated dofs.
+
+    The result is made exactly symmetric by averaging it with its transpose.
+    Callers pass `local` as a temporary, so that it is freed before the CSR
+    conversion copies the kept entries.
+    """
     dof_map, n = space.dof_map(reduced)
-    rows, cols, vals = [], [], []
-    for e in range(space.mesh.n_elements):
-        loc = local_matrix(e)
-        loc = 0.5 * (loc + loc.T)  # exact symmetry
-        gl = dof_map[space.element_dofs[e]]
-        keep = gl >= 0
-        idx = np.flatnonzero(keep)
-        gk = gl[idx]
-        rows.append(np.repeat(gk, len(gk)))
-        cols.append(np.tile(gk, len(gk)))
-        vals.append(loc[np.ix_(idx, idx)].ravel())
-    return SymMatrix(
-        n,
-        np.concatenate(rows) if rows else [],
-        np.concatenate(cols) if cols else [],
-        np.concatenate(vals) if vals else [],
-    )
+    g = dof_map[dofs].astype(np.int32)  # scipy keeps int32 indices as given
+    rows = np.broadcast_to(g[:, :, None], local.shape)
+    cols = np.broadcast_to(g[:, None, :], local.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    vals = local[keep]
+    del local
+    A = sp.csr_matrix((vals, (rows[keep], cols[keep])), shape=(n, n))
+    A = 0.5 * (A + A.T)
+    A.eliminate_zeros()
+    return A
 
 
 def assemble_mass(space, reduced=True):
     """Mass matrix of the L2 inner product."""
     quad = assembly_quadrature(space)
     V, _ = space.basis.eval(quad.nodes)
-
-    def local(e):
-        _, _, _, detj = element_map(space, e)
-        w = quad.weights * detj
-        return (V * w[:, None]).T @ V
-
-    return _assemble_cellwise(space, local, reduced)
+    Vw = V * (quad.weights * element_map(space).detj[:, None])[:, :, None]
+    return _scatter(space, Vw.transpose(0, 2, 1) @ V, space.element_dofs, reduced)
 
 
 def assemble_stiffness(space, kappa=None, reduced=True):
@@ -356,39 +283,38 @@ def assemble_stiffness(space, kappa=None, reduced=True):
     kappa = kappa if kappa is not None else parse_coefficient("1")
     quad = assembly_quadrature(space)
     _, G = space.basis.eval(quad.nodes)
+    emap = element_map(space)
+    w = quad.weights * emap.detj[:, None] * _kappa_values(kappa, emap.to_phys(quad.nodes))
+    # physical gradients (ne, nloc, nq * d): the local matrix is one product
+    # over the (quadrature point, axis) pairs
+    ne, nq, nloc, d = len(w), *G.shape
+    gp = np.moveaxis(G @ emap.Jinv[:, None], 2, 1).reshape(ne, nloc, nq * d)
+    gw = gp * np.repeat(w, d, axis=1)[:, None, :]
+    return _scatter(space, gw @ gp.transpose(0, 2, 1), space.element_dofs, reduced)
 
-    def local(e):
-        to_phys, _, grad_scale, detj = element_map(space, e)
-        gp = grad_scale(G)
-        kv = _kappa_values(kappa, to_phys(quad.nodes), e)
-        w = quad.weights * detj * kv
-        return np.einsum("q,qld,qmd->lm", w, gp, gp)
 
-    return _assemble_cellwise(space, local, reduced)
-
-
-def _face_quadrature(space, interface):
-    """Physical quadrature points and weights on an interior face."""
-    mesh, p = space.mesh, space.p
-    verts = mesh.vertices[list(interface.vertex_ids)]
-    if mesh.d == 1:
-        return verts.reshape(1, 1), np.array([1.0])
-    line = gauss_legendre_rule(p + 1)
-    if mesh.d == 2:
-        a, b = verts
-        pts = a + 0.5 * (line.nodes[:, None] + 1.0) * (b - a)
-        w = line.weights * (interface.measure / 2.0)
-        return pts, w
-    lo, hi = verts.min(axis=0), verts.max(axis=0)
-    span = hi - lo
-    axes = [ax for ax in range(3) if span[ax] > 1e-14]
-    t1, t2 = np.meshgrid(line.nodes, line.nodes, indexing="ij")
-    pts = np.tile(lo, (t1.size, 1))
-    pts[:, axes[0]] = lo[axes[0]] + 0.5 * (t1.ravel() + 1.0) * span[axes[0]]
-    pts[:, axes[1]] = lo[axes[1]] + 0.5 * (t2.ravel() + 1.0) * span[axes[1]]
-    w1, w2 = np.meshgrid(line.weights, line.weights, indexing="ij")
-    w = w1.ravel() * w2.ravel() * (interface.measure / 4.0)
-    return pts, w
+def _face_quadrature(space):
+    """Physical quadrature points (nf, nqf, d) and weights (nf, nqf) on every
+    interior face."""
+    mesh, d = space.mesh, space.mesh.d
+    faces = mesh.interfaces
+    vids = np.array([f.vertex_ids for f in faces], dtype=np.int64)
+    vids = vids.reshape(len(faces), 2 ** (d - 1))
+    a, b = mesh.vertices[vids[:, 0]], mesh.vertices[vids[:, -1]]
+    span = b - a
+    if d == 1:
+        t, w = np.zeros((1, 0)), np.ones(1)
+    else:
+        rule = cuboid_rule(d - 1, space.p + 1)
+        t, w = rule.nodes, rule.weights
+    if d == 2:  # a segment, axis-aligned or not
+        edges = span[:, None, :]
+    else:  # a point or an axis-aligned rectangle: one edge per axis it spans
+        tangent = np.argsort(span == 0.0, axis=1, kind="stable")[:, : d - 1]
+        edges = np.eye(d)[tangent] * span[:, None, :]
+    pts = a[:, None, :] + 0.5 * (t + 1.0) @ edges
+    measure = np.array([f.measure for f in faces])
+    return pts, w * (measure / 2 ** (d - 1))[:, None]
 
 
 def assemble_penalty(space, kappa=None, reduced=True, face_length=None):
@@ -401,51 +327,38 @@ def assemble_penalty(space, kappa=None, reduced=True, face_length=None):
     """
     kappa = kappa if kappa is not None else parse_coefficient("1")
     mesh = space.mesh
+    faces = mesh.interfaces
+    elems = np.array([f.elements for f in faces], dtype=np.int64).reshape(-1, 2)
+    normals = np.array([f.normal for f in faces]).reshape(-1, mesh.d)
+    h_f = np.array([f.h_f for f in faces]) if face_length is None else float(face_length)
     kappa_tau = element_kappa_min(space, kappa)
-    dof_map, n = space.dof_map(reduced)
-    rows, cols, vals = [], [], []
-    for interface in mesh.interfaces:
-        e1, e2 = interface.elements
-        pts, w = _face_quadrature(space, interface)
-        nrm = interface.normal
-        jump_cols = []
-        dof_cols = []
-        for e, sign in ((e1, 1.0), (e2, -1.0)):
-            _, to_ref, grad_scale, _ = element_map(space, e)
-            ref = np.clip(to_ref(pts), -1.0, 1.0) if mesh.kind == "tensor" else to_ref(pts)
-            _, G = space.basis.eval(ref)
-            gp = grad_scale(G)
-            jump_cols.append(sign * np.einsum("qld,d->ql", gp, nrm))
-            dof_cols.append(space.element_dofs[e])
-        J = np.concatenate(jump_cols, axis=1)
-        dofs = np.concatenate(dof_cols)
-        kappa_f = min(kappa_tau[e1], kappa_tau[e2])
-        h_f = interface.h_f if face_length is None else float(face_length)
-        loc = kappa_f * h_f * (J * w[:, None]).T @ J
-        loc = 0.5 * (loc + loc.T)
-        gl = dof_map[dofs]
-        idx = np.flatnonzero(gl >= 0)
-        gk = gl[idx]
-        rows.append(np.repeat(gk, len(gk)))
-        cols.append(np.tile(gk, len(gk)))
-        vals.append(loc[np.ix_(idx, idx)].ravel())
-    return SymMatrix(
-        n,
-        np.concatenate(rows) if rows else [],
-        np.concatenate(cols) if cols else [],
-        np.concatenate(vals) if vals else [],
-    )
+    kappa_f = np.minimum(kappa_tau[elems[:, 0]], kappa_tau[elems[:, 1]])
+
+    pts, w = _face_quadrature(space)
+    jump = _face_jumps(space, pts, elems, normals)
+    jw = jump * w[:, :, None] * (kappa_f * h_f)[:, None, None]
+    dofs = space.element_dofs[elems].reshape(len(elems), 2 * space.basis.ndof)
+    return _scatter(space, jw.transpose(0, 2, 1) @ jump, dofs, reduced)
+
+
+def _face_jumps(space, pts, elems, normals):
+    """Jumps [[grad phi . n]] (nf, nqf, 2 nloc) of the basis functions of
+    both elements of every face, at the face points pts (nf, nqf, d)."""
+    d, nloc = space.mesh.d, space.basis.ndof
+    emap = element_map(space)
+    # the face points seen from both sides: (nf, 2, nqf, d)
+    ref = emap.to_ref(pts[:, None], elems)
+    G = space.basis.eval(ref.reshape(-1, d))[1].reshape(ref.shape[:3] + (nloc, d))
+    # normal derivative g @ Jinv @ n, with the sign of the second side flipped
+    dn = np.einsum("fsde,fe->fsd", emap.Jinv[elems], normals) * np.array([[1.0], [-1.0]])
+    return np.einsum("fsqld,fsd->fqsl", G, dn).reshape(pts.shape[:2] + (2 * nloc,))
 
 
 def soften(K, S, eta):
     """The softened stiffness matrix K - eta * S."""
-    if K.n != S.n:
-        raise ValueError("order mismatch")
     if eta < 0:
         raise ValueError("softness parameter must be nonnegative")
-    if eta == 0:
-        return K
-    return K - S.scaled(eta)
+    return K - eta * S
 
 
 def softness_parameters(p, mesh_kind, d=None):

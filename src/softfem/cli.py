@@ -90,17 +90,16 @@ def cmd_trace_check(args):
         print("status=ok" if ok else "status=violated")
         return 0 if ok else 1
     # cuboid / simplex: the gradient trace constants bound the assembled
-    # penalty form: x'Sx <= 2p(p+1) x'Kx on tensor meshes, 2p(p+d-1) on
-    # simplicial ones. Verify that domination on a small mesh.
-    from .assembly import assemble_penalty, assemble_stiffness, build_space
+    # penalty form, x'Sx <= x'Kx / eta_max. Verify that domination on a
+    # small mesh.
+    from .assembly import assemble_penalty, assemble_stiffness, build_space, softness_parameters
     from .mesh import build_cartesian_mesh, build_simplicial_mesh
 
     if args.kind == "cuboid":
         mesh = build_cartesian_mesh([[0.0, 0.5, 1.0], [0.0, 1.0]])
-        bound = 2.0 * p * (p + 1)
     else:
         mesh = build_simplicial_mesh("unit-square", n=2)
-        bound = 2.0 * p * (p + 2 - 1)
+    bound = 1.0 / softness_parameters(p, mesh.kind, d=mesh.d)["eta_max"]
     space = build_space(mesh, p)
     Kd = assemble_stiffness(space).toarray()
     Sd = assemble_penalty(space).toarray()

@@ -1,4 +1,7 @@
-"""Dense generalized symmetric eigenvalue solves and conditioning metrics."""
+"""Dense generalized symmetric eigenvalue solves and conditioning metrics.
+
+Pencils are scipy sparse matrices, as assembled; the solvers densify them.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-from .assembly import SymMatrix
 
 
 class MassNotSpdError(RuntimeError):
@@ -44,12 +45,6 @@ class StiffnessMetrics:
     lambda_max_soft: float
 
 
-def _dense(matrix):
-    if isinstance(matrix, SymMatrix):
-        return matrix.toarray()
-    return np.asarray(matrix, dtype=float)
-
-
 def _fix_signs(vectors):
     """Make the first nonzero component of each eigenvector positive."""
     out = vectors.copy()
@@ -71,8 +66,8 @@ def solve_gmevp(A, M):
     back-transform. Eigenvalues may be negative; coercivity violations are
     observable.
     """
-    a = _dense(A)
-    m = _dense(M)
+    a = A.toarray()
+    m = M.toarray()
     if a.shape != m.shape or a.shape[0] != a.shape[1]:
         raise ValueError("matrix order mismatch")
     try:
@@ -85,8 +80,8 @@ def solve_gmevp(A, M):
 
 def smallest_eigenvalue(A, M):
     """The smallest pencil eigenvalue only (cheaper than a full solve)."""
-    a = _dense(A)
-    m = _dense(M)
+    a = A.toarray()
+    m = M.toarray()
     try:
         vals = scipy.linalg.eigh(a, m, eigvals_only=True, subset_by_index=(0, 0))
     except np.linalg.LinAlgError as err:
@@ -98,9 +93,7 @@ def rayleigh_quotient(A, M, x):
     x = np.asarray(x, dtype=float)
     if not np.any(x):
         raise ValueError("zero vector")
-    ax = A.matvec(x) if isinstance(A, SymMatrix) else _dense(A) @ x
-    mx = M.matvec(x) if isinstance(M, SymMatrix) else _dense(M) @ x
-    return float(x @ ax) / float(x @ mx)
+    return float(x @ (A @ x)) / float(x @ (M @ x))
 
 
 def condition_number(spectrum):

@@ -19,7 +19,7 @@ import scipy.linalg
 from . import assembly, gevp
 from .coefficient import parse_coefficient
 from .mesh import mesh_from_spec, refine_spec
-from .polyref import gauss_legendre_rule, gauss_lobatto_rule, lobatto_points
+from .polyref import ReferenceBasis, gauss_legendre_rule, gauss_lobatto_rule
 
 
 @dataclass
@@ -138,18 +138,9 @@ def branch_roots(p, zeta):
 
 def _element_matrices_1d(p, h):
     """Exact stiffness/mass matrices of one degree-p element of length h."""
-    nodes = lobatto_points(p)
     quad = gauss_legendre_rule(p + 2)
-    # nodal Lagrange basis values on the quadrature points
-    V = np.empty((len(quad.nodes), p + 1))
-    D = np.empty_like(V)
-    for i, xi in enumerate(nodes):
-        roots = np.delete(nodes, i)
-        c = np.polynomial.polynomial.polyfromroots(roots)
-        c = c / np.polynomial.polynomial.polyval(xi, c)
-        poly = np.polynomial.Polynomial(c)
-        V[:, i] = poly(quad.nodes)
-        D[:, i] = poly.deriv()(quad.nodes)
+    V, G = ReferenceBasis("interval", p).eval(quad.nodes[:, None])
+    D = G[:, :, 0]
     wv = quad.weights * (h / 2.0)
     wk = quad.weights * (2.0 / h)
     M = (V * wv[:, None]).T @ V

@@ -12,7 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -97,35 +97,27 @@ def eigenfunction_errors(space, spectrum, exact, j, check_simple=True):
     if check_simple:
         _check_simple(spectrum.values, j)
         _check_simple(exact.values, j)
-    return _coefficient_errors(space, spectrum.vectors[:, j], exact, j)
+    return _coefficient_errors(space, spectrum.vectors[:, j], exact, j)[0]
 
 
 def _coefficient_errors(space, coeffs, exact, j):
+    """({'h1', 'l2'}, sign): errors of the FE function with reduced
+    coefficients `coeffs` against exact mode j, after multiplying it by the
+    sign that makes its L2 inner product with the mode nonnegative."""
     uval, ugrad = exact.eigenfunction(j)
     quad = _error_quadrature(space)
     V, G = space.basis.eval(quad.nodes)
-    full = _full_coefficients(space, coeffs)
-
-    inner = 0.0
-    terms = []
-    for e in range(space.mesh.n_elements):
-        to_phys, _, grad_scale, detj = assembly.element_map(space, e)
-        pts = to_phys(quad.nodes)
-        w = quad.weights * detj
-        loc = full[space.element_dofs[e]]
-        vh = V @ loc
-        gh = np.einsum("qld,l->qd", grad_scale(G), loc)
-        ue = uval(pts)
-        ge = ugrad(pts)
-        inner += float(np.sum(w * vh * ue))
-        terms.append((w, vh, gh, ue, ge))
-    sign = 1.0 if inner >= 0 else -1.0
-    l2_sq = 0.0
-    h1_sq = 0.0
-    for w, vh, gh, ue, ge in terms:
-        l2_sq += float(np.sum(w * (sign * vh - ue) ** 2))
-        h1_sq += float(np.sum(w * ((sign * gh - ge) ** 2).sum(axis=1)))
-    return {"h1": math.sqrt(h1_sq), "l2": math.sqrt(l2_sq)}
+    emap = assembly.element_map(space)
+    pts = emap.to_phys(quad.nodes).reshape(-1, space.mesh.d)
+    w = (quad.weights * emap.detj[:, None]).ravel()
+    loc = _full_coefficients(space, coeffs)[space.element_dofs]
+    vh = (loc @ V.T).ravel()
+    gh = (np.einsum("el,qld->eqd", loc, G) @ emap.Jinv).reshape(pts.shape)
+    ue, ge = uval(pts), ugrad(pts)
+    sign = 1.0 if np.sum(w * vh * ue) >= 0 else -1.0
+    l2_sq = np.sum(w * (sign * vh - ue) ** 2)
+    h1_sq = np.sum(w * ((sign * gh - ge) ** 2).sum(axis=1))
+    return {"h1": math.sqrt(h1_sq), "l2": math.sqrt(l2_sq)}, sign
 
 
 def jump_energy_ratio(spectrum, eta, K, S):
@@ -133,10 +125,10 @@ def jump_energy_ratio(spectrum, eta, K, S):
     out = np.empty(spectrum.order)
     for j in range(spectrum.order):
         x = spectrum.vectors[:, j]
-        kx = float(x @ K.matvec(x))
+        kx = float(x @ (K @ x))
         if kx <= 0:
             raise ValueError("nonpositive stiffness energy")
-        out[j] = eta * float(x @ S.matvec(x)) / kx
+        out[j] = eta * float(x @ (S @ x)) / kx
     return out
 
 
@@ -172,25 +164,15 @@ def pythagorean_residual(space, spectrum, exact, j, eta, kappa=None):
     M = assemble_mass(space_hi)
 
     u_interp = space_hi.interpolate(lambda pts: uval(pts))
-    errs = eigenfunction_errors(space, spectrum, exact, j, check_simple=False)
-    # sign-align the discrete mode before embedding
-    quad = _error_quadrature(space)
-    V, _ = space.basis.eval(quad.nodes)
-    full = _full_coefficients(space, spectrum.vectors[:, j])
-    inner = 0.0
-    for e in range(space.mesh.n_elements):
-        to_phys, _, _, detj = assembly.element_map(space, e)
-        vh = V @ full[space.element_dofs[e]]
-        inner += float(np.sum(quad.weights * detj * vh * uval(to_phys(quad.nodes))))
-    sign = 1.0 if inner >= 0 else -1.0
+    errs, sign = _coefficient_errors(space, spectrum.vectors[:, j], exact, j)
 
     u_h = sign * embed_coefficients(space, spectrum.vectors[:, j], space_hi)
     e_vec = u_interp - u_h
-    lhs = float(e_vec @ K.matvec(e_vec)) - eta * float(e_vec @ S.matvec(e_vec))
-    rhs = lam * float(e_vec @ M.matvec(e_vec)) + lam_soft - lam
+    lhs = float(e_vec @ (K @ e_vec)) - eta * float(e_vec @ (S @ e_vec))
+    rhs = lam * float(e_vec @ (M @ e_vec)) + lam_soft - lam
 
     # interpolation error of the exact mode in the fine space
-    ierr = _coefficient_errors(space_hi, u_interp, exact, j)
+    ierr, _ = _coefficient_errors(space_hi, u_interp, exact, j)
     e_energy = errs["h1"] + math.sqrt(lam) * errs["l2"]
     i_energy = ierr["h1"] + math.sqrt(lam) * ierr["l2"]
     scale = i_energy * (i_energy + 2.0 * e_energy) + 1e-14 * lam
@@ -268,16 +250,30 @@ class ExperimentConfig:
         cfg = cls(**data)
         if cfg.mesh is None and cfg.ladder is None:
             raise ConfigError("config field 'mesh' (or 'ladder') is required")
-        if cfg.eta not in ("galerkin", "default") and not isinstance(
-            cfg.eta, (int, float)
+        if cfg.eta not in ("galerkin", "default") and not _is_eta(cfg.eta):
+            raise ConfigError(
+                "config field 'eta' must be 'galerkin', 'default', or a finite number >= 0"
+            )
+        if cfg.eta_sweep is not None and not (
+            isinstance(cfg.eta_sweep, list) and all(_is_eta(e) for e in cfg.eta_sweep)
         ):
-            raise ConfigError("config field 'eta' must be 'galerkin', 'default', or a number")
+            raise ConfigError("config field 'eta_sweep' must list finite numbers >= 0")
+        if cfg.modes is not None and not (
+            isinstance(cfg.modes, int) and not isinstance(cfg.modes, bool) and cfg.modes >= 1
+        ):
+            raise ConfigError("config field 'modes' must be an integer >= 1 or null")
         for p in cfg.degrees:
             if not isinstance(p, int) or p < 1:
                 raise ConfigError("config field 'degrees' must hold integers >= 1")
         if cfg.face_weight not in ("local", "mean"):
             raise ConfigError("config field 'face_weight' must be 'local' or 'mean'")
         return cfg
+
+
+def _is_eta(value):
+    """A numeric softness parameter: a finite number >= 0 (bool is not one)."""
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return numeric and 0 <= value < math.inf
 
 
 def resolve_eta(policy, p, mesh_kind, d):
@@ -300,6 +296,9 @@ class SolveBundle:
     eta: float
 
 
+_SOLVER_ERRORS = (gevp.MassNotSpdError, np.linalg.LinAlgError)
+
+
 def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
                   face_weight="local"):
     """Assemble and solve both the Galerkin and softened pencils.
@@ -316,19 +315,28 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
     eta = resolve_eta(eta_policy, p, mesh.kind, mesh.d)
     try:
         fem = gevp.solve_gmevp(K, M)
-        if eta == 0.0:
-            soft = fem
-        else:
-            # stiffening flips the sign of the penalty term: K + eta*S
-            A = K - S.scaled(-eta) if stiffen else soften(K, S, eta)
-            soft = gevp.solve_gmevp(A, M)
-    except (gevp.MassNotSpdError, np.linalg.LinAlgError) as err:
+    except _SOLVER_ERRORS as err:
         raise SolverFailure(str(err)) from err
-    if eta_policy == "default" and not stiffen and soft.values[0] <= 0:
+    bundle = _with_eta(SolveBundle(space, K, M, S, fem=fem, soft=fem, eta=0.0), eta, stiffen)
+    if eta_policy == "default" and not stiffen and bundle.soft.values[0] <= 0:
         raise CoercivityViolation(
             f"softened pencil indefinite at default eta={eta}"
         )
-    return SolveBundle(space=space, K=K, M=M, S=S, fem=fem, soft=soft, eta=eta)
+    return bundle
+
+
+def _with_eta(bundle, eta, stiffen):
+    """The bundle with its softened pencil solved again at eta; K, M, S and
+    the Galerkin spectrum are reused."""
+    if eta == 0.0:
+        return replace(bundle, soft=bundle.fem, eta=eta)
+    # stiffening flips the sign of the penalty term: K + eta*S
+    A = bundle.K + eta * bundle.S if stiffen else soften(bundle.K, bundle.S, eta)
+    try:
+        soft = gevp.solve_gmevp(A, bundle.M)
+    except _SOLVER_ERRORS as err:
+        raise SolverFailure(str(err)) from err
+    return replace(bundle, soft=soft, eta=eta)
 
 
 def _fmt(x):
@@ -485,10 +493,7 @@ def _run_single(cfg, out_dir):
         if cfg.eta_sweep:
             sweep = {}
             for i, eta in enumerate(cfg.eta_sweep):
-                b = solve_problem(
-                    mesh, p, cfg.kappa, float(eta), cfg.stiffen,
-                    face_weight=cfg.face_weight,
-                )
+                b = _with_eta(bundle, float(eta), cfg.stiffen)
                 csv_text, rf, rs = _spectrum_rows(cfg, b, reference, exact)
                 with open(
                     os.path.join(out_dir, f"spectrum_p{p}_eta{i}.csv"), "w"

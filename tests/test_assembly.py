@@ -1,48 +1,25 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from softfem.assembly import (
     AssemblyError,
-    SymMatrix,
     assemble_mass,
     assemble_penalty,
     assemble_stiffness,
     build_space,
+    element_map,
     soften,
     softness_parameters,
 )
 from softfem.coefficient import parse_coefficient
+from softfem.gevp import solve_gmevp
 from softfem.mesh import build_cartesian_mesh, build_simplicial_mesh, mesh_from_spec
+from softfem.polyref import ReferenceBasis
 
 
 def uniform_1d(n):
     return mesh_from_spec({"type": "uniform", "n": n, "d": 1})
-
-
-# -- SymMatrix ------------------------------------------------------------
-
-
-def test_symmatrix_merges_duplicates_and_drops_zeros():
-    m = SymMatrix(
-        3,
-        rows=np.array([0, 0, 1, 2, 2]),
-        cols=np.array([1, 1, 1, 2, 2]),
-        vals=np.array([1.0, 2.0, 5.0, 1.0, -1.0]),
-    )
-    dense = m.toarray()
-    assert dense[0, 1] == 3.0 and dense[1, 1] == 5.0 and dense[2, 2] == 0.0
-
-
-def test_symmatrix_matvec_and_algebra():
-    rng = np.random.default_rng(3)
-    dense = rng.standard_normal((5, 5))
-    dense = dense + dense.T
-    r, c = np.nonzero(dense)
-    m = SymMatrix(5, rows=r, cols=c, vals=dense[r, c])
-    x = rng.standard_normal(5)
-    assert np.allclose(m.matvec(x), dense @ x)
-    assert np.allclose((m - m.scaled(0.5)).toarray(), 0.5 * dense)
-    assert m.is_symmetric()
 
 
 # -- spaces ---------------------------------------------------------------
@@ -72,6 +49,26 @@ def test_simplicial_dof_count(n, p):
     assert space.ndof == ndof
 
 
+@pytest.mark.parametrize(
+    "mesh,p",
+    [
+        (
+            build_cartesian_mesh(
+                [[0.0, 0.13, 0.4, 1.0], [0.0, 0.55, 1.0], [0.0, 0.2, 0.35, 0.9, 1.0]]
+            ),
+            3,
+        ),
+        (build_simplicial_mesh("l-shape", n=2), 3),
+    ],
+    ids=["graded-3d", "l-shape"],
+)
+def test_node_coords_are_element_map_images_of_reference_nodes(mesh, p):
+    space = build_space(mesh, p)
+    image = element_map(space).to_phys(space.basis.nodes)
+    assert image.shape == (mesh.n_elements, space.basis.ndof, mesh.d)
+    assert np.allclose(space.node_coords[space.element_dofs], image, rtol=0, atol=1e-15)
+
+
 def test_interpolation_reproduces_polynomials():
     mesh = mesh_from_spec({"type": "uniform", "n": 3, "d": 2})
     space = build_space(mesh, 2)
@@ -81,7 +78,7 @@ def test_interpolation_reproduces_polynomials():
     M = assemble_mass(space)
     # compare in the L2 sense against the straightforward quadrature value
     exact_sq = (1.0 / 30.0) ** 2
-    assert abs(coeffs @ M.matvec(coeffs) - exact_sq) < 1e-14
+    assert abs(coeffs @ (M @ coeffs) - exact_sq) < 1e-14
 
 
 # -- golden 1D p=1 matrices ----------------------------------------------
@@ -157,7 +154,7 @@ def test_stiffness_annihilates_constants(mesh, p):
     space = build_space(mesh, p)
     K = assemble_stiffness(space, reduced=False)
     ones = np.ones(space.n_full)
-    assert np.max(np.abs(K.matvec(ones))) < 1e-11
+    assert np.max(np.abs((K @ ones))) < 1e-11
 
 
 @pytest.mark.parametrize(
@@ -174,7 +171,7 @@ def test_penalty_annihilates_affine_functions(mesh, p):
     S = assemble_penalty(space, reduced=False)
     for f in [lambda x: np.ones(len(x)), lambda x: x[:, 0], lambda x: x.sum(axis=1)]:
         vals = f(space.node_coords)
-        assert np.max(np.abs(S.matvec(vals))) < 1e-10
+        assert np.max(np.abs((S @ vals))) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -214,13 +211,83 @@ def test_nonfinite_kappa_raises_with_element():
         assemble_stiffness(space, parse_coefficient("1/(x - x)"))
 
 
+@pytest.mark.parametrize(
+    "mesh,p",
+    [
+        (uniform_1d(5), 3),
+        (mesh_from_spec({"type": "uniform", "n": 2, "d": 3}), 2),
+        (build_simplicial_mesh("l-shape", n=2), 2),
+    ],
+    ids=["1d", "3d-tensor", "l-shape"],
+)
+def test_matrices_are_canonical_symmetric_csr(mesh, p):
+    space = build_space(mesh, p)
+    kappa = parse_coefficient("1 + x*x")
+    for reduced in (True, False):
+        for A in (
+            assemble_mass(space, reduced),
+            assemble_stiffness(space, kappa, reduced),
+            assemble_penalty(space, kappa, reduced),
+        ):
+            assert isinstance(A, sp.csr_matrix) and A.has_canonical_format
+            assert np.all(A.data != 0.0)
+            assert (A != A.T).nnz == 0
+
+
+def test_basis_is_evaluated_once_per_assembly(monkeypatch):
+    calls = []
+    original = ReferenceBasis.eval
+
+    def counting(self, points):
+        calls.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(ReferenceBasis, "eval", counting)
+    for n in (2, 4):
+        for mesh in (
+            mesh_from_spec({"type": "uniform", "n": n, "d": 3}),
+            build_simplicial_mesh("unit-square", n=n),
+        ):
+            space = build_space(mesh, 2)
+            for assemble in (assemble_mass, assemble_stiffness, assemble_penalty):
+                calls.clear()
+                assemble(space)
+                assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d,n,p", [(2, 3, 2), (3, 2, 2)])
+def test_tensor_spectra_are_kronecker_sums(d, n, p):
+    """On congruent cells with constant kappa, K = sum_a K1 x M1 (x M1),
+    S = sum_a S1 x M1 (x M1) and M = M1 x M1 (x M1), so every eigenvalue of
+    either pencil is a sum of d eigenvalues of the 1D pencil. This checks the
+    face quadrature, normals and h_F of the 2D and 3D penalty."""
+    kappa = parse_coefficient("1.7")
+    eta = softness_parameters(p, "tensor")["eta_default"]
+
+    def spectra(mesh):
+        space = build_space(mesh, p)
+        K = assemble_stiffness(space, kappa)
+        S = assemble_penalty(space, kappa)
+        M = assemble_mass(space)
+        return [solve_gmevp(A, M).values for A in (K, soften(K, S, eta))]
+
+    for mu, lam in zip(
+        spectra(uniform_1d(n)), spectra(mesh_from_spec({"type": "uniform", "n": n, "d": d}))
+    ):
+        sums = mu
+        for _ in range(d - 1):
+            sums = np.add.outer(sums, mu).ravel()
+        assert np.max(np.abs(lam - np.sort(sums)) / np.abs(lam)) <= 1e-12
+
+
 def test_assembly_is_deterministic():
     mesh = build_simplicial_mesh("unit-square", n=3)
     space = build_space(mesh, 3)
     a = assemble_stiffness(space)
     b = assemble_stiffness(build_space(build_simplicial_mesh("unit-square", n=3), 3))
-    assert np.array_equal(a.vals, b.vals)
-    assert np.array_equal(a.rows, b.rows)
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
 
 
 def test_soften_and_parameters():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from softfem.assembly import SymMatrix, assemble_mass, assemble_stiffness, build_space
+from softfem.assembly import assemble_mass, assemble_stiffness, build_space
 from softfem.gevp import (
     IndefinitePencilError,
     MassNotSpdError,
@@ -16,8 +17,7 @@ from softfem.mesh import mesh_from_spec
 
 
 def dense_to_sym(a):
-    r, c = np.nonzero(a)
-    return SymMatrix(a.shape[0], rows=r, cols=c, vals=a[r, c])
+    return sp.csr_matrix(a)
 
 
 def random_pencil(n, seed=0):

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from softfem import cli, oracle, speclab
+from softfem import cli, gevp, oracle, speclab
 from softfem.mesh import mesh_from_spec
 
 
@@ -72,8 +72,8 @@ def test_embed_preserves_energy(small_bundle):
     K_hi = assemble_stiffness(space_hi)
     x = small_bundle.fem.vectors[:, 2]
     y = speclab.embed_coefficients(small_bundle.space, x, space_hi)
-    e_lo = float(x @ small_bundle.K.matvec(x))
-    e_hi = float(y @ K_hi.matvec(y))
+    e_lo = float(x @ (small_bundle.K @ x))
+    e_hi = float(y @ (K_hi @ y))
     assert abs(e_lo - e_hi) < 1e-10 * e_lo
 
 
@@ -108,6 +108,41 @@ def test_config_validation_names_fields():
         )
     with pytest.raises(speclab.ConfigError, match="wibble"):
         speclab.ExperimentConfig.from_dict({"name": "x", "wibble": 1})
+
+
+@pytest.mark.parametrize("stiffen", [False, True])
+def test_eta_sweep_assembles_once_and_matches_standalone_runs(tmp_path, monkeypatch, stiffen):
+    base = {
+        "name": "sweep",
+        "mesh": {"type": "uniform", "n": 10, "d": 1},
+        "degrees": [2],
+        "reference": "exact",
+        "jump_ratio": True,
+        "stiffen": stiffen,
+    }
+    etas = [0.0, 1.0 / 48.0, 1.0 / 16.0]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    stiffness = speclab.assemble_stiffness
+    monkeypatch.setattr(speclab, "assemble_stiffness", counted("assemble", stiffness))
+    monkeypatch.setattr(gevp, "solve_gmevp", counted("solve", gevp.solve_gmevp))
+    summary = speclab.run_experiment({**base, "eta_sweep": etas}, tmp_path / "sweep")
+    assert calls.count("assemble") == 1
+    assert calls.count("solve") == 1 + 1 + 2  # fem, default eta, the nonzero sweep etas
+    monkeypatch.undo()
+    for i, eta in enumerate(etas):
+        alone = speclab.run_experiment({**base, "eta": eta}, tmp_path / f"eta{i}")
+        swept = (tmp_path / "sweep" / f"spectrum_p2_eta{i}.csv").read_bytes()
+        assert swept == (tmp_path / f"eta{i}" / "spectrum_p2.csv").read_bytes()
+        by_eta = summary["by_degree"]["2"]["eta_sweep"]
+        assert by_eta[speclab._fmt(eta)] == alone["by_degree"]["2"]
 
 
 def run_tiny(tmp_path, subdir="out"):
@@ -275,6 +310,32 @@ def test_cli_error_exit_codes(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(speclab, "run_experiment", boom_coercivity)
     assert cli.main(["run", str(cfg)]) == 4
+
+
+@pytest.mark.parametrize(
+    "fields,argv,name",
+    [
+        ({}, ["--eta", "-1"], "eta"),
+        ({}, ["--eta", "nan"], "eta"),
+        ({}, ["--eta", "inf"], "eta"),
+        ({"eta": True}, [], "eta"),
+        ({"eta": -0.5}, [], "eta"),
+        ({"eta_sweep": [0.01, -1.0]}, [], "eta_sweep"),
+        ({"eta_sweep": 0.01}, [], "eta_sweep"),
+        ({"modes": -3}, [], "modes"),
+        ({"modes": 0}, [], "modes"),
+        ({"modes": 2.5}, [], "modes"),
+        ({"modes": True}, [], "modes"),
+        ({}, ["--modes", "-3"], "modes"),
+    ],
+)
+def test_cli_rejects_bad_eta_and_modes(tmp_path, capsys, fields, argv, name):
+    cfg = {"name": "bad", "mesh": {"type": "uniform", "n": 4, "d": 1}, **fields}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")] + argv) == 2
+    assert f"field '{name}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_trace_check(capsys):
