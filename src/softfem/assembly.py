@@ -24,7 +24,7 @@ from .polyref import ReferenceBasis, cuboid_rule, simplex_rule
 
 
 class AssemblyError(RuntimeError):
-    """Raised when a coefficient cannot be evaluated on an element."""
+    """Raised when a coefficient is not finite and positive on an element."""
 
 
 @dataclass
@@ -234,12 +234,16 @@ def assembly_quadrature(space):
 
 
 def _kappa_values(kappa, pts):
-    """kappa at the physical points (ne, nq, d) of every element."""
+    """kappa at the physical points (ne, nq, d) of every element; it must be
+    finite and positive at every point."""
     vals = np.asarray(kappa(pts.reshape(-1, pts.shape[-1])), dtype=float)
     vals = vals.reshape(pts.shape[:2])
     bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
     if len(bad):
-        raise AssemblyError(f"coefficient evaluation failed on element {bad[0]}")
+        raise AssemblyError(f"coefficient kappa is not finite on element {bad[0]}")
+    bad = np.flatnonzero((vals <= 0).any(axis=1))
+    if len(bad):
+        raise AssemblyError(f"coefficient kappa is not positive on element {bad[0]}")
     return vals
 
 

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import oracle, speclab
+from .assembly import AssemblyError
 from .coefficient import CoefficientParseError
 from .mesh import InvalidMeshError, characteristic_lengths, interfaces, load_mesh
 from .speclab import CoercivityViolation, ConfigError, SolverFailure
@@ -55,8 +56,8 @@ def cmd_run(args):
     if "by_degree" in summary:
         for p, block in sorted(summary["by_degree"].items(), key=lambda kv: int(kv[0])):
             line = (
-                f"p={p} ndof={block['n_dofs']} eta={block['eta']:.6g} "
-                f"lam_max={block['lambda_max_fem']:.5g}"
+                f"p={p} ndof={block['n_dofs']} solver={summary['solver'][p]} "
+                f"eta={block['eta']:.6g} lam_max={block['lambda_max_fem']:.5g}"
             )
             if block.get("rho") is not None:
                 line += f" soft_lam_max={block['lambda_max_soft']:.5g} rho={block['rho']:.4f}"
@@ -95,8 +96,8 @@ def cmd_trace_check(args):
     from .assembly import assemble_penalty, assemble_stiffness, build_space, softness_parameters
     from .mesh import build_cartesian_mesh, build_simplicial_mesh
 
-    if args.kind == "cuboid":
-        mesh = build_cartesian_mesh([[0.0, 0.5, 1.0], [0.0, 1.0]])
+    if args.kind == "cuboid":  # 2x2 cells: an interior dof at every p
+        mesh = build_cartesian_mesh([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
     else:
         mesh = build_simplicial_mesh("unit-square", n=2)
     bound = 1.0 / softness_parameters(p, mesh.kind, d=mesh.d)["eta_max"]
@@ -163,7 +164,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CoefficientParseError, InvalidMeshError) as err:
+    except (ConfigError, CoefficientParseError, InvalidMeshError, AssemblyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except SolverFailure as err:

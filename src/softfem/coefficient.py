@@ -190,7 +190,7 @@ class CoefficientField:
             env["y"] = pts[:, 1]
         if pts.shape[1] > 2:
             env["z"] = pts[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = _evaluate(self.tree, env)
         out = np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
         return float(out[0]) if scalar else out

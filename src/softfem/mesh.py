@@ -356,18 +356,24 @@ def mesh_from_spec(spec):
     'l-shape' {n} (simplicial), 'file' {path}.
     """
     kind = spec.get("type")
+
+    def field(name):
+        if name not in spec:
+            raise InvalidMeshError(f"mesh spec type {kind!r} needs the field {name!r}")
+        return spec[name]
+
     if kind == "cartesian":
-        return build_cartesian_mesh(spec["breakpoints"])
+        return build_cartesian_mesh(field("breakpoints"))
     if kind == "uniform":
-        n, d = int(spec["n"]), int(spec.get("d", 1))
+        n, d = int(field("n")), int(spec.get("d", 1))
         pts = np.linspace(0.0, 1.0, n + 1)
         return build_cartesian_mesh([pts] * d)
     if kind == "unit-square":
-        return build_simplicial_mesh("unit-square", n=int(spec["n"]))
+        return build_simplicial_mesh("unit-square", n=int(field("n")))
     if kind == "l-shape":
-        return build_simplicial_mesh("l-shape", n=int(spec["n"]))
+        return build_simplicial_mesh("l-shape", n=int(field("n")))
     if kind == "file":
-        return load_mesh(spec["path"])
+        return load_mesh(field("path"))
     raise InvalidMeshError(f"unknown mesh spec type {kind!r}")
 
 

@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import assembly, gevp, oracle
 from .assembly import (
@@ -26,7 +27,7 @@ from .assembly import (
     softness_parameters,
 )
 from .coefficient import parse_coefficient
-from .mesh import mesh_from_spec
+from .mesh import build_cartesian_mesh, mesh_from_spec
 from .polyref import cuboid_rule, simplex_rule
 
 
@@ -287,6 +288,13 @@ def resolve_eta(policy, p, mesh_kind, d):
 
 @dataclass
 class SolveBundle:
+    """Both spectra of a problem, and the pencil they solve.
+
+    `factors` holds the 1D (K1, M1, S1) when K, M and S are Kronecker sums
+    of them, and the spectra come from the 1D pencils; it is None when the
+    d-dimensional pencils were solved densely.
+    """
+
     space: object
     K: object
     M: object
@@ -294,9 +302,39 @@ class SolveBundle:
     fem: object
     soft: object
     eta: float
+    factors: tuple | None = None
+
+    @property
+    def solver(self):
+        return "dense" if self.factors is None else "kronecker"
 
 
 _SOLVER_ERRORS = (gevp.MassNotSpdError, np.linalg.LinAlgError)
+
+# Cell widths that agree to this relative tolerance count as congruent on
+# the Kronecker path; h_F then moves the penalty by at most as much.
+CONGRUENT_RTOL = 1e-12
+
+
+def _is_kronecker_sum(mesh, kappa):
+    """Whether the pencils of `mesh` and the coefficient `kappa` are
+    Kronecker sums of the 1D pencils on `mesh.axes[0]`.
+
+    On a tensor mesh in d >= 2 with the same breakpoints on every axis,
+    congruent cells and constant kappa, K = sum_a K1 x M1 x M1,
+    S = sum_a S1 x M1 x M1 (the face rule is exact for the tangential mass,
+    and h_F = h) and M = M1 x M1 x M1, axis 0 fastest. Every eigenpair is
+    then a sum of d 1D eigenvalues with the Kronecker product of their
+    eigenvectors: the fast diagonalization of Lynch, Rice & Thomas, Numer.
+    Math. 6 (1964).
+    """
+    if mesh.kind != "tensor" or mesh.d < 2 or mesh.axes is None or not kappa.is_constant():
+        return False
+    axis = mesh.axes[0]
+    if any(not np.array_equal(b, axis) for b in mesh.axes[1:]):
+        return False
+    widths = np.diff(axis)
+    return bool(np.ptp(widths) <= CONGRUENT_RTOL * widths.max())
 
 
 def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
@@ -305,19 +343,26 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
 
     face_weight='mean' replaces every h_F by the mesh-average element length
     scale (the convention behind some published 1D non-uniform tables).
+    Where `_is_kronecker_sum` holds, only the 1D pencils are assembled and
+    solved, and K, M, S and both spectra are formed from them.
     """
     kappa = parse_coefficient(kappa_text)
     space = build_space(mesh, p)
-    K = assemble_stiffness(space, kappa)
-    M = assemble_mass(space)
+    kronecker = _is_kronecker_sum(mesh, kappa)
+    base = build_space(build_cartesian_mesh(mesh.axes[:1]), p) if kronecker else space
+    K = assemble_stiffness(base, kappa)
+    M = assemble_mass(base)
     face_length = float(np.mean(mesh.h0)) if face_weight == "mean" else None
-    S = assemble_penalty(space, kappa, face_length=face_length)
+    S = assemble_penalty(base, kappa, face_length=face_length)
     eta = resolve_eta(eta_policy, p, mesh.kind, mesh.d)
-    try:
-        fem = gevp.solve_gmevp(K, M)
-    except _SOLVER_ERRORS as err:
-        raise SolverFailure(str(err)) from err
-    bundle = _with_eta(SolveBundle(space, K, M, S, fem=fem, soft=fem, eta=0.0), eta, stiffen)
+    fem = _solve(K, M)
+    factors = None
+    if kronecker:
+        factors, d = (K, M, S), mesh.d
+        K, S, M = _kron_sum(K, M, d), _kron_sum(S, M, d), _kron([M] * d)
+        fem = _kronecker_spectrum(fem, d)
+    bundle = SolveBundle(space, K, M, S, fem=fem, soft=fem, eta=0.0, factors=factors)
+    bundle = _with_eta(bundle, eta, stiffen)
     if eta_policy == "default" and not stiffen and bundle.soft.values[0] <= 0:
         raise CoercivityViolation(
             f"softened pencil indefinite at default eta={eta}"
@@ -327,16 +372,54 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
 
 def _with_eta(bundle, eta, stiffen):
     """The bundle with its softened pencil solved again at eta; K, M, S and
-    the Galerkin spectrum are reused."""
+    the Galerkin spectrum are reused, and so are the 1D factors if any."""
     if eta == 0.0:
         return replace(bundle, soft=bundle.fem, eta=eta)
+    K, M, S = bundle.factors or (bundle.K, bundle.M, bundle.S)
     # stiffening flips the sign of the penalty term: K + eta*S
-    A = bundle.K + eta * bundle.S if stiffen else soften(bundle.K, bundle.S, eta)
+    A = K + eta * S if stiffen else soften(K, S, eta)
+    soft = _solve(A, M)
+    if bundle.factors is not None:
+        soft = _kronecker_spectrum(soft, bundle.space.mesh.d)
+    return replace(bundle, soft=soft, eta=eta)
+
+
+def _solve(A, M):
     try:
-        soft = gevp.solve_gmevp(A, bundle.M)
+        return gevp.solve_gmevp(A, M)
     except _SOLVER_ERRORS as err:
         raise SolverFailure(str(err)) from err
-    return replace(bundle, soft=soft, eta=eta)
+
+
+def _kron(factors):
+    """The Kronecker product of sparse factors, slowest axis first, as CSR."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = sp.kron(out, f, format="csr")
+    return out
+
+
+def _kron_sum(A1, M1, d):
+    """The sum over axes a of the d-fold Kronecker product with A1 as
+    factor a and M1 as every other factor."""
+    return sum(_kron([A1 if b == a else M1 for b in range(d)]) for a in range(d))
+
+
+def _kronecker_spectrum(spectrum, d):
+    """The spectrum of the d-fold Kronecker sum of a 1D pencil, from the 1D
+    spectrum: the stably sorted sums of d 1D eigenvalues, with the Kronecker
+    products of their (sign-fixed) eigenvectors as the vectors."""
+    mu, X = spectrum.values, spectrum.vectors
+    values = mu
+    for _ in range(d - 1):
+        values = np.add.outer(mu, values).ravel()
+    order = np.argsort(values, kind="stable")
+    # factor k of column order[i] is X[:, idx[k][i]], slowest axis first
+    idx = np.unravel_index(order, (len(mu),) * d)
+    vectors = X[:, idx[0]]
+    for j in idx[1:]:
+        vectors = (vectors[:, None, :] * X[:, j][None, :, :]).reshape(-1, len(order))
+    return gevp.Spectrum(values=values[order], vectors=vectors)
 
 
 def _fmt(x):
@@ -351,6 +434,10 @@ def _reference_values(cfg, mesh, count):
     if cfg.reference == "exact":
         if cfg.kappa.strip() != "1":
             raise ConfigError("config field 'reference': exact needs kappa = 1")
+        if not _is_unit_domain(mesh):
+            raise ConfigError(
+                "config field 'reference': exact needs the unit interval, square or cube"
+            )
         d = 2 if mesh.kind == "simplicial" else mesh.d
         return oracle.exact_laplace_spectrum(d, count).values
     if cfg.reference == "high-order":
@@ -363,6 +450,13 @@ def _reference_values(cfg, mesh, count):
         )
         return values
     raise ConfigError("config field 'reference' must be exact, high-order, or none")
+
+
+def _is_unit_domain(mesh):
+    """Whether the mesh covers [0, 1]^d, to 1e-12: its bounding box is the
+    unit cube and its cells fill it."""
+    box = np.array([mesh.vertices.min(axis=0), mesh.vertices.max(axis=0) - 1.0])
+    return bool(np.abs(box).max() <= 1e-12 and abs(mesh.volumes.sum() - 1.0) <= 1e-12)
 
 
 def _spectrum_rows(cfg, bundle, reference, exact=None):
@@ -501,7 +595,7 @@ def _run_single(cfg, out_dir):
                     fh.write(csv_text)
                 sweep[_fmt(eta)] = _degree_summary(cfg, b, rf, rs)
             summaries[str(p)]["eta_sweep"] = sweep
-    return summaries
+    return summaries, {str(p): bundles[p].solver for p in degrees}
 
 
 def _run_ladder(cfg, out_dir):
@@ -547,7 +641,8 @@ def _run_ladder(cfg, out_dir):
 
 def run_experiment(config, out_dir):
     """Run a config dict (or preset name) and write spectrum CSVs and
-    summary.json into out_dir. Returns the summary dict."""
+    summary.json into out_dir. Returns the summary dict, which also names
+    the solver path of each degree under 'solver' (not written to the file)."""
     if isinstance(config, str):
         if config not in PRESETS:
             raise ConfigError(f"unknown preset {config!r}")
@@ -565,10 +660,12 @@ def run_experiment(config, out_dir):
     if cfg.ladder is not None:
         summary["ladder"] = _run_ladder(cfg, out_dir)
     else:
-        summary["by_degree"] = _run_single(cfg, out_dir)
+        summary["by_degree"], solvers = _run_single(cfg, out_dir)
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    if cfg.ladder is None:
+        summary["solver"] = solvers
     return summary
 
 

@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 
 from softfem import cli, gevp, oracle, speclab
+from softfem.assembly import (
+    assemble_mass,
+    assemble_penalty,
+    assemble_stiffness,
+    build_space,
+    soften,
+)
+from softfem.coefficient import parse_coefficient
 from softfem.mesh import mesh_from_spec
 
 
@@ -143,6 +151,90 @@ def test_eta_sweep_assembles_once_and_matches_standalone_runs(tmp_path, monkeypa
         assert swept == (tmp_path / f"eta{i}" / "spectrum_p2.csv").read_bytes()
         by_eta = summary["by_degree"]["2"]["eta_sweep"]
         assert by_eta[speclab._fmt(eta)] == alone["by_degree"]["2"]
+
+
+# -- the Kronecker-sum path -----------------------------------------------
+
+
+def eigen_defects(spectrum, A, M):
+    """(max ||Ax - lam Mx|| / (|lam| ||Mx||), max |X'MX - I|) of a spectrum."""
+    X = spectrum.vectors
+    MX = M @ X
+    R = A @ X - MX * spectrum.values
+    residual = np.linalg.norm(R, axis=0) / (np.abs(spectrum.values) * np.linalg.norm(MX, axis=0))
+    gram = X.T @ MX - np.eye(X.shape[1])
+    return residual.max(), np.abs(gram).max()
+
+
+@pytest.mark.parametrize("d,n,p", [(2, 3, 2), (2, 4, 3), (3, 2, 2), (3, 3, 3)])
+@pytest.mark.parametrize(
+    "eta_policy,stiffen,face_weight",
+    [("default", False, "local"), ("galerkin", False, "local"),
+     ("default", True, "local"), ("default", False, "mean")],
+)
+def test_kronecker_path_matches_dense(d, n, p, eta_policy, stiffen, face_weight):
+    mesh = mesh_from_spec({"type": "uniform", "n": n, "d": d})
+    bundle = speclab.solve_problem(mesh, p, "1.7", eta_policy, stiffen, face_weight)
+    assert bundle.solver == "kronecker"
+
+    kappa = parse_coefficient("1.7")
+    space = build_space(mesh, p)
+    K, M = assemble_stiffness(space, kappa), assemble_mass(space)
+    S = assemble_penalty(space, kappa, face_length=1.0 / n if face_weight == "mean" else None)
+    for mine, assembled in ((bundle.K, K), (bundle.M, M), (bundle.S, S)):
+        assert abs(mine - assembled).max() <= 1e-14 * abs(assembled).max()
+
+    eta = bundle.eta
+    A = K + eta * S if stiffen else soften(K, S, eta)
+    for spectrum, pencil in ((bundle.fem, K), (bundle.soft, A)):
+        dense = gevp.solve_gmevp(pencil, M)
+        assert np.max(np.abs(spectrum.values - dense.values) / np.abs(dense.values)) <= 1e-12
+        residual, orthogonality = eigen_defects(spectrum, pencil, M)
+        assert residual <= 1e-12
+        assert orthogonality <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec,kappa",
+    [
+        ({"type": "cartesian", "breakpoints": [[0, 0.3, 1], [0, 0.3, 1]]}, "1"),  # graded
+        ({"type": "uniform", "n": 3, "d": 2}, "1 + x"),
+        ({"type": "uniform", "n": 3, "d": 1}, "1"),
+        ({"type": "unit-square", "n": 2}, "1"),
+        ({"type": "cartesian", "breakpoints": [[0, 0.5, 1], [0, 1]]}, "1"),  # unequal axes
+    ],
+)
+def test_other_inputs_take_the_dense_path(spec, kappa):
+    bundle = speclab.solve_problem(mesh_from_spec(spec), 2, kappa)
+    assert bundle.solver == "dense"
+    assert bundle.fem.order == bundle.K.shape[0]
+
+
+def test_kronecker_eta_sweep_matches_standalone_runs(tmp_path, monkeypatch):
+    base = {
+        "name": "sweep2d",
+        "kappa": "1.7",
+        "mesh": {"type": "uniform", "n": 3, "d": 2},
+        "degrees": [2],
+    }
+    etas = [0.0, 1.0 / 48.0]
+    orders = []
+    solve = gevp.solve_gmevp
+
+    def counted(A, M):
+        orders.append(A.shape[0])
+        return solve(A, M)
+
+    monkeypatch.setattr(gevp, "solve_gmevp", counted)
+    summary = speclab.run_experiment({**base, "eta_sweep": etas}, tmp_path / "sweep")
+    assert orders == [5, 5, 5]  # 1D pencils: fem, default eta, eta = 1/48
+    assert summary["solver"] == {"2": "kronecker"}
+    monkeypatch.undo()
+    for i, eta in enumerate(etas):
+        alone = speclab.run_experiment({**base, "eta": eta}, tmp_path / f"eta{i}")
+        swept = (tmp_path / "sweep" / f"spectrum_p2_eta{i}.csv").read_bytes()
+        assert swept == (tmp_path / f"eta{i}" / "spectrum_p2.csv").read_bytes()
+        assert summary["by_degree"]["2"]["eta_sweep"][speclab._fmt(eta)] == alone["by_degree"]["2"]
 
 
 def run_tiny(tmp_path, subdir="out"):
@@ -336,6 +428,62 @@ def test_cli_rejects_bad_eta_and_modes(tmp_path, capsys, fields, argv, name):
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")] + argv) == 2
     assert f"field '{name}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_prints_solver_path(tmp_path, capsys):
+    for d, solver in ((1, "dense"), (2, "kronecker")):
+        path = tmp_path / f"cfg{d}.json"
+        path.write_text(json.dumps({"name": "s", "mesh": {"type": "uniform", "n": 3, "d": d}}))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / f"out{d}")]) == 0
+        assert f"p=1 ndof={2 ** d} solver={solver} " in capsys.readouterr().out
+        assert "solver" not in (tmp_path / f"out{d}" / "summary.json").read_text()
+
+
+@pytest.mark.parametrize("kappa", ["-1", "exp(1000*x)"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_cli_rejects_nonpositive_or_nonfinite_kappa(tmp_path, capsys, kappa, d):
+    cfg = {"name": "k", "kappa": kappa, "mesh": {"type": "uniform", "n": 3, "d": d}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "kappa is not" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec,name",
+    [
+        ({"type": "uniform", "d": 1}, "n"),
+        ({"type": "l-shape"}, "n"),
+        ({"type": "cartesian"}, "breakpoints"),
+        ({"type": "file"}, "path"),
+    ],
+)
+def test_cli_mesh_spec_missing_field(tmp_path, capsys, spec, name):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"name": "m", "mesh": spec}))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"field {name!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        {"type": "l-shape", "n": 2},
+        {"type": "cartesian", "breakpoints": [[0, 1, 2, 3]]},
+    ],
+)
+def test_cli_exact_reference_needs_unit_domain(tmp_path, capsys, mesh):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"name": "r", "mesh": mesh, "reference": "exact"}))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "field 'reference'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["cuboid", "simplex"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_cli_trace_check_every_degree(capsys, kind, p):
+    assert cli.main(["trace-check", "--p", str(p), "--kind", kind, "--samples", "20"]) == 0
+    assert "status=ok" in capsys.readouterr().out
 
 
 def test_cli_trace_check(capsys):
