@@ -328,7 +328,7 @@ def _is_kronecker_sum(mesh, kappa):
     eigenvectors: the fast diagonalization of Lynch, Rice & Thomas, Numer.
     Math. 6 (1964).
     """
-    if mesh.kind != "tensor" or mesh.d < 2 or mesh.axes is None or not kappa.is_constant():
+    if mesh.kind != "tensor" or mesh.d < 2 or not kappa.is_constant():
         return False
     axis = mesh.axes[0]
     if any(not np.array_equal(b, axis) for b in mesh.axes[1:]):
