@@ -13,27 +13,23 @@ from .coefficient import CoefficientField, CoefficientParseError, parse_coeffici
 from .gevp import (
     Spectrum,
     StiffnessMetrics,
-    coercivity_margin,
     condition_number,
     rayleigh_quotient,
     solve_gmevp,
     stiffness_reduction,
 )
 from .mesh import (
-    Interface,
     InvalidMeshError,
     Mesh,
     build_cartesian_mesh,
     build_simplicial_mesh,
     characteristic_lengths,
-    interfaces,
     load_mesh,
     mesh_from_spec,
 )
 from .polyref import (
     QuadratureRule,
     ReferenceBasis,
-    basis_eval,
     gauss_legendre_rule,
     gauss_lobatto_rule,
     legendre_eval,

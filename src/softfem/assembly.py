@@ -100,61 +100,42 @@ def _build_tensor_space(mesh, p):
 
 def _build_simplicial_space(mesh, p):
     basis = ReferenceBasis("simplex", p, d=2)
-    nv = len(mesh.vertices)
-    edges = sorted(
-        {
-            tuple(sorted((int(el[a]), int(el[b]))))
-            for el in mesh.elements
-            for a, b in ((0, 1), (1, 2), (2, 0))
-        }
-    )
-    edge_index = {e: k for k, e in enumerate(edges)}
-    n_edge_dofs = p - 1
-    n_interior = (p - 1) * (p - 2) // 2
-    interior_base = nv + len(edges) * n_edge_dofs
-    n_full = interior_base + mesh.n_elements * n_interior
-
+    nv, ne, el = len(mesh.vertices), mesh.n_elements, mesh.elements
     lattice = [(i, j) for j in range(p + 1) for i in range(p + 1 - j)]
-    ne = mesh.n_elements
+    slot = {ij: m for m, ij in enumerate(lattice)}
     element_dofs = np.empty((ne, basis.ndof), dtype=np.int64)
+
+    # vertex dofs at the corners of the lattice
+    corners = np.array([[0, 0], [p, 0], [0, p]])
+    for k, ij in enumerate(corners):
+        element_dofs[:, slot[tuple(ij)]] = el[:, k]
+    # edge dofs: mesh face k holds dofs nv + k (p - 1) + 0 .. p - 2, counted
+    # from its lower-numbered vertex; local face (a, b) runs from corner a to b
+    for f, (a, b) in enumerate(mesh.local_faces):
+        forward = el[:, a] < el[:, b]
+        for t in range(1, p):
+            ij = (corners[a] * (p - t) + corners[b] * t) // p
+            element_dofs[:, slot[tuple(ij)]] = (
+                nv + mesh.face_ids[:, f] * (p - 1) + np.where(forward, t - 1, p - 1 - t)
+            )
+    # interior dofs last, element by element
+    interior = [m for m, (i, j) in enumerate(lattice) if i > 0 and j > 0 and i + j < p]
+    interior_base = nv + len(mesh.faces) * (p - 1)
+    n_full = interior_base + ne * len(interior)
+    element_dofs[:, interior] = np.arange(interior_base, n_full).reshape(ne, len(interior))
+
+    # nodes shared by several elements take the coordinates computed in the
+    # last of them
+    i, j = np.array(lattice, dtype=float).T[:, :, None] / p
+    v = mesh.vertices[el][:, :, None, :]
     node_coords = np.empty((n_full, 2))
-    for e in range(ne):
-        el = [int(v) for v in mesh.elements[e]]
-        v0, v1, v2 = (mesh.vertices[v] for v in el)
-        n_int_seen = 0
-        for m, (i, j) in enumerate(lattice):
-            if i == 0 and j == 0:
-                gid = el[0]
-            elif i == p and j == 0:
-                gid = el[1]
-            elif i == 0 and j == p:
-                gid = el[2]
-            elif j == 0:
-                gid = _edge_dof(el[0], el[1], i, p, nv, edge_index, n_edge_dofs)
-            elif i == 0:
-                gid = _edge_dof(el[0], el[2], j, p, nv, edge_index, n_edge_dofs)
-            elif i + j == p:
-                gid = _edge_dof(el[1], el[2], j, p, nv, edge_index, n_edge_dofs)
-            else:
-                gid = interior_base + e * n_interior + n_int_seen
-                n_int_seen += 1
-            element_dofs[e, m] = gid
-            node_coords[gid] = v0 + (i / p) * (v1 - v0) + (j / p) * (v2 - v0)
+    node_coords[element_dofs] = v[:, 0] + i * (v[:, 1] - v[:, 0]) + j * (v[:, 2] - v[:, 0])
 
     boundary = np.zeros(n_full, dtype=bool)
-    for key in mesh.boundary_faces():
-        a, b = key
-        boundary[a] = boundary[b] = True
-        base = nv + edge_index[tuple(sorted((a, b)))] * n_edge_dofs
-        boundary[base : base + n_edge_dofs] = True
+    outer = np.flatnonzero(mesh.on_boundary)
+    boundary[mesh.faces[outer]] = True
+    boundary[nv + outer[:, None] * (p - 1) + np.arange(p - 1)] = True
     return _finish_space(mesh, p, basis, element_dofs, n_full, boundary, node_coords)
-
-
-def _edge_dof(ga, gb, t, p, nv, edge_index, n_edge_dofs):
-    # t is the lattice position measured from ga (1..p-1)
-    key = (ga, gb) if ga < gb else (gb, ga)
-    slot = (t - 1) if ga < gb else (p - 1 - t)
-    return nv + edge_index[key] * n_edge_dofs + slot
 
 
 def _finish_space(mesh, p, basis, element_dofs, n_full, boundary, node_coords):
@@ -302,9 +283,7 @@ def _face_quadrature(space):
     interior face."""
     mesh, d = space.mesh, space.mesh.d
     faces = mesh.interfaces
-    vids = np.array([f.vertex_ids for f in faces], dtype=np.int64)
-    vids = vids.reshape(len(faces), 2 ** (d - 1))
-    a, b = mesh.vertices[vids[:, 0]], mesh.vertices[vids[:, -1]]
+    a, b = mesh.vertices[faces.vertex_ids[:, 0]], mesh.vertices[faces.vertex_ids[:, -1]]
     span = b - a
     if d == 1:
         t, w = np.zeros((1, 0)), np.ones(1)
@@ -317,8 +296,7 @@ def _face_quadrature(space):
         tangent = np.argsort(span == 0.0, axis=1, kind="stable")[:, : d - 1]
         edges = np.eye(d)[tangent] * span[:, None, :]
     pts = a[:, None, :] + 0.5 * (t + 1.0) @ edges
-    measure = np.array([f.measure for f in faces])
-    return pts, w * (measure / 2 ** (d - 1))[:, None]
+    return pts, w * (faces.measure / 2 ** (d - 1))[:, None]
 
 
 def assemble_penalty(space, kappa=None, reduced=True, face_length=None):
@@ -330,16 +308,14 @@ def assemble_penalty(space, kappa=None, reduced=True, face_length=None):
     published 1D results use the mean element size instead of the local h_F).
     """
     kappa = kappa if kappa is not None else parse_coefficient("1")
-    mesh = space.mesh
-    faces = mesh.interfaces
-    elems = np.array([f.elements for f in faces], dtype=np.int64).reshape(-1, 2)
-    normals = np.array([f.normal for f in faces]).reshape(-1, mesh.d)
-    h_f = np.array([f.h_f for f in faces]) if face_length is None else float(face_length)
+    faces = space.mesh.interfaces
+    elems = faces.elements
+    h_f = faces.h_f if face_length is None else float(face_length)
     kappa_tau = element_kappa_min(space, kappa)
     kappa_f = np.minimum(kappa_tau[elems[:, 0]], kappa_tau[elems[:, 1]])
 
     pts, w = _face_quadrature(space)
-    jump = _face_jumps(space, pts, elems, normals)
+    jump = _face_jumps(space, pts, elems, faces.normal)
     jw = jump * w[:, :, None] * (kappa_f * h_f)[:, None, None]
     dofs = space.element_dofs[elems].reshape(len(elems), 2 * space.basis.ndof)
     return _scatter(space, jw.transpose(0, 2, 1) @ jump, dofs, reduced)

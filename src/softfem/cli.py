@@ -17,7 +17,7 @@ import numpy as np
 from . import oracle, speclab
 from .assembly import AssemblyError
 from .coefficient import CoefficientParseError
-from .mesh import InvalidMeshError, characteristic_lengths, interfaces, load_mesh
+from .mesh import InvalidMeshError, load_mesh
 from .speclab import CoercivityViolation, ConfigError, SolverFailure
 
 
@@ -117,17 +117,13 @@ def cmd_trace_check(args):
 
 def cmd_mesh_info(args):
     mesh = load_mesh(args.meshfile)
-    h = [characteristic_lengths(mesh, e)["h"] for e in range(mesh.n_elements)]
-    h0 = [characteristic_lengths(mesh, e)["h0"] for e in range(mesh.n_elements)]
-    vols = [characteristic_lengths(mesh, e)["volume"] for e in range(mesh.n_elements)]
-    faces = interfaces(mesh)
     print(f"kind={mesh.kind} d={mesh.d}")
     print(
         f"vertices={len(mesh.vertices)} elements={mesh.n_elements} "
-        f"interfaces={len(faces)}"
+        f"interfaces={len(mesh.interfaces)}"
     )
-    print(f"h_max={max(h):.12g} h_min={min(h):.12g} h0_min={min(h0):.12g}")
-    print(f"volume={sum(vols):.12g}")
+    print(f"h_max={mesh.h.max():.12g} h_min={mesh.h.min():.12g} h0_min={mesh.h0.min():.12g}")
+    print(f"volume={mesh.volumes.sum():.12g}")
     return 0
 
 

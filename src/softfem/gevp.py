@@ -46,16 +46,17 @@ class StiffnessMetrics:
 
 
 def _fix_signs(vectors):
-    """Make the first nonzero component of each eigenvector positive."""
+    """Make the first nonzero component of each eigenvector positive.
+
+    Components of at most 1e-12 times the largest magnitude in their column
+    count as zero; a zero column is left as it is.
+    """
+    # a C-ordered copy: later dot products over a column round by its stride
     out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        big = np.abs(col).max()
-        if big == 0:
-            continue
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * big)
-        if len(nz) and col[nz[0]] < 0:
-            out[:, j] = -col
+    if out.size:
+        cut = 1e-12 * np.maximum(out.max(axis=0), -out.min(axis=0))
+        lead = np.argmax((out > cut) | (out < -cut), axis=0)
+        np.negative(out, out=out, where=out[lead, np.arange(out.shape[1])] < 0)
     return out
 
 
@@ -124,11 +125,6 @@ def stiffness_reduction(fem, soft):
         lambda_min_soft=float(soft.values[0]),
         lambda_max_soft=float(soft.values[-1]),
     )
-
-
-def coercivity_margin(K_soft, M):
-    """Smallest pencil eigenvalue; positive iff the softened form is coercive."""
-    return smallest_eigenvalue(K_soft, M)
 
 
 def cluster_eigenvalues(values, rel_tol=1e-8):

@@ -1,16 +1,17 @@
-"""Interval, tensor-product, and simplicial meshes with interface data.
+"""Interval, tensor-product, and simplicial meshes with their face tables.
 
-Meshes are immutable after construction. Interfaces carry the geometric
-quantities needed by the gradient-jump penalty: face measure, unit normal
-oriented from the lower-numbered element to the higher one, and the face
-length scale h_F = min of the adjacent elements' h_tau^0.
+Meshes are immutable after construction. Their topology is stored as arrays,
+built on one code path for every cell kind: the faces of all elements, each
+element's faces in that list, which faces lie on the boundary, and a table of
+the interior faces with the geometric quantities needed by the gradient-jump
+penalty: face measure, unit normal oriented from the lower-numbered element
+to the higher one, and the face length scale h_F = min of the adjacent
+elements' h_tau^0.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -19,23 +20,20 @@ class InvalidMeshError(ValueError):
     """Raised for malformed mesh input (non-ascending breakpoints, etc.)."""
 
 
-@dataclass(frozen=True)
-class Interface:
-    """An interior face shared by exactly two elements."""
-
-    face_id: int
-    elements: tuple  # (tau1, tau2), tau1 < tau2
-    vertex_ids: tuple  # sorted vertex ids spanning the face
-    measure: float
-    normal: np.ndarray  # unit, oriented from tau1 to tau2
-    h_f: float
-
-
 class Mesh:
     """Geometric partition of the domain.
 
     kind is 'tensor' (elements are intervals/cuboids with 2^d vertices in
     lexicographic order, axis 0 fastest) or 'simplicial' (CCW triangles).
+
+    Topology, as read-only arrays:
+      faces       (nF, k) sorted vertex ids of every face, lexicographic;
+      face_ids    (ne, nfl) the row in `faces` of each face of each element,
+                  in the order of `local_faces`;
+      on_boundary (nF,) whether a face belongs to one element only;
+      interfaces  record array with one row per interior face, in the order
+                  of `faces`, with fields `elements` (e1 < e2), `vertex_ids`,
+                  `measure`, `normal` (unit, pointing from e1 to e2) and `h_f`.
     """
 
     def __init__(self, d, kind, vertices, elements, axes=None):
@@ -52,144 +50,113 @@ class Mesh:
             )
         if self.elements.min(initial=0) < 0 or self.elements.max(initial=-1) >= nv:
             raise InvalidMeshError("element references an invalid vertex")
-        for elem in self.elements:
-            if len(set(elem.tolist())) != len(elem):
-                raise InvalidMeshError("repeated vertex in element")
+        ids = np.sort(self.elements, axis=1)
+        if np.any(ids[:, 1:] == ids[:, :-1]):
+            raise InvalidMeshError("repeated vertex in element")
         self._build_geometry()
-        self._build_interfaces()
-        self._mark_boundary_vertices()
-        self.vertices.setflags(write=False)
-        self.elements.setflags(write=False)
+        self._build_faces()
+        for arr in (self.vertices, self.elements, self.volumes, self.surfaces, self.h,
+                    self.h0, self.faces, self.face_ids, self.on_boundary, self.interfaces):
+            arr.setflags(write=False)
 
     @property
     def n_elements(self):
         return len(self.elements)
 
+    @property
+    def local_faces(self):
+        """Local vertex indices (nfl, k) of the faces of an element: the edges
+        (0,1), (1,2), (2,0) of a triangle; the low and the high side along
+        each axis of a tensor cell."""
+        if self.kind == "simplicial":
+            return np.array([[0, 1], [1, 2], [2, 0]])
+        m = np.arange(2**self.d)
+        return np.array(
+            [m[(m >> ax) & 1 == side] for ax in range(self.d) for side in (0, 1)]
+        )
+
     # -- geometry ---------------------------------------------------------
 
     def _build_geometry(self):
-        ne = self.n_elements
-        self.volumes = np.empty(ne)
-        self.surfaces = np.empty(ne)
-        self.h = np.empty(ne)
-        self.h0 = np.empty(ne)
-        for e in range(ne):
-            verts = self.vertices[self.elements[e]]
-            diffs = verts[:, None, :] - verts[None, :, :]
-            self.h[e] = np.sqrt((diffs**2).sum(axis=2)).max()
-            if self.kind == "tensor":
-                lo, hi = verts.min(axis=0), verts.max(axis=0)
-                edges = hi - lo
-                if np.any(edges <= 0):
-                    raise InvalidMeshError(f"degenerate cuboid element {e}")
-                self.volumes[e] = float(np.prod(edges))
-                self.surfaces[e] = 2.0 * sum(
-                    self.volumes[e] / edges[ax] for ax in range(self.d)
-                ) if self.d > 1 else 2.0
-                self.h0[e] = float(edges.min())
-            else:
-                a, b, c = verts
-                area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-                if area2 <= 0:
-                    raise InvalidMeshError(
-                        f"degenerate or clockwise triangle element {e}"
-                    )
-                self.volumes[e] = 0.5 * area2
-                per = (
-                    np.linalg.norm(b - a)
-                    + np.linalg.norm(c - b)
-                    + np.linalg.norm(a - c)
-                )
-                self.surfaces[e] = per
-                self.h0[e] = self.d * self.volumes[e] / per
-        for arr in (self.volumes, self.surfaces, self.h, self.h0):
-            arr.setflags(write=False)
-
-    def element_faces(self, e):
-        """Faces of element e as tuples of vertex ids (unsorted)."""
-        elem = self.elements[e]
-        if self.kind == "simplicial":
-            return [
-                (elem[0], elem[1]),
-                (elem[1], elem[2]),
-                (elem[2], elem[0]),
-            ]
-        if self.d == 1:
-            return [(elem[0],), (elem[1],)]
-        faces = []
-        for ax in range(self.d):
-            for side in (0, 1):
-                ids = [
-                    elem[m]
-                    for m in range(2**self.d)
-                    if (m >> ax) & 1 == side
-                ]
-                faces.append(tuple(ids))
-        return faces
-
-    def _face_geometry(self, vertex_ids):
-        verts = self.vertices[list(vertex_ids)]
-        if self.d == 1:
-            return 1.0
-        if len(vertex_ids) == 2:
-            return float(np.linalg.norm(verts[1] - verts[0]))
-        lo, hi = verts.min(axis=0), verts.max(axis=0)
-        span = hi - lo
-        return float(np.prod(span[span > 1e-14]))
-
-    def _build_interfaces(self):
-        by_key = {}
-        for e in range(self.n_elements):
-            for face in self.element_faces(e):
-                key = tuple(sorted(int(v) for v in face))
-                by_key.setdefault(key, []).append(e)
-        self._face_elements = by_key
-        interfaces = []
-        centers = np.array(
-            [self.vertices[el].mean(axis=0) for el in self.elements]
-        )
-        for fid, key in enumerate(sorted(k for k, v in by_key.items() if len(v) == 2)):
-            e1, e2 = sorted(by_key[key])
-            if e1 == e2:
-                raise InvalidMeshError("face adjacent to one element twice")
-            verts = self.vertices[list(key)]
-            if self.d == 1:
-                normal = np.array([1.0])
-            elif len(key) == 2:
-                t = verts[1] - verts[0]
-                normal = np.array([t[1], -t[0]]) / np.linalg.norm(t)
-            else:
-                span = verts.max(axis=0) - verts.min(axis=0)
-                ax = int(np.argmin(np.abs(span)))
-                normal = np.zeros(self.d)
-                normal[ax] = 1.0
-            if normal @ (centers[e2] - centers[e1]) < 0:
-                normal = -normal
-            normal.setflags(write=False)
-            interfaces.append(
-                Interface(
-                    face_id=fid,
-                    elements=(e1, e2),
-                    vertex_ids=key,
-                    measure=self._face_geometry(key),
-                    normal=normal,
-                    h_f=min(self.h0[e1], self.h0[e2]),
-                )
+        verts = self.vertices[self.elements]
+        diffs = verts[:, :, None, :] - verts[:, None, :, :]
+        self.h = np.sqrt((diffs**2).sum(axis=3)).max(axis=(1, 2))
+        if self.kind == "tensor":
+            edges = verts.max(axis=1) - verts.min(axis=1)
+            bad = np.flatnonzero((edges <= 0).any(axis=1))
+            if len(bad):
+                raise InvalidMeshError(f"degenerate cuboid element {bad[0]}")
+            self.volumes = edges.prod(axis=1)
+            self.surfaces = (
+                2.0 * (self.volumes[:, None] / edges).sum(axis=1)
+                if self.d > 1
+                else np.full(self.n_elements, 2.0)
             )
-        self.interfaces = tuple(interfaces)
+            self.h0 = edges.min(axis=1)
+        else:
+            a, b, c = verts[:, 0], verts[:, 1], verts[:, 2]
+            area2 = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+                c[:, 0] - a[:, 0]
+            )
+            bad = np.flatnonzero(area2 <= 0)
+            if len(bad):
+                raise InvalidMeshError(f"degenerate or clockwise triangle element {bad[0]}")
+            self.volumes = 0.5 * area2
+            self.surfaces = _norms(b - a) + _norms(c - b) + _norms(a - c)
+            self.h0 = self.d * self.volumes / self.surfaces
 
-    def _mark_boundary_vertices(self):
-        flags = np.zeros(len(self.vertices), dtype=bool)
-        for key, elems in self._face_elements.items():
-            if len(elems) == 1:
-                for v in key:
-                    flags[v] = True
-        flags.setflags(write=False)
-        self.boundary_vertex = flags
+    # -- faces ------------------------------------------------------------
 
-    def boundary_faces(self):
-        """Vertex-id keys of faces adjacent to exactly one element."""
-        return sorted(k for k, v in self._face_elements.items() if len(v) == 1)
+    def _build_faces(self):
+        local = self.local_faces
+        keys = np.sort(self.elements[:, local], axis=2).reshape(-1, local.shape[1])
+        self.faces, index, counts = np.unique(
+            keys, axis=0, return_inverse=True, return_counts=True
+        )
+        if np.any(counts > 2):
+            raise InvalidMeshError("face shared by more than two elements")
+        self.face_ids = index.reshape(self.n_elements, len(local))
+        self.on_boundary = counts == 1
+
+        # the elements of every face, grouped by face and ascending in each group
+        owner = np.argsort(index.ravel(), kind="stable") // len(local)
+        first = (np.cumsum(counts) - counts)[counts == 2]
+        e1, e2 = owner[first], owner[first + 1]
+        if np.any(e1 == e2):
+            raise InvalidMeshError("face adjacent to one element twice")
+        vertex_ids = self.faces[counts == 2]
+        verts = self.vertices[vertex_ids]
+        if self.d == 1:
+            measure, normal = np.ones(len(e1)), np.ones((len(e1), 1))
+        elif self.d == 2:  # a segment
+            t = verts[:, 1] - verts[:, 0]
+            measure = _norms(t)
+            normal = np.stack([t[:, 1], -t[:, 0]], axis=1) / measure[:, None]
+        else:  # an axis-aligned rectangle
+            span = verts.max(axis=1) - verts.min(axis=1)
+            measure = np.where(span > 1e-14, span, 1.0).prod(axis=1)
+            normal = np.eye(self.d)[np.argmin(np.abs(span), axis=1)]
+        centers = self.vertices[self.elements].mean(axis=1)
+        flip = ((centers[e2] - centers[e1]) * normal).sum(axis=1) < 0
+        normal = np.where(flip[:, None], -normal, normal)
+        self.interfaces = np.rec.fromarrays(
+            [np.stack([e1, e2], axis=1), vertex_ids, measure, normal,
+             np.minimum(self.h0[e1], self.h0[e2])],
+            dtype=[
+                ("elements", np.int64, (2,)),
+                ("vertex_ids", np.int64, (local.shape[1],)),
+                ("measure", float),
+                ("normal", float, (self.d,)),
+                ("h_f", float),
+            ],
+        )
+
+
+def _norms(v):
+    """Euclidean norms of the rows of v (n, d), each a dot product as
+    np.linalg.norm takes for a single vector; norm(v, axis=1) sums the
+    squares in another order and can differ in the last bit."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0, 0]
 
 
 def characteristic_lengths(mesh, element_id):
@@ -204,11 +171,6 @@ def characteristic_lengths(mesh, element_id):
     }
 
 
-def interfaces(mesh):
-    """The interior interfaces of a mesh, deterministically ordered."""
-    return list(mesh.interfaces)
-
-
 def build_cartesian_mesh(breakpoints_per_axis):
     """Tensor-product mesh of intervals/cuboids from per-axis breakpoints.
 
@@ -220,57 +182,33 @@ def build_cartesian_mesh(breakpoints_per_axis):
     if not 1 <= d <= 3:
         raise InvalidMeshError("dimension must be between 1 and 3")
     for b in axes:
-        if len(b) < 2 or np.any(np.diff(b) <= 0):
-            raise InvalidMeshError("breakpoints must be strictly ascending")
-    counts = [len(b) for b in axes]
-    # vertex (i0, i1, ...) -> flat id with axis 0 fastest
-    strides = [1]
-    for c in counts[:-1]:
-        strides.append(strides[-1] * c)
-
-    def vid(idx):
-        return sum(i * s for i, s in zip(idx, strides))
-
-    vertices = np.empty((int(np.prod(counts)), d))
-    for idx in itertools.product(*(range(c) for c in counts)):
-        vertices[vid(idx)] = [axes[ax][idx[ax]] for ax in range(d)]
-
-    cells = [c - 1 for c in counts]
-    elements = []
-    for cell in itertools.product(*(range(c) for c in reversed(cells))):
-        cell = tuple(reversed(cell))  # axis 0 fastest
-        corner = []
-        for m in range(2**d):
-            idx = tuple(cell[ax] + ((m >> ax) & 1) for ax in range(d))
-            corner.append(vid(idx))
-        elements.append(corner)
+        if b.ndim != 1 or len(b) < 2 or not (np.isfinite(b).all() and np.all(np.diff(b) > 0)):
+            raise InvalidMeshError("breakpoints must be finite and strictly ascending")
+    counts = tuple(len(b) for b in axes)
+    grid = np.unravel_index(np.arange(np.prod(counts)), counts, order="F")
+    vertices = np.stack([b[i] for b, i in zip(axes, grid)], axis=1)
+    cells = tuple(c - 1 for c in counts)
+    cell = np.unravel_index(np.arange(np.prod(cells)), cells, order="F")
+    # corner m of a cell is offset by one along each axis whose bit is set in m
+    bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
+    corner = tuple(c[:, None] + bits[:, ax] for ax, c in enumerate(cell))
+    elements = np.ravel_multi_index(corner, counts, order="F")
     return Mesh(d, "tensor", vertices, elements, axes=axes)
 
 
-def _split_cells(nodes_x, nodes_y, keep):
-    """Diagonal-split triangulation of the kept cells of a structured grid."""
-    nx, ny = len(nodes_x), len(nodes_y)
-
-    def vid(i, j):
-        return i + nx * j
-
-    vertices = [(nodes_x[i], nodes_y[j]) for j in range(ny) for i in range(nx)]
-    elements = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            if not keep(i, j):
-                continue
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            # (low,low)-(high,high) diagonal, both triangles CCW
-            elements.append((v00, v10, v11))
-            elements.append((v00, v11, v01))
-    vertices = np.array(vertices)
-    used = sorted({v for el in elements for v in el})
-    remap = {v: k for k, v in enumerate(used)}
-    vertices = vertices[used]
-    elements = [[remap[v] for v in el] for el in elements]
-    return Mesh(2, "simplicial", vertices, elements)
+def _split_cells(nodes, keep):
+    """Diagonal-split triangulation of the cells (i, j) of the grid on
+    nodes x nodes with keep[j, i] set."""
+    n = len(nodes)
+    j, i = np.nonzero(keep)
+    v00 = i + n * j
+    v10, v01, v11 = v00 + 1, v00 + n, v00 + n + 1
+    # (low,low)-(high,high) diagonal, both triangles CCW
+    elements = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    x, y = np.meshgrid(nodes, nodes)
+    vertices = np.stack([x.ravel(), y.ravel()], axis=1)
+    used, elements = np.unique(elements, return_inverse=True)
+    return Mesh(2, "simplicial", vertices[used], elements.reshape(-1, 3))
 
 
 def build_simplicial_mesh(kind, n=None, nodes=None, elements=None):
@@ -284,13 +222,13 @@ def build_simplicial_mesh(kind, n=None, nodes=None, elements=None):
     if kind == "unit-square":
         if n is None or n < 1:
             raise InvalidMeshError("unit-square mesh needs n >= 1")
-        pts = np.linspace(0.0, 1.0, n + 1)
-        return _split_cells(pts, pts, lambda i, j: True)
+        return _split_cells(np.linspace(0.0, 1.0, n + 1), np.ones((n, n), dtype=bool))
     if kind == "l-shape":
         if n is None or n < 1:
             raise InvalidMeshError("l-shape mesh needs n >= 1")
-        pts = np.linspace(0.0, 1.0, 2 * n + 1)
-        return _split_cells(pts, pts, lambda i, j: not (i >= n and j >= n))
+        upper = np.arange(2 * n) >= n
+        keep = ~(upper[:, None] & upper[None, :])
+        return _split_cells(np.linspace(0.0, 1.0, 2 * n + 1), keep)
     if kind == "explicit":
         if nodes is None or elements is None:
             raise InvalidMeshError("explicit mesh needs nodes and elements")
@@ -344,8 +282,12 @@ def parse_mesh_text(text):
 
 
 def load_mesh(path):
-    with open(path) as fh:
-        return parse_mesh_text(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as err:
+        raise InvalidMeshError(f"cannot read mesh file {path!r}: {err.strerror}") from None
+    return parse_mesh_text(text)
 
 
 def mesh_from_spec(spec):
@@ -355,6 +297,8 @@ def mesh_from_spec(spec):
     'uniform' {n, d} on the unit cube, 'unit-square' {n} (simplicial),
     'l-shape' {n} (simplicial), 'file' {path}.
     """
+    if not isinstance(spec, dict):
+        raise InvalidMeshError("config field 'mesh' must be an object with a 'type'")
     kind = spec.get("type")
 
     def field(name):
@@ -362,18 +306,35 @@ def mesh_from_spec(spec):
             raise InvalidMeshError(f"mesh spec type {kind!r} needs the field {name!r}")
         return spec[name]
 
+    def count(name, value, top=None):
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Integral)
+            or value < 1
+            or (top is not None and value > top)
+        ):
+            bound = f"from 1 to {top}" if top else ">= 1"
+            raise InvalidMeshError(f"mesh spec field {name!r} must be an integer {bound}")
+        return int(value)
+
     if kind == "cartesian":
-        return build_cartesian_mesh(field("breakpoints"))
+        try:
+            axes = [np.asarray(b, dtype=float) for b in field("breakpoints")]
+        except (TypeError, ValueError):
+            raise InvalidMeshError(
+                "mesh spec field 'breakpoints' must hold one list of numbers per axis"
+            ) from None
+        return build_cartesian_mesh(axes)
     if kind == "uniform":
-        n, d = int(field("n")), int(spec.get("d", 1))
+        n, d = count("n", field("n")), count("d", spec.get("d", 1), top=3)
         pts = np.linspace(0.0, 1.0, n + 1)
         return build_cartesian_mesh([pts] * d)
-    if kind == "unit-square":
-        return build_simplicial_mesh("unit-square", n=int(field("n")))
-    if kind == "l-shape":
-        return build_simplicial_mesh("l-shape", n=int(field("n")))
+    if kind in ("unit-square", "l-shape"):
+        return build_simplicial_mesh(kind, n=count("n", field("n")))
     if kind == "file":
-        return load_mesh(field("path"))
+        if not isinstance(field("path"), str):
+            raise InvalidMeshError("mesh spec field 'path' must be a string")
+        return load_mesh(spec["path"])
     raise InvalidMeshError(f"unknown mesh spec type {kind!r}")
 
 
@@ -389,8 +350,6 @@ def refine_spec(spec, factor):
                 pts.extend(a + (b - a) * np.arange(1, factor + 1) / factor)
             new_axes.append(list(map(float, pts)))
         return {"type": "cartesian", "breakpoints": new_axes}
-    if kind == "uniform":
-        return {**spec, "n": int(spec["n"]) * factor}
-    if kind in ("unit-square", "l-shape"):
+    if kind in ("uniform", "unit-square", "l-shape"):
         return {**spec, "n": int(spec["n"]) * factor}
     raise InvalidMeshError(f"cannot refine mesh spec type {kind!r}")

@@ -291,8 +291,3 @@ class ReferenceBasis:
         values = mv @ self._coeff
         grads = np.stack([mdx @ self._coeff, mdy @ self._coeff], axis=2)
         return values, grads
-
-
-def basis_eval(basis, points):
-    """Functional wrapper around ReferenceBasis.eval."""
-    return basis.eval(points)

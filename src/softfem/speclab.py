@@ -248,33 +248,81 @@ class ExperimentConfig:
                 raise ConfigError(f"config field {key!r} is not recognized")
         if "name" not in data:
             raise ConfigError("config field 'name' is required")
+        for key, value in data.items():
+            valid, expected = _FIELD_RULES[key]
+            if not valid(value):
+                raise ConfigError(f"config field {key!r} must be {expected}")
         cfg = cls(**data)
-        if cfg.mesh is None and cfg.ladder is None:
-            raise ConfigError("config field 'mesh' (or 'ladder') is required")
-        if cfg.eta not in ("galerkin", "default") and not _is_eta(cfg.eta):
-            raise ConfigError(
-                "config field 'eta' must be 'galerkin', 'default', or a finite number >= 0"
-            )
-        if cfg.eta_sweep is not None and not (
-            isinstance(cfg.eta_sweep, list) and all(_is_eta(e) for e in cfg.eta_sweep)
-        ):
-            raise ConfigError("config field 'eta_sweep' must list finite numbers >= 0")
-        if cfg.modes is not None and not (
-            isinstance(cfg.modes, int) and not isinstance(cfg.modes, bool) and cfg.modes >= 1
-        ):
-            raise ConfigError("config field 'modes' must be an integer >= 1 or null")
-        for p in cfg.degrees:
-            if not isinstance(p, int) or p < 1:
-                raise ConfigError("config field 'degrees' must hold integers >= 1")
-        if cfg.face_weight not in ("local", "mean"):
-            raise ConfigError("config field 'face_weight' must be 'local' or 'mean'")
+        if cfg.ladder is None:
+            if cfg.mesh is None:
+                raise ConfigError("config field 'mesh' (or 'ladder') is required")
+            return cfg
+        # a ladder refines uniform 1D meshes and scores them against the
+        # exact kappa = 1 spectrum
+        for key in data:
+            if key not in ("name", "kappa", "eta", "stiffen", "ladder"):
+                raise ConfigError(f"config field {key!r} does not apply to a ladder")
+        if cfg.kappa.strip() != "1":
+            raise ConfigError("config field 'kappa' must be 1 in a ladder")
         return cfg
+
+
+def _is_count(value):
+    """An integer >= 1 (bool is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _is_counts(value):
+    """A non-empty list of integers >= 1."""
+    return isinstance(value, list) and len(value) > 0 and all(_is_count(v) for v in value)
 
 
 def _is_eta(value):
     """A numeric softness parameter: a finite number >= 0 (bool is not one)."""
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
     return numeric and 0 <= value < math.inf
+
+
+def _is_ladder(blocks):
+    """A non-empty list of {'degree', 'n', 'track_modes'} blocks."""
+    return isinstance(blocks, list) and len(blocks) > 0 and all(
+        isinstance(b, dict)
+        and set(b) <= {"degree", "n", "track_modes"}
+        and _is_count(b.get("degree"))
+        and _is_counts(b.get("n"))
+        and _is_counts(b.get("track_modes", [1]))
+        for b in blocks
+    )
+
+
+# every ExperimentConfig field: (validity test of a given value, what it must be)
+_FIELD_RULES = {
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "kappa": (lambda v: isinstance(v, str), "a string"),
+    "mesh": (lambda v: v is None or isinstance(v, dict), "an object with a 'type'"),
+    "degrees": (_is_counts, "a non-empty list of integers >= 1"),
+    "eta": (
+        lambda v: v in ("galerkin", "default") or _is_eta(v),
+        "'galerkin', 'default', or a finite number >= 0",
+    ),
+    "stiffen": (lambda v: isinstance(v, bool), "true or false"),
+    "modes": (lambda v: v is None or _is_count(v), "an integer >= 1 or null"),
+    "reference": (lambda v: v in ("exact", "high-order", "none"), "exact, high-order, or none"),
+    "reference_degree": (_is_count, "an integer >= 1"),
+    "reference_refine": (_is_count, "an integer >= 1"),
+    "jump_ratio": (lambda v: isinstance(v, bool), "true or false"),
+    "eigenfunction_modes": (lambda v: v == [] or _is_counts(v), "a list of integers >= 1"),
+    "face_weight": (lambda v: v in ("local", "mean"), "'local' or 'mean'"),
+    "eta_sweep": (
+        lambda v: v is None or (isinstance(v, list) and all(_is_eta(e) for e in v)),
+        "a list of finite numbers >= 0",
+    ),
+    "ladder": (
+        lambda v: v is None or _is_ladder(v),
+        "a list of blocks {'degree': p, 'n': [...], 'track_modes': [...]} "
+        "of integers >= 1 ('track_modes' is optional)",
+    ),
+}
 
 
 def resolve_eta(policy, p, mesh_kind, d):
@@ -602,9 +650,7 @@ def _run_ladder(cfg, out_dir):
     """Mesh-refinement study tracking eigenpair errors and their rates."""
     results = {}
     for block in cfg.ladder:
-        p = int(block["degree"])
-        ns = [int(n) for n in block["n"]]
-        track = [int(m) for m in block.get("track_modes", [1])]
+        p, ns, track = block["degree"], block["n"], block.get("track_modes", [1])
         exact = oracle.exact_laplace_spectrum(1, max(track) + 2)
         rows = {m: {"relerr": [], "h1": [], "l2": []} for m in track}
         floors = {m: [] for m in track}

@@ -6,6 +6,7 @@ from softfem.assembly import assemble_mass, assemble_stiffness, build_space
 from softfem.gevp import (
     IndefinitePencilError,
     MassNotSpdError,
+    _fix_signs,
     cluster_eigenvalues,
     condition_number,
     rayleigh_quotient,
@@ -49,6 +50,20 @@ def test_m_orthonormal_eigenvectors():
         assert abs(rayleigh_quotient(a, m, x) - spec.values[j]) < 1e-9
 
 
+def fix_signs_loop(vectors):
+    """Column-by-column reference of the sign convention."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        big = np.abs(col).max()
+        if big == 0:
+            continue
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * big)
+        if len(nz) and col[nz[0]] < 0:
+            out[:, j] = -col
+    return out
+
+
 def test_sign_convention_first_nonzero_positive():
     a, m = random_pencil(9, seed=2)
     spec = solve_gmevp(a, m)
@@ -56,6 +71,15 @@ def test_sign_convention_first_nonzero_positive():
         v = spec.vectors[:, j]
         nz = np.flatnonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))
         assert v[nz[0]] > 0
+    raw = np.asfortranarray(np.random.default_rng(5).standard_normal((9, 9)))
+    raw[:, 2] = 0.0  # a zero column stays as it is
+    raw[:3, 4] = [-1e-13, 0.0, 0.7]  # led by a negative entry under the cut
+    raw[:2, 6] = [2e-13, -0.9]  # led by a positive entry under the cut
+    for vectors in (spec.vectors, raw, -raw):
+        fixed = _fix_signs(vectors)
+        expected = fix_signs_loop(vectors)
+        assert fixed.tobytes() == expected.tobytes()
+        assert fixed.flags.c_contiguous
 
 
 def test_solve_is_reproducible():

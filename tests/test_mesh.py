@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softfem.mesh import (
     InvalidMeshError,
@@ -7,7 +9,6 @@ from softfem.mesh import (
     build_cartesian_mesh,
     build_simplicial_mesh,
     characteristic_lengths,
-    interfaces,
     load_mesh,
     mesh_from_spec,
     parse_mesh_text,
@@ -21,9 +22,9 @@ def test_cartesian_1d_counts_and_lengths():
     assert mesh.n_elements == 3
     hs = [characteristic_lengths(mesh, e)["h"] for e in range(3)]
     assert np.allclose(hs, [0.25, 0.25, 0.5])
-    faces = interfaces(mesh)
+    faces = mesh.interfaces
     assert len(faces) == 2
-    assert all(f.normal.shape == (1,) for f in faces)
+    assert faces.normal.shape == (2, 1)
 
 
 def test_cartesian_2d_interface_count_and_normals():
@@ -31,18 +32,17 @@ def test_cartesian_2d_interface_count_and_normals():
     pts = np.linspace(0.0, 1.0, n + 1)
     mesh = build_cartesian_mesh([pts, pts])
     assert mesh.n_elements == n * n
-    faces = interfaces(mesh)
+    faces = mesh.interfaces
     assert len(faces) == 2 * n * (n - 1)
-    for f in faces:
-        assert abs(np.linalg.norm(f.normal) - 1.0) < 1e-14
-        assert abs(f.measure - 0.25) < 1e-14
+    assert np.all(np.abs(np.linalg.norm(faces.normal, axis=1) - 1.0) < 1e-14)
+    assert np.all(np.abs(faces.measure - 0.25) < 1e-14)
 
 
 def test_cartesian_3d_interface_count():
     pts = np.linspace(0.0, 1.0, 4)
     mesh = build_cartesian_mesh([pts, pts, pts])
     assert mesh.n_elements == 27
-    assert len(interfaces(mesh)) == 3 * 9 * 2
+    assert len(mesh.interfaces) == 3 * 9 * 2
 
 
 def test_h0_is_smallest_edge_for_cuboids():
@@ -57,13 +57,16 @@ def test_breakpoints_must_increase():
         build_cartesian_mesh([[0.0, 0.5, 0.5, 1.0]])
     with pytest.raises(InvalidMeshError):
         build_cartesian_mesh([[1.0, 0.0]])
+    for bad in ([0.0, np.nan, 1.0], [0.0, np.inf], 0.5):
+        with pytest.raises(InvalidMeshError):
+            build_cartesian_mesh([bad])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_unit_square_simplicial_counts(n):
     mesh = build_simplicial_mesh("unit-square", n=n)
     assert mesh.n_elements == 2 * n * n
-    assert len(interfaces(mesh)) == 3 * n * n - 2 * n
+    assert len(mesh.interfaces) == 3 * n * n - 2 * n
     vols = [characteristic_lengths(mesh, e)["volume"] for e in range(mesh.n_elements)]
     assert abs(sum(vols) - 1.0) < 1e-13
 
@@ -112,7 +115,7 @@ def test_explicit_mesh_fixes_orientation_and_rejects_degenerate():
 
 def test_interface_normals_point_from_first_to_second_element():
     mesh = build_cartesian_mesh([[0.0, 0.5, 1.0]])
-    (face,) = interfaces(mesh)
+    (face,) = mesh.interfaces
     e1, e2 = face.elements
     c1 = np.mean(mesh.vertices[mesh.elements[e1]], axis=0)
     c2 = np.mean(mesh.vertices[mesh.elements[e2]], axis=0)
@@ -121,19 +124,18 @@ def test_interface_normals_point_from_first_to_second_element():
 
 def test_interface_h_f_is_min_of_adjacent_h0():
     mesh = build_cartesian_mesh([[0.0, 0.1, 1.0]])
-    (face,) = interfaces(mesh)
+    (face,) = mesh.interfaces
     assert abs(face.h_f - 0.1) < 1e-14
 
 
 def test_interfaces_are_deterministic():
     a = build_simplicial_mesh("unit-square", n=3)
     b = build_simplicial_mesh("unit-square", n=3)
-    fa, fb = interfaces(a), interfaces(b)
+    fa, fb = a.interfaces, b.interfaces
     assert len(fa) == len(fb)
-    for x, y in zip(fa, fb):
-        assert x.elements == y.elements
-        assert x.vertex_ids == y.vertex_ids
-        assert np.array_equal(x.normal, y.normal)
+    assert np.array_equal(fa.elements, fb.elements)
+    assert np.array_equal(fa.vertex_ids, fb.vertex_ids)
+    assert np.array_equal(fa.normal, fb.normal)
 
 
 def test_parse_mesh_text_roundtrip_and_errors(tmp_path):
@@ -190,3 +192,75 @@ def test_refine_spec_doubles_resolution():
 def test_mesh_rejects_mismatched_dimension():
     with pytest.raises(InvalidMeshError):
         Mesh(2, "simplicial", np.zeros((3, 2)), [[0, 1]])
+
+
+def test_face_shared_by_three_triangles_is_rejected():
+    nodes = [(0, 0), (1, 0), (0, 1), (0.5, -1), (1, 1)]
+    with pytest.raises(InvalidMeshError, match="more than two"):
+        build_simplicial_mesh("explicit", nodes=nodes, elements=[(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+
+
+def check_face_table(mesh):
+    """Properties every face table holds, checked against the vertex
+    coordinates and element vertex lists."""
+    faces = mesh.interfaces
+    e1, e2 = faces.elements.T
+    assert np.all(e1 < e2)
+    # each face's vertices belong to both of its elements
+    for e in (e1, e2):
+        assert np.all((faces.vertex_ids[:, :, None] == mesh.elements[e][:, None, :]).any(axis=2))
+    # the table lists the interior faces, lexicographically in sorted vertex ids
+    ids = faces.vertex_ids
+    assert np.all(np.diff(ids, axis=1) > 0)
+    assert [tuple(r) for r in ids] == sorted(tuple(r) for r in ids)
+    assert np.array_equal(ids, mesh.faces[~mesh.on_boundary])
+    assert np.array_equal(
+        mesh.faces[mesh.face_ids], np.sort(mesh.elements[:, mesh.local_faces], axis=2)
+    )
+    # a unit normal, orthogonal to the face, pointing from e1 to e2
+    assert np.all(np.abs(np.linalg.norm(faces.normal, axis=1) - 1.0) < 1e-14)
+    verts = mesh.vertices[ids]
+    tangents = verts[:, 1:] - verts[:, :1]
+    assert np.all(np.abs(np.einsum("fkd,fd->fk", tangents, faces.normal)) < 1e-13)
+    centers = mesh.vertices[mesh.elements].mean(axis=1)
+    assert np.all(((centers[e2] - centers[e1]) * faces.normal).sum(axis=1) > 0)
+    # the measure is the face's length or area (a point in 1D)
+    if mesh.d == 1:
+        expected = np.ones(len(faces))
+    elif mesh.d == 2:
+        expected = np.hypot(tangents[:, 0, 0], tangents[:, 0, 1])
+    else:  # rectangles whose lowest vertex id is a corner next to the second and third
+        expected = np.linalg.norm(np.cross(tangents[:, 0], tangents[:, 1]), axis=1)
+    assert np.allclose(faces.measure, expected, rtol=1e-13, atol=0)
+    assert np.array_equal(faces.h_f, np.minimum(mesh.h0[e1], mesh.h0[e2]))
+    # every element face is interior (seen twice) or on the boundary (once)
+    assert 2 * len(faces) + mesh.on_boundary.sum() == mesh.n_elements * len(mesh.local_faces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4), min_size=1, max_size=3),
+    st.floats(-2.0, 2.0),
+)
+def test_cartesian_face_table(widths, origin):
+    mesh = build_cartesian_mesh([origin + np.cumsum([0.0] + w) for w in widths])
+    cells = [len(w) for w in widths]
+    assert len(mesh.interfaces) == sum((c - 1) * np.prod(cells) // c for c in cells)
+    check_face_table(mesh)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["unit-square", "l-shape"]), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_jittered_triangulation_face_table(kind, n, seed):
+    """Triangulations with jittered vertices and elements listed in random
+    vertex order, which the explicit builder turns counterclockwise."""
+    base = build_simplicial_mesh(kind, n=n)
+    rng = np.random.default_rng(seed)
+    h = 1.0 / (n if kind == "unit-square" else 2 * n)
+    nodes = base.vertices + rng.uniform(-0.1 * h, 0.1 * h, base.vertices.shape)
+    order = np.argsort(rng.random(base.elements.shape), axis=1)
+    elements = np.take_along_axis(base.elements, order, axis=1)
+    mesh = build_simplicial_mesh("explicit", nodes=nodes, elements=elements.tolist())
+    interior = 3 * n * n - 2 * n if kind == "unit-square" else 9 * n * n - 4 * n
+    assert len(mesh.interfaces) == interior
+    check_face_table(mesh)

@@ -456,6 +456,14 @@ def test_cli_rejects_nonpositive_or_nonfinite_kappa(tmp_path, capsys, kappa, d):
         ({"type": "l-shape"}, "n"),
         ({"type": "cartesian"}, "breakpoints"),
         ({"type": "file"}, "path"),
+        ({"type": "uniform", "n": "x"}, "n"),
+        ({"type": "uniform", "n": 0}, "n"),
+        ({"type": "unit-square", "n": 2.5}, "n"),
+        ({"type": "uniform", "n": 4, "d": 1.5}, "d"),
+        ({"type": "uniform", "n": 4, "d": 4}, "d"),
+        ({"type": "cartesian", "breakpoints": [[0, "x"]]}, "breakpoints"),
+        ({"type": "file", "path": 0}, "path"),
+        ("x", "mesh"),
     ],
 )
 def test_cli_mesh_spec_missing_field(tmp_path, capsys, spec, name):
@@ -463,6 +471,42 @@ def test_cli_mesh_spec_missing_field(tmp_path, capsys, spec, name):
     path.write_text(json.dumps({"name": "m", "mesh": spec}))
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"field {name!r}" in capsys.readouterr().err
+
+
+MESHED = {"name": "bad", "mesh": {"type": "uniform", "n": 4, "d": 1}}
+LADDER = {"name": "bad", "ladder": [{"degree": 1, "n": [4, 8]}]}
+
+
+@pytest.mark.parametrize(
+    "cfg,name",
+    [
+        ({**MESHED, "degrees": 2}, "degrees"),
+        ({**MESHED, "degrees": [True]}, "degrees"),
+        ({**MESHED, "degrees": []}, "degrees"),
+        ({**MESHED, "reference_degree": 0}, "reference_degree"),
+        ({**MESHED, "reference_refine": 1.5}, "reference_refine"),
+        ({**MESHED, "reference": "exakt"}, "reference"),
+        ({**MESHED, "name": 3}, "name"),
+        ({**MESHED, "kappa": 4}, "kappa"),
+        ({**MESHED, "stiffen": "yes"}, "stiffen"),
+        ({**MESHED, "jump_ratio": 1}, "jump_ratio"),
+        ({**MESHED, "eigenfunction_modes": [0]}, "eigenfunction_modes"),
+        ({"name": "bad", "ladder": [{"degree": 2}]}, "ladder"),
+        ({"name": "bad", "ladder": [{"degree": "x", "n": [4]}]}, "ladder"),
+        ({"name": "bad", "ladder": [{"degree": 1, "n": [4], "modes": 2}]}, "ladder"),
+        ({"name": "bad", "ladder": []}, "ladder"),
+        ({**LADDER, "kappa": "4"}, "kappa"),
+        ({**LADDER, "mesh": {"type": "uniform", "n": 4}}, "mesh"),
+        ({**LADDER, "face_weight": "mean"}, "face_weight"),
+        ({**LADDER, "modes": 3}, "modes"),
+    ],
+)
+def test_cli_rejects_bad_config_fields(tmp_path, capsys, cfg, name):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"field '{name}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -500,3 +544,5 @@ def test_cli_mesh_info(tmp_path, capsys):
     assert "elements=2" in out and "interfaces=1" in out
     path.write_text("nodes 1\n0 0\n")
     assert cli.main(["mesh-info", str(path)]) == 2
+    assert cli.main(["mesh-info", str(tmp_path / "missing.mesh")]) == 2
+    assert "cannot read mesh file" in capsys.readouterr().err
