@@ -14,7 +14,6 @@ from .gevp import (
     Spectrum,
     StiffnessMetrics,
     condition_number,
-    rayleigh_quotient,
     solve_gmevp,
     stiffness_reduction,
 )

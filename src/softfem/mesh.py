@@ -234,9 +234,11 @@ def build_simplicial_mesh(kind, n=None, nodes=None, elements=None):
             raise InvalidMeshError("explicit mesh needs nodes and elements")
         nodes = np.asarray(nodes, dtype=float)
         fixed = []
-        for el in elements:
+        for i, el in enumerate(elements):
+            if np.shape(el) != (3,):
+                raise InvalidMeshError(f"element {i} {el!r} is not a vertex triple")
             if any(not 0 <= v < len(nodes) for v in el):
-                raise InvalidMeshError("element references an invalid vertex")
+                raise InvalidMeshError(f"element {i} references an invalid vertex")
             a, b, c = (nodes[v] for v in el)
             area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
             if area2 == 0:

@@ -2,19 +2,28 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from softfem.assembly import assemble_mass, assemble_stiffness, build_space
+from softfem.assembly import (
+    assemble_mass,
+    assemble_penalty,
+    assemble_stiffness,
+    build_space,
+    soften,
+    softness_parameters,
+)
+from softfem.coefficient import parse_coefficient
 from softfem.gevp import (
     IndefinitePencilError,
     MassNotSpdError,
     _fix_signs,
+    _inertia,
+    _lowest_modes,
     cluster_eigenvalues,
     condition_number,
-    rayleigh_quotient,
     smallest_eigenvalue,
     solve_gmevp,
     stiffness_reduction,
 )
-from softfem.mesh import mesh_from_spec
+from softfem.mesh import mesh_from_spec, refine_spec
 
 
 def dense_to_sym(a):
@@ -47,7 +56,7 @@ def test_m_orthonormal_eigenvectors():
     ad = a.toarray()
     for j in range(12):
         x = spec.vectors[:, j]
-        assert abs(rayleigh_quotient(a, m, x) - spec.values[j]) < 1e-9
+        assert abs((x @ ad @ x) / (x @ md @ x) - spec.values[j]) < 1e-9
 
 
 def fix_signs_loop(vectors):
@@ -101,6 +110,122 @@ def test_smallest_eigenvalue_matches_full_solve():
     a, m = random_pencil(20, seed=4)
     spec = solve_gmevp(a, m)
     assert abs(smallest_eigenvalue(a, m) - spec.values[0]) < 1e-10
+
+
+@pytest.mark.parametrize("factor", [0.95, 1.05])
+def test_smallest_eigenvalue_on_a_softened_pencil(factor):
+    """Positive (sparse path) and indefinite (dense fallback) 1D pencils."""
+    space = build_space(mesh_from_spec({"type": "uniform", "n": 100}), 2)
+    M = assemble_mass(space)
+    eta = factor * softness_parameters(2, "tensor")["eta_max"]
+    A = soften(assemble_stiffness(space), assemble_penalty(space), eta)
+    dense = solve_gmevp(A, M).values[0]
+    assert (_lowest_modes(A, M, 1) is None) == (factor > 1)
+    assert abs(smallest_eigenvalue(A, M) - dense) <= 1e-10 * abs(dense)
+
+
+def pencil(spec, p, kappa="1"):
+    space = build_space(mesh_from_spec(spec), p)
+    return space, assemble_stiffness(space, parse_coefficient(kappa)), assemble_mass(space)
+
+
+def graded_2d_kappa_reference():
+    """The reference pencil of the graded-2d-kappa benchmark workload: a
+    jittered 10 x 10 Cartesian mesh refined once, degree 4, variable kappa."""
+    rng = np.random.default_rng(7)
+    axes = []
+    for _ in range(2):
+        b = np.linspace(0.0, 1.0, 11)
+        b[1:-1] += rng.uniform(-0.003, 0.003, 9)
+        axes.append(b.tolist())
+    spec = refine_spec({"type": "cartesian", "breakpoints": axes}, 1)
+    return pencil(spec, 4, kappa="1 + 0.495*sin(2.003*pi*x)*cos(2.003*pi*y)")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        graded_2d_kappa_reference,
+        lambda: pencil({"type": "unit-square", "n": 8}, 3),
+        lambda: pencil({"type": "l-shape", "n": 6}, 3),
+    ],
+    ids=["graded-2d-kappa", "unit-square-p3", "l-shape-p3"],
+)
+def test_lowest_modes_match_dense(make):
+    _, K, M = make()
+    k = 40
+    sparse = solve_gmevp(K, M, k)
+    assert _lowest_modes(K, M, k) is not None  # the sparse path ran
+    dense = solve_gmevp(K, M)
+    assert sparse.order == k and sparse.vectors.shape == (K.shape[0], k)
+    assert np.max(np.abs(sparse.values - dense.values[:k]) / dense.values[:k]) <= 1e-10
+    MU = M @ sparse.vectors
+    residual = np.linalg.norm(K @ sparse.vectors - MU * sparse.values, axis=0)
+    assert np.max(residual / (sparse.values * np.linalg.norm(MU, axis=0))) <= 1e-10
+    assert np.max(np.abs(sparse.vectors.T @ MU - np.eye(k))) <= 1e-12
+    # sign-fixed vectors of simple modes agree with the dense ones
+    assert np.max(np.abs(sparse.vectors[:, :3] - dense.vectors[:, :3])) <= 1e-8
+    again = solve_gmevp(K, M, k)
+    assert again.values.tobytes() == sparse.values.tobytes()
+    assert again.vectors.tobytes() == sparse.vectors.tobytes()
+
+
+def assert_dense_slice(A, M, k):
+    """solve_gmevp(A, M, k) is the dense solve's lowest k, bit for bit."""
+    dense = solve_gmevp(A, M)
+    got = solve_gmevp(A, M, k)
+    assert got.values.tobytes() == dense.values[:k].tobytes()
+    assert got.vectors.tobytes() == np.ascontiguousarray(dense.vectors[:, :k]).tobytes()
+
+
+def test_indefinite_pencil_takes_the_dense_path():
+    space, K, M = pencil({"type": "uniform", "n": 6, "d": 2}, 2)
+    eta = 3 * softness_parameters(2, "tensor")["eta_max"]
+    A = soften(K, assemble_penalty(space), eta)
+    assert _inertia(A)[1] > 0
+    assert _lowest_modes(A, M, 5) is None
+    assert_dense_slice(A, M, 5)
+
+
+def test_row_pivot_voids_the_inertia_count():
+    """A zero diagonal forces SuperLU to pivot a row; its pivots then count
+    nothing (here all 40 are positive, for 20 negative eigenvalues)."""
+    blocks = sp.kron(sp.diags(np.arange(1.0, 21.0)), sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]]))
+    A, M = blocks.tocsr(), sp.identity(40, format="csr")
+    assert _inertia(A)[1] is None
+    assert _lowest_modes(A, M, 3) is None
+    assert_dense_slice(A, M, 3)
+
+
+def test_split_degenerate_cluster_takes_the_dense_path():
+    """lambda_40 = lambda_41 here (the x <-> y symmetry), so no tau separates
+    the lowest 40: the count jumps from 39 to 41."""
+    _, K, M = pencil({"type": "uniform", "n": 12, "d": 2}, 3)
+    values = solve_gmevp(K, M).values
+    assert values[40] - values[39] <= 1e-12 * values[40]
+    assert _inertia(K - values[39] * (1 - 1e-10) * M)[1] == 39
+    assert _inertia(K - values[39] * (1 + 1e-10) * M)[1] == 41
+    assert _lowest_modes(K, M, 40) is None
+    assert_dense_slice(K, M, 40)
+
+
+def test_lowest_modes_need_a_positive_definite_mass():
+    """An M with a tiny negative eigenvalue gives the pencil a huge negative
+    eigenvalue that neither shift-invert at 0 nor the count at tau sees."""
+    _, K, M = pencil({"type": "uniform", "n": 8, "d": 2}, 2)
+    shift = 1.0001 * np.linalg.eigvalsh(M.toarray())[0]
+    M = (M - shift * sp.eye(M.shape[0])).tocsr()
+    with pytest.raises(MassNotSpdError):
+        solve_gmevp(K, M, 3)
+    with pytest.raises(MassNotSpdError):
+        smallest_eigenvalue(K, M)
+
+
+def test_dense_path_slices_small_pencils():
+    """k + 1 > n // 10 keeps the dense path, whose lowest k are returned."""
+    a, m = random_pencil(30, seed=6)
+    assert_dense_slice(a, m, 3)
+    assert_dense_slice(a, m, 40)  # more modes than the order: all of them
 
 
 def test_permutation_invariance_of_spectrum():

@@ -107,10 +107,17 @@ def test_explicit_mesh_fixes_orientation_and_rejects_degenerate():
         build_simplicial_mesh(
             "explicit", nodes=[(0, 0), (1, 0), (2, 0)], elements=[(0, 1, 2)]
         )
-    with pytest.raises(InvalidMeshError):
+    with pytest.raises(InvalidMeshError, match="element 0 references"):
         build_simplicial_mesh(
             "explicit", nodes=[(0, 0), (1, 0), (0, 1)], elements=[(0, 1, 5)]
         )
+
+
+@pytest.mark.parametrize("bad", [(0, 1), (0, 1, 2, 3), 2])
+def test_explicit_mesh_element_must_be_a_vertex_triple(bad):
+    nodes = [(0, 0), (1, 0), (0, 1)]
+    with pytest.raises(InvalidMeshError, match=r"element 1 .* not a vertex triple"):
+        build_simplicial_mesh("explicit", nodes=nodes, elements=[(0, 1, 2), bad])
 
 
 def test_interface_normals_point_from_first_to_second_element():
