@@ -22,7 +22,6 @@ from .mesh import (
     Mesh,
     build_cartesian_mesh,
     build_simplicial_mesh,
-    characteristic_lengths,
     load_mesh,
     mesh_from_spec,
 )

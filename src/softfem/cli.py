@@ -18,6 +18,7 @@ from . import oracle, speclab
 from .assembly import AssemblyError
 from .coefficient import CoefficientParseError
 from .mesh import InvalidMeshError, load_mesh
+from .polyref import MAX_DEGREE
 from .speclab import CoercivityViolation, ConfigError, SolverFailure
 
 
@@ -73,6 +74,8 @@ def cmd_run(args):
 
 def cmd_trace_check(args):
     p = args.p
+    if not 1 <= p <= MAX_DEGREE:
+        raise ConfigError(f"--p must be an integer in [1, {MAX_DEGREE}]")
     rng = np.random.default_rng(args.seed)
     samples = args.samples
     if args.kind == "interval":

@@ -41,10 +41,6 @@ class StiffnessMetrics:
     sigma_soft: float
     rho: float
     rho_percent: float
-    lambda_min: float
-    lambda_max: float
-    lambda_min_soft: float
-    lambda_max_soft: float
 
 
 def _fix_signs(vectors):
@@ -176,10 +172,6 @@ def stiffness_reduction(fem, soft):
         sigma_soft=sigma_soft,
         rho=rho,
         rho_percent=100.0 * (1.0 - 1.0 / rho),
-        lambda_min=float(fem.values[0]),
-        lambda_max=float(fem.values[-1]),
-        lambda_min_soft=float(soft.values[0]),
-        lambda_max_soft=float(soft.values[-1]),
     )
 
 

@@ -55,8 +55,8 @@ class Mesh:
             raise InvalidMeshError("repeated vertex in element")
         self._build_geometry()
         self._build_faces()
-        for arr in (self.vertices, self.elements, self.volumes, self.surfaces, self.h,
-                    self.h0, self.faces, self.face_ids, self.on_boundary, self.interfaces):
+        for arr in (self.vertices, self.elements, self.volumes, self.h, self.h0,
+                    self.faces, self.face_ids, self.on_boundary, self.interfaces):
             arr.setflags(write=False)
 
     @property
@@ -87,11 +87,6 @@ class Mesh:
             if len(bad):
                 raise InvalidMeshError(f"degenerate cuboid element {bad[0]}")
             self.volumes = edges.prod(axis=1)
-            self.surfaces = (
-                2.0 * (self.volumes[:, None] / edges).sum(axis=1)
-                if self.d > 1
-                else np.full(self.n_elements, 2.0)
-            )
             self.h0 = edges.min(axis=1)
         else:
             a, b, c = verts[:, 0], verts[:, 1], verts[:, 2]
@@ -102,8 +97,8 @@ class Mesh:
             if len(bad):
                 raise InvalidMeshError(f"degenerate or clockwise triangle element {bad[0]}")
             self.volumes = 0.5 * area2
-            self.surfaces = _norms(b - a) + _norms(c - b) + _norms(a - c)
-            self.h0 = self.d * self.volumes / self.surfaces
+            perimeter = _norms(b - a) + _norms(c - b) + _norms(a - c)
+            self.h0 = self.d * self.volumes / perimeter
 
     # -- faces ------------------------------------------------------------
 
@@ -157,18 +152,6 @@ def _norms(v):
     np.linalg.norm takes for a single vector; norm(v, axis=1) sums the
     squares in another order and can differ in the last bit."""
     return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0, 0]
-
-
-def characteristic_lengths(mesh, element_id):
-    """Return {'h': diameter, 'h0': small length scale, 'volume', 'surface'}."""
-    if not 0 <= element_id < mesh.n_elements:
-        raise IndexError("invalid element id")
-    return {
-        "h": float(mesh.h[element_id]),
-        "h0": float(mesh.h0[element_id]),
-        "volume": float(mesh.volumes[element_id]),
-        "surface": float(mesh.surfaces[element_id]),
-    }
 
 
 def build_cartesian_mesh(breakpoints_per_axis):

@@ -64,6 +64,12 @@ class QuadratureRule:
 
 _MAX_NEWTON_ITERS = 100
 
+# the most points `gauss_legendre_rule` gives
+MAX_POINTS = 64
+# the highest polynomial degree a run accepts: eigenfunction errors
+# integrate a degree-p space with p + 5 points per axis
+MAX_DEGREE = MAX_POINTS - 5
+
 
 def gauss_legendre_rule(n):
     """Gauss-Legendre rule with n points on [-1,1], exact to degree 2n-1.
@@ -71,8 +77,8 @@ def gauss_legendre_rule(n):
     Nodes are roots of L_n located by Newton iteration from Chebyshev
     initial guesses; tolerance 1e-15 on the update.
     """
-    if not 1 <= n <= 64:
-        raise ValueError("point count must be in [1, 64]")
+    if not 1 <= n <= MAX_POINTS:
+        raise ValueError(f"point count must be in [1, {MAX_POINTS}]")
     if n == 1:
         return QuadratureRule(np.array([0.0]), np.array([2.0]), 1)
     x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
@@ -154,8 +160,6 @@ def simplex_rule(degree):
 
 def lobatto_points(p):
     """The p+1 Gauss-Lobatto interpolation points on [-1,1]."""
-    if p == 0:
-        return np.array([0.0])
     return gauss_lobatto_rule(p + 1).nodes
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +27,7 @@ from .assembly import (
 )
 from .coefficient import parse_coefficient
 from .mesh import build_cartesian_mesh, mesh_from_spec
-from .polyref import cuboid_rule, simplex_rule
+from .polyref import MAX_DEGREE, cuboid_rule, simplex_rule
 
 
 class ConfigError(ValueError):
@@ -272,9 +271,14 @@ def _is_count(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-def _is_counts(value):
-    """A non-empty list of integers >= 1."""
-    return isinstance(value, list) and len(value) > 0 and all(_is_count(v) for v in value)
+def _is_degree(value):
+    """A polynomial degree in [1, MAX_DEGREE]."""
+    return _is_count(value) and value <= MAX_DEGREE
+
+
+def _is_counts(value, item=_is_count):
+    """A non-empty list of values that pass `item` (integers >= 1 by default)."""
+    return isinstance(value, list) and len(value) > 0 and all(item(v) for v in value)
 
 
 def _is_eta(value):
@@ -288,7 +292,7 @@ def _is_ladder(blocks):
     return isinstance(blocks, list) and len(blocks) > 0 and all(
         isinstance(b, dict)
         and set(b) <= {"degree", "n", "track_modes"}
-        and _is_count(b.get("degree"))
+        and _is_degree(b.get("degree"))
         and _is_counts(b.get("n"))
         and _is_counts(b.get("track_modes", [1]))
         for b in blocks
@@ -300,7 +304,10 @@ _FIELD_RULES = {
     "name": (lambda v: isinstance(v, str), "a string"),
     "kappa": (lambda v: isinstance(v, str), "a string"),
     "mesh": (lambda v: v is None or isinstance(v, dict), "an object with a 'type'"),
-    "degrees": (_is_counts, "a non-empty list of integers >= 1"),
+    "degrees": (
+        lambda v: _is_counts(v, _is_degree),
+        f"a non-empty list of integers in [1, {MAX_DEGREE}]",
+    ),
     "eta": (
         lambda v: v in ("galerkin", "default") or _is_eta(v),
         "'galerkin', 'default', or a finite number >= 0",
@@ -308,7 +315,7 @@ _FIELD_RULES = {
     "stiffen": (lambda v: isinstance(v, bool), "true or false"),
     "modes": (lambda v: v is None or _is_count(v), "an integer >= 1 or null"),
     "reference": (lambda v: v in ("exact", "high-order", "none"), "exact, high-order, or none"),
-    "reference_degree": (_is_count, "an integer >= 1"),
+    "reference_degree": (_is_degree, f"an integer in [1, {MAX_DEGREE}]"),
     "reference_refine": (_is_count, "an integer >= 1"),
     "jump_ratio": (lambda v: isinstance(v, bool), "true or false"),
     "eigenfunction_modes": (lambda v: v == [] or _is_counts(v), "a list of integers >= 1"),
@@ -320,7 +327,7 @@ _FIELD_RULES = {
     "ladder": (
         lambda v: v is None or _is_ladder(v),
         "a list of blocks {'degree': p, 'n': [...], 'track_modes': [...]} "
-        "of integers >= 1 ('track_modes' is optional)",
+        f"of integers >= 1, with p <= {MAX_DEGREE} ('track_modes' is optional)",
     ),
 }
 
@@ -336,11 +343,10 @@ def resolve_eta(policy, p, mesh_kind, d):
 
 @dataclass
 class SolveBundle:
-    """Both spectra of a problem, and the pencil they solve.
+    """Both spectra of a problem, and the pencil K, M, S as assembled.
 
-    `factors` holds the 1D (K1, M1, S1) when K, M and S are Kronecker sums
-    of them, and the spectra come from the 1D pencils; it is None when the
-    d-dimensional pencils were solved densely.
+    When `kronecker` holds, K, M and S are the 1D pencil on `mesh.axes[0]`,
+    the spectra come from it, and `pencil()` forms the d-dimensional one.
     """
 
     space: object
@@ -350,14 +356,20 @@ class SolveBundle:
     fem: object
     soft: object
     eta: float
-    factors: tuple | None = None
+    kronecker: bool = False
 
     @property
     def solver(self):
-        return "dense" if self.factors is None else "kronecker"
+        return "kronecker" if self.kronecker else "dense"
 
+    def pencil(self):
+        """The d-dimensional (K, M, S); on the Kronecker path, the Kronecker
+        sums of the 1D pencil, formed on each call."""
+        if not self.kronecker:
+            return self.K, self.M, self.S
+        d = self.space.mesh.d
+        return _kron_sum(self.K, self.M, d), _kron([self.M] * d), _kron_sum(self.S, self.M, d)
 
-_SOLVER_ERRORS = (gevp.MassNotSpdError, np.linalg.LinAlgError)
 
 # Cell widths that agree to this relative tolerance count as congruent on
 # the Kronecker path; h_F then moves the penalty by at most as much.
@@ -391,8 +403,8 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
 
     face_weight='mean' replaces every h_F by the mesh-average element length
     scale (the convention behind some published 1D non-uniform tables).
-    Where `_is_kronecker_sum` holds, only the 1D pencils are assembled and
-    solved, and K, M, S and both spectra are formed from them.
+    Where `_is_kronecker_sum` holds, only the 1D pencil is assembled and
+    solved; the bundle holds it, and both spectra are formed from it.
     """
     kappa = parse_coefficient(kappa_text)
     space = build_space(mesh, p)
@@ -404,12 +416,9 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
     S = assemble_penalty(base, kappa, face_length=face_length)
     eta = resolve_eta(eta_policy, p, mesh.kind, mesh.d)
     fem = _solve(K, M)
-    factors = None
     if kronecker:
-        factors, d = (K, M, S), mesh.d
-        K, S, M = _kron_sum(K, M, d), _kron_sum(S, M, d), _kron([M] * d)
-        fem = _kronecker_spectrum(fem, d)
-    bundle = SolveBundle(space, K, M, S, fem=fem, soft=fem, eta=0.0, factors=factors)
+        fem = _kronecker_spectrum(fem, mesh.d)
+    bundle = SolveBundle(space, K, M, S, fem=fem, soft=fem, eta=0.0, kronecker=kronecker)
     bundle = _with_eta(bundle, eta, stiffen)
     if eta_policy == "default" and not stiffen and bundle.soft.values[0] <= 0:
         raise CoercivityViolation(
@@ -420,14 +429,14 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
 
 def _with_eta(bundle, eta, stiffen):
     """The bundle with its softened pencil solved again at eta; K, M, S and
-    the Galerkin spectrum are reused, and so are the 1D factors if any."""
+    the Galerkin spectrum are reused."""
     if eta == 0.0:
         return replace(bundle, soft=bundle.fem, eta=eta)
-    K, M, S = bundle.factors or (bundle.K, bundle.M, bundle.S)
+    K, S = bundle.K, bundle.S
     # stiffening flips the sign of the penalty term: K + eta*S
     A = K + eta * S if stiffen else soften(K, S, eta)
-    soft = _solve(A, M)
-    if bundle.factors is not None:
+    soft = _solve(A, bundle.M)
+    if bundle.kronecker:
         soft = _kronecker_spectrum(soft, bundle.space.mesh.d)
     return replace(bundle, soft=soft, eta=eta)
 
@@ -435,7 +444,7 @@ def _with_eta(bundle, eta, stiffen):
 def _solve(A, M):
     try:
         return gevp.solve_gmevp(A, M)
-    except _SOLVER_ERRORS as err:
+    except gevp.MassNotSpdError as err:
         raise SolverFailure(str(err)) from err
 
 
@@ -480,13 +489,7 @@ def _reference_values(cfg, mesh, count):
     if cfg.reference == "none":
         return None
     if cfg.reference == "exact":
-        if cfg.kappa.strip() != "1":
-            raise ConfigError("config field 'reference': exact needs kappa = 1")
-        if not _is_unit_domain(mesh):
-            raise ConfigError(
-                "config field 'reference': exact needs the unit interval, square or cube"
-            )
-        d = 2 if mesh.kind == "simplicial" else mesh.d
+        d = _exact_dimension(cfg, mesh, "reference")
         return oracle.exact_laplace_spectrum(d, count).values
     if cfg.reference == "high-order":
         values, _ = oracle.reference_spectrum(
@@ -498,6 +501,19 @@ def _reference_values(cfg, mesh, count):
         )
         return values
     raise ConfigError("config field 'reference' must be exact, high-order, or none")
+
+
+def _exact_dimension(cfg, mesh, name):
+    """The dimension of the exact kappa = 1 Laplace modes on the unit domain
+    that config field `name` compares with; a ConfigError naming the field
+    unless kappa is 1 and the mesh covers that domain."""
+    if cfg.kappa.strip() != "1":
+        raise ConfigError(f"config field {name!r}: exact modes need kappa = 1")
+    if not _is_unit_domain(mesh):
+        raise ConfigError(
+            f"config field {name!r}: exact modes need the unit interval, square or cube"
+        )
+    return 2 if mesh.kind == "simplicial" else mesh.d
 
 
 def _is_unit_domain(mesh):
@@ -518,7 +534,8 @@ def _spectrum_rows(cfg, bundle, reference, exact=None):
             relerr_soft = eigenvalue_error_curve(bundle.soft.values[:modes], reference)
     ratios = None
     if cfg.jump_ratio and has_soft:
-        ratios = jump_energy_ratio(bundle.soft, bundle.eta, bundle.K, bundle.S)
+        K, _, S = bundle.pencil()
+        ratios = jump_energy_ratio(bundle.soft, bundle.eta, K, S)
     efn = {}
     if cfg.eigenfunction_modes and exact is not None:
         target = bundle.soft if has_soft else bundle.fem
@@ -592,25 +609,16 @@ def _run_single(cfg, out_dir):
     mesh = mesh_from_spec(cfg.mesh)
     degrees = list(cfg.degrees)
     summaries = {}
-
-    def one(p):
-        bundle = solve_problem(
-            mesh, p, cfg.kappa, cfg.eta, cfg.stiffen, face_weight=cfg.face_weight
-        )
-        return p, bundle
-
-    workers = max(1, int(os.environ.get("SOFTFEM_THREADS", "1")))
-    if workers > 1 and len(degrees) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            bundles = dict(pool.map(one, degrees))
-    else:
-        bundles = dict(one(p) for p in degrees)
-
     exact = None
     if cfg.eigenfunction_modes:
-        d = 2 if mesh.kind == "simplicial" else mesh.d
-        exact = oracle.exact_laplace_spectrum(d, max(cfg.eigenfunction_modes) + 4)
-
+        exact = oracle.exact_laplace_spectrum(
+            _exact_dimension(cfg, mesh, "eigenfunction_modes"),
+            max(cfg.eigenfunction_modes) + 4,
+        )
+    bundles = {
+        p: solve_problem(mesh, p, cfg.kappa, cfg.eta, cfg.stiffen, face_weight=cfg.face_weight)
+        for p in degrees
+    }
     max_count = max(
         min(cfg.modes or bundles[p].fem.order, bundles[p].fem.order)
         for p in degrees
@@ -693,7 +701,7 @@ def run_experiment(config, out_dir):
         if config not in PRESETS:
             raise ConfigError(f"unknown preset {config!r}")
         config = PRESETS[config]
-    cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
+    cfg = ExperimentConfig.from_dict(config)
     os.makedirs(out_dir, exist_ok=True)
     summary = {
         "name": cfg.name,

@@ -188,8 +188,9 @@ def tabulated_row(lambda_min, lambda_max, lambda_max_soft, sigma):
 
 
 def metric_tuple(bundle):
-    m = stiffness_reduction(bundle.fem, bundle.soft)
-    return tabulated_row(m.lambda_min, m.lambda_max, m.lambda_max_soft, m.sigma)
+    fem, soft = bundle.fem.values, bundle.soft.values
+    sigma = stiffness_reduction(bundle.fem, bundle.soft).sigma
+    return tabulated_row(float(fem[0]), float(fem[-1]), float(soft[-1]), sigma)
 
 
 def test_criterion_3_table3(bundles_1d_200):

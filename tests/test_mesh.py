@@ -8,7 +8,6 @@ from softfem.mesh import (
     Mesh,
     build_cartesian_mesh,
     build_simplicial_mesh,
-    characteristic_lengths,
     load_mesh,
     mesh_from_spec,
     parse_mesh_text,
@@ -20,8 +19,7 @@ def test_cartesian_1d_counts_and_lengths():
     mesh = build_cartesian_mesh([[0.0, 0.25, 0.5, 1.0]])
     assert mesh.d == 1 and mesh.kind == "tensor"
     assert mesh.n_elements == 3
-    hs = [characteristic_lengths(mesh, e)["h"] for e in range(3)]
-    assert np.allclose(hs, [0.25, 0.25, 0.5])
+    assert np.allclose(mesh.h, [0.25, 0.25, 0.5])
     faces = mesh.interfaces
     assert len(faces) == 2
     assert faces.normal.shape == (2, 1)
@@ -47,9 +45,8 @@ def test_cartesian_3d_interface_count():
 
 def test_h0_is_smallest_edge_for_cuboids():
     mesh = build_cartesian_mesh([[0.0, 0.5], [0.0, 0.2], [0.0, 1.0]])
-    lengths = characteristic_lengths(mesh, 0)
-    assert abs(lengths["h0"] - 0.2) < 1e-14
-    assert abs(lengths["volume"] - 0.1) < 1e-14
+    assert abs(mesh.h0[0] - 0.2) < 1e-14
+    assert abs(mesh.volumes[0] - 0.1) < 1e-14
 
 
 def test_breakpoints_must_increase():
@@ -67,8 +64,8 @@ def test_unit_square_simplicial_counts(n):
     mesh = build_simplicial_mesh("unit-square", n=n)
     assert mesh.n_elements == 2 * n * n
     assert len(mesh.interfaces) == 3 * n * n - 2 * n
-    vols = [characteristic_lengths(mesh, e)["volume"] for e in range(mesh.n_elements)]
-    assert abs(sum(vols) - 1.0) < 1e-13
+    assert len(mesh.volumes) == mesh.n_elements
+    assert abs(sum(mesh.volumes) - 1.0) < 1e-13
 
 
 def test_triangles_are_counterclockwise():
@@ -83,18 +80,17 @@ def test_triangles_are_counterclockwise():
 def test_l_shape_counts_and_area(n):
     mesh = build_simplicial_mesh("l-shape", n=n)
     assert mesh.n_elements == 6 * n * n
-    vols = [characteristic_lengths(mesh, e)["volume"] for e in range(mesh.n_elements)]
-    assert abs(sum(vols) - 0.75) < 1e-13
+    assert len(mesh.volumes) == mesh.n_elements
+    assert abs(sum(mesh.volumes) - 0.75) < 1e-13
 
 
 def test_simplex_h0_matches_inradius_formula():
     mesh = build_simplicial_mesh(
         "explicit", nodes=[(0, 0), (1, 0), (0, 1)], elements=[(0, 1, 2)]
     )
-    lengths = characteristic_lengths(mesh, 0)
     area = 0.5
     per = 2.0 + np.sqrt(2.0)
-    assert abs(lengths["h0"] - 2 * area / per) < 1e-14
+    assert abs(mesh.h0[0] - 2 * area / per) < 1e-14
 
 
 def test_explicit_mesh_fixes_orientation_and_rejects_degenerate():
@@ -192,8 +188,7 @@ def test_refine_spec_doubles_resolution():
     spec2 = refine_spec({"type": "cartesian", "breakpoints": [[0.0, 0.4, 1.0]]}, 2)
     mesh = mesh_from_spec(spec2)
     assert mesh.n_elements == 4
-    hs = sorted(characteristic_lengths(mesh, e)["h"] for e in range(4))
-    assert np.allclose(hs, [0.2, 0.2, 0.3, 0.3])
+    assert np.allclose(np.sort(mesh.h), [0.2, 0.2, 0.3, 0.3])
 
 
 def test_mesh_rejects_mismatched_dimension():

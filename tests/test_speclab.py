@@ -15,6 +15,7 @@ from softfem.assembly import (
 )
 from softfem.coefficient import parse_coefficient
 from softfem.mesh import mesh_from_spec
+from softfem.polyref import MAX_DEGREE, cuboid_rule, simplex_rule
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +182,7 @@ def test_kronecker_path_matches_dense(d, n, p, eta_policy, stiffen, face_weight)
     space = build_space(mesh, p)
     K, M = assemble_stiffness(space, kappa), assemble_mass(space)
     S = assemble_penalty(space, kappa, face_length=1.0 / n if face_weight == "mean" else None)
-    for mine, assembled in ((bundle.K, K), (bundle.M, M), (bundle.S, S)):
+    for mine, assembled in zip(bundle.pencil(), (K, M, S)):
         assert abs(mine - assembled).max() <= 1e-14 * abs(assembled).max()
 
     eta = bundle.eta
@@ -192,6 +193,48 @@ def test_kronecker_path_matches_dense(d, n, p, eta_policy, stiffen, face_weight)
         residual, orthogonality = eigen_defects(spectrum, pencil, M)
         assert residual <= 1e-12
         assert orthogonality <= 1e-12
+
+
+@pytest.mark.parametrize("d,n,p", [(2, 3, 2), (3, 2, 3)])
+def test_kronecker_path_forms_no_d_dimensional_matrix(monkeypatch, d, n, p):
+    calls = []
+
+    def counted(name):
+        original = getattr(speclab, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("_kron", "_kron_sum"):
+        monkeypatch.setattr(speclab, name, counted(name))
+    mesh = mesh_from_spec({"type": "uniform", "n": n, "d": d})
+    bundle = speclab.solve_problem(mesh, p)
+    assert bundle.solver == "kronecker"
+    assert calls == []
+    assert bundle.K.shape[0] ** d == bundle.fem.order  # the 1D pencil
+    K, M, S = bundle.pencil()
+    assert K.shape == M.shape == S.shape == (bundle.fem.order,) * 2
+    assert calls  # the counter sees the forming
+
+
+def test_kronecker_jump_ratio_matches_assembled_pencil(tmp_path):
+    cfg = {"name": "jr", "mesh": {"type": "uniform", "n": 3, "d": 2}, "degrees": [2],
+           "jump_ratio": True}
+    summary = speclab.run_experiment(cfg, str(tmp_path))
+    assert summary["solver"] == {"2": "kronecker"}
+    rows = (tmp_path / "spectrum.csv").read_text().strip().split("\n")[1:]
+    written = np.array([float(row.split(",")[9]) for row in rows])
+
+    mesh = mesh_from_spec(cfg["mesh"])
+    bundle = speclab.solve_problem(mesh, 2)
+    space = build_space(mesh, 2)
+    K, S = assemble_stiffness(space), assemble_penalty(space)
+    want = speclab.jump_energy_ratio(bundle.soft, bundle.eta, K, S)
+    # relative to the largest ratio: one mode's ratio is 5e-18, rounding noise
+    assert np.max(np.abs(written - want)) <= 1e-12 * np.max(want)
 
 
 @pytest.mark.parametrize(
@@ -208,6 +251,7 @@ def test_other_inputs_take_the_dense_path(spec, kappa):
     bundle = speclab.solve_problem(mesh_from_spec(spec), 2, kappa)
     assert bundle.solver == "dense"
     assert bundle.fem.order == bundle.K.shape[0]
+    assert bundle.pencil() == (bundle.K, bundle.M, bundle.S)
 
 
 def test_kronecker_eta_sweep_matches_standalone_runs(tmp_path, monkeypatch):
@@ -282,23 +326,6 @@ def test_csv_roundtrip(tmp_path):
         lam_fem, lam_soft = float(fields[3]), float(fields[4])
         assert lam_soft <= lam_fem
         assert float(fields[9]) >= 0.0  # jump ratio
-
-
-def test_threaded_run_matches_serial(tmp_path, monkeypatch):
-    cfg = {
-        "name": "threads",
-        "mesh": {"type": "uniform", "n": 6, "d": 1},
-        "degrees": [1, 2, 3],
-        "eta": "default",
-        "reference": "exact",
-    }
-    speclab.run_experiment(cfg, str(tmp_path / "serial"))
-    monkeypatch.setenv("SOFTFEM_THREADS", "3")
-    speclab.run_experiment(cfg, str(tmp_path / "par"))
-    for p in [1, 2, 3]:
-        a = (tmp_path / "serial" / f"spectrum_p{p}.csv").read_bytes()
-        b = (tmp_path / "par" / f"spectrum_p{p}.csv").read_bytes()
-        assert a == b
 
 
 def test_ladder_run(tmp_path):
@@ -499,6 +526,10 @@ LADDER = {"name": "bad", "ladder": [{"degree": 1, "n": [4, 8]}]}
         ({**LADDER, "mesh": {"type": "uniform", "n": 4}}, "mesh"),
         ({**LADDER, "face_weight": "mean"}, "face_weight"),
         ({**LADDER, "modes": 3}, "modes"),
+        ({**MESHED, "degrees": [70]}, "degrees"),
+        ({**MESHED, "degrees": [2, MAX_DEGREE + 1]}, "degrees"),
+        ({**MESHED, "reference_degree": 70}, "reference_degree"),
+        ({"name": "bad", "ladder": [{"degree": 70, "n": [4]}]}, "ladder"),
     ],
 )
 def test_cli_rejects_bad_config_fields(tmp_path, capsys, cfg, name):
@@ -521,6 +552,63 @@ def test_cli_exact_reference_needs_unit_domain(tmp_path, capsys, mesh):
     path.write_text(json.dumps({"name": "r", "mesh": mesh, "reference": "exact"}))
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "field 'reference'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kappa,mesh",
+    [
+        ("1 + 0.9*sin(3*x)", {"type": "l-shape", "n": 3}),
+        ("1", {"type": "l-shape", "n": 3}),
+        ("1 + x", {"type": "uniform", "n": 3, "d": 2}),
+        ("1 + x", {"type": "unit-square", "n": 2}),
+    ],
+)
+def test_cli_eigenfunction_modes_need_the_exact_modes(tmp_path, capsys, kappa, mesh):
+    cfg = {"name": "e", "kappa": kappa, "mesh": mesh, "degrees": [2],
+           "eigenfunction_modes": [1, 2]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "field 'eigenfunction_modes'" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "mesh", [{"type": "uniform", "n": 4, "d": 2}, {"type": "unit-square", "n": 3}]
+)
+def test_eigenfunction_modes_on_the_unit_domain(tmp_path, mesh):
+    cfg = {"name": "e", "mesh": mesh, "degrees": [2], "eigenfunction_modes": [1]}
+    speclab.run_experiment(cfg, str(tmp_path))
+    rows = (tmp_path / "spectrum.csv").read_text().strip().split("\n")
+    h1err, l2err = (float(v) for v in rows[1].split(",")[7:9])
+    assert all(row.split(",")[7] == "" for row in rows[2:])
+    bundle = speclab.solve_problem(mesh_from_spec(mesh), 2)
+    exact = oracle.exact_laplace_spectrum(2, 5)
+    errs = speclab.eigenfunction_errors(bundle.space, bundle.soft, exact, 0)
+    assert (h1err, l2err) == (errs["h1"], errs["l2"])
+    assert l2err < 0.02
+
+
+def test_degree_bound_fits_the_error_quadrature():
+    # eigenfunction errors at the largest accepted degree have their rules
+    assert cuboid_rule(3, MAX_DEGREE + 5).weights.size == (MAX_DEGREE + 5) ** 3
+    assert simplex_rule(2 * MAX_DEGREE + 6).degree == 2 * MAX_DEGREE + 6
+    with pytest.raises(ValueError):
+        cuboid_rule(1, MAX_DEGREE + 6)
+    cfg = {"name": "p", "mesh": {"type": "uniform", "n": 1, "d": 1}}
+    speclab.ExperimentConfig.from_dict({**cfg, "degrees": [MAX_DEGREE]})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--p", "0", "--kind", "interval"], ["--p", "70", "--kind", "interval"],
+     ["--p", str(MAX_DEGREE + 1), "--kind", "cuboid"], ["--p", "-1", "--kind", "simplex"]],
+)
+def test_cli_trace_check_rejects_degrees_out_of_range(capsys, argv):
+    assert cli.main(["trace-check", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "--p" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("kind", ["cuboid", "simplex"])
