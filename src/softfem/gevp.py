@@ -1,8 +1,10 @@
 """Generalized symmetric eigenvalue solves and conditioning metrics.
 
 Pencils are scipy sparse matrices, as assembled. Full spectra are dense
-solves; a few lowest modes of a large pencil are a sparse solve certified
-by inertia counts, with the dense solve as fallback.
+solves. A few lowest modes of a large pencil are a sparse shift-invert
+solve, and the largest eigenvalue (or the smallest, of an indefinite A) a
+Lanczos Ritz value; an inertia count certifies each, and the dense solve is
+the fallback whenever a count does not.
 """
 
 from __future__ import annotations
@@ -23,10 +25,16 @@ class IndefinitePencilError(RuntimeError):
 
 @dataclass
 class Spectrum:
-    """Ascending eigenvalues with M-orthonormal eigenvector columns."""
+    """Ascending eigenvalues with M-orthonormal eigenvector columns, and the
+    pencil's largest eigenvalue `lambda_max`: all modes, or the lowest few.
+
+    A dense solve sets `lambda_max` from the full spectrum it computed; a
+    sparse partial solve leaves it None (see `largest_eigenvalue`).
+    """
 
     values: np.ndarray
     vectors: np.ndarray
+    lambda_max: float | None = None
 
     @property
     def order(self):
@@ -79,6 +87,11 @@ def _inertia(A):
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
+def _pays(k, n):
+    """Whether a sparse solve for k modes pays against a dense one of order n."""
+    return 1 <= k and k + 1 <= n // 10
+
+
 def _lowest_modes(A, M, k):
     """The lowest k modes of A U = lambda M U by shift-invert Lanczos at 0,
     or None unless inertia counts certify them.
@@ -93,7 +106,7 @@ def _lowest_modes(A, M, k):
     only when k + 1 <= n // 10, where a partial solve pays.
     """
     n = A.shape[0]
-    if k < 1 or k + 1 > n // 10:
+    if not _pays(k, n):
         return None
     # imported here: scipy.sparse.linalg adds 15-25 ms to `import softfem`
     from scipy.sparse.linalg import LinearOperator, eigsh
@@ -114,6 +127,48 @@ def _lowest_modes(A, M, k):
     return Spectrum(values=vals[:k], vectors=_fix_signs(vecs[:, :k]))
 
 
+# Relative width of the interval an inertia count certifies an extreme
+# eigenvalue in. On the 1D, 2D and 3D pencils where Lanczos converges, the
+# Ritz value agrees with the dense lambda_max to 1.2e-15 and the count
+# flips within 1e-14 above it; 1e-12 leaves a margin of 100 over that, and
+# is of the order of the dense solver's own error bound, n * eps.
+EXTREME_RTOL = 1e-12
+
+
+def _extreme_value(A, M, top):
+    """The largest (top) or smallest eigenvalue of A x = lambda M x by
+    Lanczos, or None unless an inertia count certifies it.
+
+    Lanczos in the M inner product (the factor of M, which must show no
+    negative pivot, applies M^-1) gives a Ritz value theta with
+    theta <= lambda_max, or theta >= lambda_min. The factor of A - sigma*M,
+    sigma = theta + EXTREME_RTOL * |theta| (top) or theta - EXTREME_RTOL *
+    |theta|, must then show n negative pivots (every eigenvalue below sigma)
+    or none (none below sigma), which proves the extreme value lies within
+    EXTREME_RTOL * |theta| of theta. The bottom end runs only for an
+    indefinite A, whose lowest mode shift-invert at 0 cannot reach.
+    """
+    n = A.shape[0]
+    if not _pays(1, n):
+        return None
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    sign = 1.0 if top else -1.0
+    try:
+        if not top and not _inertia(A)[1]:
+            return None
+        lu, negative = _inertia(M)
+        if negative != 0:
+            return None
+        inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        theta = float(eigsh(A, 1, M, which="LA" if top else "SA", Minv=inverse,
+                            v0=np.ones(n), return_eigenvectors=False)[0])
+        _, below = _inertia(A - (theta + sign * EXTREME_RTOL * abs(theta)) * M)
+    except RuntimeError:  # a singular factor, or ARPACK did not converge
+        return None
+    return theta if below == (n if top else 0) else None
+
+
 def _dense_eigh(A, M, **kwargs):
     try:
         return scipy.linalg.eigh(A.toarray(), M.toarray(), **kwargs)
@@ -128,7 +183,8 @@ def solve_gmevp(A, M, k=None):
     The certified sparse solve `_lowest_modes` runs first when k is given.
     Otherwise, or when it declines, the dense path runs: Cholesky-reduce
     with M, solve the symmetric problem, and back-transform. Eigenvalues may
-    be negative; coercivity violations are observable.
+    be negative; coercivity violations are observable. The sparse solve
+    leaves `lambda_max` None; the dense one sets it.
     """
     if A.shape != M.shape or A.shape[0] != A.shape[1]:
         raise ValueError("matrix order mismatch")
@@ -137,22 +193,37 @@ def solve_gmevp(A, M, k=None):
         return spectrum
     vals, vecs = _dense_eigh(A, M)
     order = np.argsort(vals, kind="stable")[:k]
-    return Spectrum(values=vals[order], vectors=_fix_signs(vecs[:, order]))
+    lambda_max = float(vals.max(initial=-np.inf))  # -inf for an empty pencil
+    return Spectrum(values=vals[order], vectors=_fix_signs(vecs[:, order]), lambda_max=lambda_max)
 
 
 def smallest_eigenvalue(A, M):
     """The smallest pencil eigenvalue only (cheaper than a full solve): the
-    certified sparse solve with k = 1, else a dense solve for that value."""
+    certified sparse solve with k = 1, else (an indefinite A) the certified
+    Lanczos value, else a dense solve for that value."""
     spectrum = _lowest_modes(A, M, 1)
     if spectrum is not None:
         return float(spectrum.values[0])
+    value = _extreme_value(A, M, top=False)
+    if value is not None:
+        return value
     return float(_dense_eigh(A, M, eigvals_only=True, subset_by_index=(0, 0))[0])
+
+
+def largest_eigenvalue(A, M):
+    """The largest pencil eigenvalue only: the certified Lanczos value, else
+    a dense solve for that value."""
+    value = _extreme_value(A, M, top=True)
+    if value is not None:
+        return value
+    n = A.shape[0]
+    return float(_dense_eigh(A, M, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0])
 
 
 def condition_number(spectrum):
     """lambda_max / lambda_min; raises if the pencil is not positive."""
     lam_min = float(spectrum.values[0])
-    lam_max = float(spectrum.values[-1])
+    lam_max = spectrum.lambda_max
     if lam_min <= 0:
         raise IndefinitePencilError(
             f"smallest eigenvalue {lam_min} is not positive"

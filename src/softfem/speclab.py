@@ -210,8 +210,9 @@ def rounding_floor(spectrum, j):
     relative error of mode j under ROUNDING_MULTIPLE times
     eps * lambda_max / lambda_j is not resolved.
     """
-    values = spectrum.values
-    return ROUNDING_MULTIPLE * np.finfo(float).eps * float(values[-1] / values[j])
+    return ROUNDING_MULTIPLE * np.finfo(float).eps * float(
+        spectrum.lambda_max / spectrum.values[j]
+    )
 
 
 # -- experiment runner -----------------------------------------------------
@@ -398,16 +399,23 @@ def _is_kronecker_sum(mesh, kappa):
 
 
 def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
-                  face_weight="local"):
+                  face_weight="local", modes=None):
     """Assemble and solve both the Galerkin and softened pencils.
 
     face_weight='mean' replaces every h_F by the mesh-average element length
     scale (the convention behind some published 1D non-uniform tables).
     Where `_is_kronecker_sum` holds, only the 1D pencil is assembled and
-    solved; the bundle holds it, and both spectra are formed from it.
+    solved; the bundle holds it, and both spectra are formed from it, in
+    full. Otherwise both spectra hold the lowest `modes` modes (all if None)
+    and each pencil's certified lambda_max.
     """
     kappa = parse_coefficient(kappa_text)
     space = build_space(mesh, p)
+    if space.ndof == 0:
+        raise ConfigError(
+            f"config fields 'mesh' and 'degrees' (or 'ladder'): the degree-{p} space "
+            "on this mesh has no interior degree of freedom"
+        )
     kronecker = _is_kronecker_sum(mesh, kappa)
     base = build_space(build_cartesian_mesh(mesh.axes[:1]), p) if kronecker else space
     K = assemble_stiffness(base, kappa)
@@ -415,7 +423,7 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
     face_length = float(np.mean(mesh.h0)) if face_weight == "mean" else None
     S = assemble_penalty(base, kappa, face_length=face_length)
     eta = resolve_eta(eta_policy, p, mesh.kind, mesh.d)
-    fem = _solve(K, M)
+    fem = _solve(K, M, None if kronecker else modes)
     if kronecker:
         fem = _kronecker_spectrum(fem, mesh.d)
     bundle = SolveBundle(space, K, M, S, fem=fem, soft=fem, eta=0.0, kronecker=kronecker)
@@ -428,22 +436,30 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
 
 
 def _with_eta(bundle, eta, stiffen):
-    """The bundle with its softened pencil solved again at eta; K, M, S and
-    the Galerkin spectrum are reused."""
+    """The bundle with its softened pencil solved again at eta, for as many
+    modes as the Galerkin spectrum holds; K, M, S and the Galerkin spectrum
+    are reused."""
     if eta == 0.0:
         return replace(bundle, soft=bundle.fem, eta=eta)
     K, S = bundle.K, bundle.S
     # stiffening flips the sign of the penalty term: K + eta*S
     A = K + eta * S if stiffen else soften(K, S, eta)
-    soft = _solve(A, bundle.M)
     if bundle.kronecker:
-        soft = _kronecker_spectrum(soft, bundle.space.mesh.d)
+        soft = _kronecker_spectrum(_solve(A, bundle.M), bundle.space.mesh.d)
+    else:
+        soft = _solve(A, bundle.M, bundle.fem.order)
     return replace(bundle, soft=soft, eta=eta)
 
 
-def _solve(A, M):
+def _solve(A, M, k=None):
+    """The lowest k modes of the pencil (all if k is None) and its
+    lambda_max, certified by `gevp.largest_eigenvalue` after a partial
+    sparse solve."""
     try:
-        return gevp.solve_gmevp(A, M)
+        spectrum = gevp.solve_gmevp(A, M, k)
+        if spectrum.lambda_max is None:
+            spectrum = replace(spectrum, lambda_max=gevp.largest_eigenvalue(A, M))
+        return spectrum
     except gevp.MassNotSpdError as err:
         raise SolverFailure(str(err)) from err
 
@@ -476,7 +492,8 @@ def _kronecker_spectrum(spectrum, d):
     vectors = X[:, idx[0]]
     for j in idx[1:]:
         vectors = (vectors[:, None, :] * X[:, j][None, :, :]).reshape(-1, len(order))
-    return gevp.Spectrum(values=values[order], vectors=vectors)
+    values = values[order]
+    return gevp.Spectrum(values=values, vectors=vectors, lambda_max=float(values[-1]))
 
 
 def _fmt(x):
@@ -499,6 +516,11 @@ def _reference_values(cfg, mesh, count):
             refine=cfg.reference_refine,
             richardson=False,
         )
+        if len(values) < count:
+            raise ConfigError(
+                "config fields 'reference_degree' and 'reference_refine': the "
+                f"reference space has {len(values)} modes, fewer than the {count} reported"
+            )
         return values
     raise ConfigError("config field 'reference' must be exact, high-order, or none")
 
@@ -523,9 +545,15 @@ def _is_unit_domain(mesh):
     return bool(np.abs(box).max() <= 1e-12 and abs(mesh.volumes.sum() - 1.0) <= 1e-12)
 
 
+def _reported_modes(cfg, bundle):
+    """The number of modes a run reports: `modes`, at most the dof count."""
+    n = bundle.space.ndof
+    return min(cfg.modes or n, n)
+
+
 def _spectrum_rows(cfg, bundle, reference, exact=None):
-    n = bundle.fem.order
-    modes = min(cfg.modes or n, n)
+    n = bundle.space.ndof
+    modes = _reported_modes(cfg, bundle)
     has_soft = bundle.eta != 0.0
     relerr_fem = relerr_soft = None
     if reference is not None:
@@ -583,9 +611,9 @@ def _degree_summary(cfg, bundle, relerr_fem, relerr_soft):
         "eta_max": pars["eta_max"],
         "gamma_p": gp["gamma"],
         "lambda_min_fem": float(bundle.fem.values[0]),
-        "lambda_max_fem": float(bundle.fem.values[-1]),
+        "lambda_max_fem": bundle.fem.lambda_max,
         "lambda_min_soft": float(bundle.soft.values[0]),
-        "lambda_max_soft": float(bundle.soft.values[-1]),
+        "lambda_max_soft": bundle.soft.lambda_max,
         "coercivity_margin": float(bundle.soft.values[0]),
     }
     try:
@@ -616,19 +644,18 @@ def _run_single(cfg, out_dir):
             max(cfg.eigenfunction_modes) + 4,
         )
     bundles = {
-        p: solve_problem(mesh, p, cfg.kappa, cfg.eta, cfg.stiffen, face_weight=cfg.face_weight)
+        p: solve_problem(
+            mesh, p, cfg.kappa, cfg.eta, cfg.stiffen, face_weight=cfg.face_weight,
+            modes=cfg.modes,
+        )
         for p in degrees
     }
-    max_count = max(
-        min(cfg.modes or bundles[p].fem.order, bundles[p].fem.order)
-        for p in degrees
-    )
+    max_count = max(_reported_modes(cfg, b) for b in bundles.values())
     full_reference = _reference_values(cfg, mesh, max_count)
 
     for p in degrees:
         bundle = bundles[p]
-        n = bundle.fem.order
-        modes = min(cfg.modes or n, n)
+        modes = _reported_modes(cfg, bundle)
         reference = None if full_reference is None else full_reference[:modes]
         csv_text, relerr_fem, relerr_soft = _spectrum_rows(
             cfg, bundle, reference, exact

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from softfem.assembly import (
@@ -14,11 +15,13 @@ from softfem.coefficient import parse_coefficient
 from softfem.gevp import (
     IndefinitePencilError,
     MassNotSpdError,
+    _extreme_value,
     _fix_signs,
     _inertia,
     _lowest_modes,
     cluster_eigenvalues,
     condition_number,
+    largest_eigenvalue,
     smallest_eigenvalue,
     solve_gmevp,
     stiffness_reduction,
@@ -121,6 +124,7 @@ def test_smallest_eigenvalue_on_a_softened_pencil(factor):
     A = soften(assemble_stiffness(space), assemble_penalty(space), eta)
     dense = solve_gmevp(A, M).values[0]
     assert (_lowest_modes(A, M, 1) is None) == (factor > 1)
+    assert (_extreme_value(A, M, top=False) is None) == (factor < 1)
     assert abs(smallest_eigenvalue(A, M) - dense) <= 1e-10 * abs(dense)
 
 
@@ -129,17 +133,25 @@ def pencil(spec, p, kappa="1"):
     return space, assemble_stiffness(space, parse_coefficient(kappa)), assemble_mass(space)
 
 
-def graded_2d_kappa_reference():
-    """The reference pencil of the graded-2d-kappa benchmark workload: a
-    jittered 10 x 10 Cartesian mesh refined once, degree 4, variable kappa."""
+GRADED_KAPPA = "1 + 0.495*sin(2.003*pi*x)*cos(2.003*pi*y)"
+
+
+def graded_2d_kappa_mesh():
+    """The mesh of the graded-2d-kappa benchmark workload: jittered 10 x 10
+    Cartesian cells (with GRADED_KAPPA as its variable kappa)."""
     rng = np.random.default_rng(7)
     axes = []
     for _ in range(2):
         b = np.linspace(0.0, 1.0, 11)
         b[1:-1] += rng.uniform(-0.003, 0.003, 9)
         axes.append(b.tolist())
-    spec = refine_spec({"type": "cartesian", "breakpoints": axes}, 1)
-    return pencil(spec, 4, kappa="1 + 0.495*sin(2.003*pi*x)*cos(2.003*pi*y)")
+    return {"type": "cartesian", "breakpoints": axes}
+
+
+def graded_2d_kappa_reference():
+    """The reference pencil of the graded-2d-kappa benchmark workload: its
+    mesh refined once, degree 4."""
+    return pencil(refine_spec(graded_2d_kappa_mesh(), 1), 4, kappa=GRADED_KAPPA)
 
 
 @pytest.mark.parametrize(
@@ -226,6 +238,70 @@ def test_dense_path_slices_small_pencils():
     a, m = random_pencil(30, seed=6)
     assert_dense_slice(a, m, 3)
     assert_dense_slice(a, m, 40)  # more modes than the order: all of them
+
+
+@pytest.mark.parametrize("softened", [False, True])
+def test_largest_eigenvalue_matches_dense(softened):
+    space, A, M = pencil(graded_2d_kappa_mesh(), 3, kappa=GRADED_KAPPA)
+    if softened:
+        S = assemble_penalty(space, parse_coefficient(GRADED_KAPPA))
+        A = soften(A, S, softness_parameters(3, "tensor", d=2)["eta_default"])
+    dense = solve_gmevp(A, M).lambda_max
+    assert _extreme_value(A, M, top=True) is not None  # the count certified it
+    assert abs(largest_eigenvalue(A, M) - dense) <= 1e-12 * dense
+
+
+def test_largest_eigenvalue_declines_an_inexact_ritz_value():
+    """Lanczos from ones converges 9.2e-6 below lambda_max on this pencil,
+    so the count at theta (1 + EXTREME_RTOL) misses an eigenvalue: the dense
+    value is returned."""
+    _, K, M = pencil({"type": "unit-square", "n": 16}, 3)
+    n = K.shape[0]
+    assert _extreme_value(K, M, top=True) is None
+    dense = scipy.linalg.eigh(
+        K.toarray(), M.toarray(), eigvals_only=True, subset_by_index=(n - 1, n - 1)
+    )[0]
+    assert largest_eigenvalue(K, M) == dense
+
+
+@pytest.mark.parametrize("top", [True, False])
+def test_extreme_value_count_rejects_a_missed_mode(top):
+    """The extreme mode (1, -1, 0, ...) is orthogonal to the Lanczos start
+    vector ones, so Lanczos converges to the next value; the count at theta
+    sees the missed one, and the dense value is returned."""
+    sign = 1.0 if top else -1.0
+    # the 2 x 2 block has sign * 10 on (1, -1) and sign on (1, 1)
+    block = sign * np.array([[5.5, -4.5], [-4.5, 5.5]])
+    rest = sign * np.linspace(-9.0, 9.0, 38) - sign * 20.0
+    A = sp.block_diag([block, sp.diags(rest)], format="csr")
+    M = sp.identity(40, format="csr")
+    assert _extreme_value(A, M, top) is None
+    extreme = largest_eigenvalue(A, M) if top else smallest_eigenvalue(A, M)
+    assert abs(extreme - sign * 10.0) <= 1e-12
+
+
+@pytest.mark.parametrize("top", [True, False])
+def test_extreme_values_need_a_positive_definite_mass(top):
+    """With an indefinite M, A - sigma*M can be definite while an eigenvalue
+    of an M-negative mode lies beyond sigma: here Lanczos from ones stays off
+    the M-negative mode (1, -1, 0, ...) at lambda = 100 (top) or -100, and
+    the count at the Ritz value +-30 would pass. The dense path raises."""
+    sign = 1.0 if top else -1.0
+    # on (1, 1): M = 1 and A = 2 * sign; on (1, -1): M = -0.5 and A = -50 * sign
+    Mb = np.array([[0.25, 0.75], [0.75, 0.25]])
+    Ab = sign * np.array([[-24.0, 26.0], [26.0, -24.0]])
+    A = sp.block_diag([Ab, sp.diags(sign * np.linspace(-5.0, 30.0, 38))], format="csr")
+    M = sp.block_diag([Mb, sp.identity(38)], format="csr")
+    assert _extreme_value(A, M, top) is None
+    with pytest.raises(MassNotSpdError):
+        largest_eigenvalue(A, M) if top else smallest_eigenvalue(A, M)
+
+
+def test_dense_solve_records_lambda_max():
+    a, m = random_pencil(30, seed=7)
+    full = solve_gmevp(a, m)
+    assert full.lambda_max == full.values[-1]
+    assert solve_gmevp(a, m, 3).lambda_max == full.lambda_max
 
 
 def test_permutation_invariance_of_spectrum():

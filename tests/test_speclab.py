@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softfem import cli, gevp, oracle, speclab
 from softfem.assembly import (
@@ -265,13 +270,14 @@ def test_kronecker_eta_sweep_matches_standalone_runs(tmp_path, monkeypatch):
     orders = []
     solve = gevp.solve_gmevp
 
-    def counted(A, M):
-        orders.append(A.shape[0])
-        return solve(A, M)
+    def counted(A, M, k=None):
+        orders.append((A.shape[0], k))
+        return solve(A, M, k)
 
     monkeypatch.setattr(gevp, "solve_gmevp", counted)
     summary = speclab.run_experiment({**base, "eta_sweep": etas}, tmp_path / "sweep")
-    assert orders == [5, 5, 5]  # 1D pencils: fem, default eta, eta = 1/48
+    # full 1D pencils: fem, default eta, eta = 1/48
+    assert orders == [(5, None)] * 3
     assert summary["solver"] == {"2": "kronecker"}
     monkeypatch.undo()
     for i, eta in enumerate(etas):
@@ -279,6 +285,66 @@ def test_kronecker_eta_sweep_matches_standalone_runs(tmp_path, monkeypatch):
         swept = (tmp_path / "sweep" / f"spectrum_p2_eta{i}.csv").read_bytes()
         assert swept == (tmp_path / f"eta{i}" / "spectrum_p2.csv").read_bytes()
         assert summary["by_degree"]["2"]["eta_sweep"][speclab._fmt(eta)] == alone["by_degree"]["2"]
+
+
+def graded_2d_config(**fields):
+    """A graded-2d-kappa-like run: jittered 10 x 10 Cartesian cells,
+    variable kappa, p = 3, a high-order reference and an eta sweep."""
+    rng = np.random.default_rng(5)
+    axes = []
+    for _ in range(2):
+        b = np.linspace(0.0, 1.0, 11)
+        b[1:-1] += rng.uniform(-0.003, 0.003, 9)
+        axes.append(b.tolist())
+    return {
+        "name": "graded",
+        "kappa": "1 + 0.495*sin(2.003*pi*x)*cos(2.003*pi*y)",
+        "mesh": {"type": "cartesian", "breakpoints": axes},
+        "degrees": [3],
+        "reference": "high-order",
+        "reference_degree": 4,
+        "reference_refine": 1,
+        "eta_sweep": [1.0 / 80.0],
+        **fields,
+    }
+
+
+def test_partial_run_matches_the_full_run(tmp_path, monkeypatch):
+    """`modes: 40` solves the lowest 40 modes and a certified lambda_max of
+    each pencil; rows and summary agree with the full dense run."""
+    orders = []
+    largest = gevp.largest_eigenvalue
+
+    def counted(A, M):
+        orders.append(A.shape[0])
+        return largest(A, M)
+
+    monkeypatch.setattr(gevp, "largest_eigenvalue", counted)
+    part = speclab.run_experiment(graded_2d_config(modes=40), tmp_path / "part")
+    assert orders == [841] * 3  # fem, default eta and the sweep eta: all partial
+    monkeypatch.undo()
+    full = speclab.run_experiment(graded_2d_config(), tmp_path / "full")
+    for name in ("spectrum_p3.csv", "spectrum_p3_eta0.csv"):
+        part_rows = (tmp_path / "part" / name).read_text().splitlines()
+        full_rows = (tmp_path / "full" / name).read_text().splitlines()
+        assert len(part_rows) == 41 and len(full_rows) == 842
+        for pr, fr in zip(part_rows[1:], full_rows[1:]):
+            pr, fr = pr.split(","), fr.split(",")
+            assert pr[:2] == fr[:2]  # j, frac
+            lam, ref = np.array(pr[2:7], float), np.array(fr[2:7], float)
+            assert np.all(np.abs(lam[:3] - ref[:3]) <= 1e-10 * ref[:3])  # lambda_*
+            # relerr_* are relative errors: they agree to 1e-10 of lambda
+            assert np.all(np.abs(lam[3:] - ref[3:]) <= 1e-10)
+    by_part, by_full = part["by_degree"]["3"], full["by_degree"]["3"]
+    (sweep_part,), (sweep_full,) = by_part["eta_sweep"].values(), by_full["eta_sweep"].values()
+    for got, want in ((by_part, by_full), (sweep_part, sweep_full)):
+        for key in ("lambda_max_fem", "lambda_max_soft", "sigma", "sigma_soft", "rho",
+                    "rho_percent"):
+            assert abs(got[key] - want[key]) <= 1e-12 * abs(want[key])
+        for key in ("coercivity_margin", "lambda_min_fem", "lambda_min_soft"):
+            assert abs(got[key] - want[key]) <= 1e-10 * abs(want[key])
+        for key in ("p", "n_dofs", "eta", "eta_max", "gamma_p"):
+            assert got[key] == want[key]
 
 
 def run_tiny(tmp_path, subdir="out"):
@@ -538,6 +604,73 @@ def test_cli_rejects_bad_config_fields(tmp_path, capsys, cfg, name):
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"field '{name}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg,names",
+    [
+        # a reference space of 3 modes for 11 reported ones
+        ({**MESHED, "degrees": [3], "reference": "high-order", "reference_degree": 1,
+          "reference_refine": 1}, ("reference_degree", "reference_refine")),
+        # one cell at p = 1 has no interior dof
+        ({"name": "bad", "mesh": {"type": "uniform", "n": 1, "d": 1}}, ("mesh", "degrees")),
+        ({"name": "bad", "ladder": [{"degree": 1, "n": [1, 2]}]}, ("ladder",)),
+    ],
+)
+def test_cli_rejects_configs_without_enough_modes(tmp_path, capsys, cfg, names):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert all(f"'{name}'" in err for name in names)
+
+
+@st.composite
+def small_runs(draw):
+    """A config and extra arguments for `softfem run` on a 1D or 2D mesh of
+    at most 6 cells per axis, with the solve and reference fields varied
+    (`modes` may be out of range)."""
+    d = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        mesh = {"type": "uniform", "n": draw(st.integers(1, 6)), "d": d}
+    else:
+        axes = []
+        for _ in range(d):
+            widths = np.cumsum(draw(st.lists(st.floats(0.2, 1.0), min_size=1, max_size=6)))
+            axes.append([0.0] + (widths / widths[-1]).tolist())
+        mesh = {"type": "cartesian", "breakpoints": axes}
+    cfg = {
+        "name": "fuzz",
+        "mesh": mesh,
+        "kappa": draw(st.sampled_from(["1", "1 + x"])),
+        "degrees": draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True)),
+        "eta": draw(st.sampled_from(["default", "galerkin"]) | st.floats(0.0, 0.3)),
+        "reference": draw(st.sampled_from(["none", "exact", "high-order"])),
+        "reference_degree": draw(st.integers(1, 3)),
+        "reference_refine": draw(st.integers(1, 2)),
+    }
+    modes = draw(st.none() | st.integers(-1, 40))
+    argv = []
+    if modes is not None and draw(st.booleans()):
+        argv = ["--modes", str(modes)]
+    elif modes is not None:
+        cfg["modes"] = modes
+    return cfg, argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_runs())
+def test_cli_run_fuzz_exits_cleanly(run):
+    """Every small run ends with exit code 0, 2, 3 or 4, never a traceback."""
+    cfg, argv = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["run", path, "--out", os.path.join(tmp, "out"), *argv])
+    assert code in (0, 2, 3, 4), err.getvalue()
 
 
 @pytest.mark.parametrize(
