@@ -25,20 +25,37 @@ class IndefinitePencilError(RuntimeError):
 
 @dataclass
 class Spectrum:
-    """Ascending eigenvalues with M-orthonormal eigenvector columns, and the
-    pencil's largest eigenvalue `lambda_max`: all modes, or the lowest few.
+    """Ascending eigenvalues with M-orthonormal eigenvectors, the pencil's
+    largest eigenvalue `lambda_max`, and the `path` that solved it ('dense',
+    'sparse' or 'kronecker'): all modes, or the lowest few.
 
     A dense solve sets `lambda_max` from the full spectrum it computed; a
-    sparse partial solve leaves it None (see `largest_eigenvalue`).
+    sparse partial solve leaves it None (see `largest_eigenvalue`). A
+    factored spectrum (the Kronecker path) has no `vectors`: eigenvector j
+    is the Kronecker product of the columns `indices[:, j]` of its 1D
+    spectrum `factor`, slowest axis first, formed by `vector(j)`.
     """
 
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
     lambda_max: float | None = None
+    path: str = "dense"
+    indices: np.ndarray | None = None
+    factor: Spectrum | None = None
 
     @property
     def order(self):
         return len(self.values)
+
+    def vector(self, j):
+        """Eigenvector j."""
+        if self.factor is None:
+            return self.vectors[:, j]
+        X = self.factor.vectors
+        out = X[:, self.indices[0, j]]
+        for i in self.indices[1:, j]:
+            out = np.multiply.outer(out, X[:, i]).ravel()
+        return out
 
 
 @dataclass
@@ -124,7 +141,13 @@ def _lowest_modes(A, M, k):
         return None
     if below != k:
         return None
-    return Spectrum(values=vals[:k], vectors=_fix_signs(vecs[:, :k]))
+    return Spectrum(values=vals[:k], vectors=_fix_signs(vecs[:, :k]), path="sparse")
+
+
+def _start_vector(n):
+    """The fixed Lanczos start vector of `_extreme_value`. A random one: the
+    extreme mode of a symmetric mesh can be M-orthogonal to `ones`."""
+    return np.random.default_rng(0).standard_normal(n)
 
 
 # Relative width of the interval an inertia count certifies an extreme
@@ -162,7 +185,7 @@ def _extreme_value(A, M, top):
             return None
         inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
         theta = float(eigsh(A, 1, M, which="LA" if top else "SA", Minv=inverse,
-                            v0=np.ones(n), return_eigenvectors=False)[0])
+                            v0=_start_vector(n), return_eigenvectors=False)[0])
         _, below = _inertia(A - (theta + sign * EXTREME_RTOL * abs(theta)) * M)
     except RuntimeError:  # a singular factor, or ARPACK did not converge
         return None

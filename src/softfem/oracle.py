@@ -9,7 +9,6 @@ extremal polynomials, and a high-order FEM reference solver.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -64,13 +63,14 @@ def exact_laplace_spectrum(d, count):
         raise ValueError("count must be >= 1")
     m = max(2, math.ceil(count ** (1.0 / d)) + 1)
     while True:
-        tuples = list(itertools.product(range(1, m + 1), repeat=d))
-        lam = np.array([sum(k * k for k in ks) * math.pi**2 for ks in tuples])
+        # every index tuple in {1..m}^d, the last axis fastest
+        tuples = np.indices((m,) * d).reshape(d, -1).T + 1
+        lam = (tuples * tuples).sum(axis=1) * math.pi**2
         order = np.argsort(lam, kind="stable")
         # valid while the cutoff is below the smallest omitted eigenvalue
         if len(lam) >= count and lam[order[count - 1]] <= (m + 1) ** 2 * math.pi**2:
             values = lam[order][:count]
-            indices = [tuples[i] for i in order[:count]]
+            indices = list(map(tuple, tuples[order[:count]].tolist()))
             return ExactSpectrum(d=d, values=values, indices=indices)
         m += 2
 

@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import assembly, gevp, oracle
 from .assembly import (
@@ -97,7 +96,7 @@ def eigenfunction_errors(space, spectrum, exact, j, check_simple=True):
     if check_simple:
         _check_simple(spectrum.values, j)
         _check_simple(exact.values, j)
-    return _coefficient_errors(space, spectrum.vectors[:, j], exact, j)[0]
+    return _coefficient_errors(space, spectrum.vector(j), exact, j)[0]
 
 
 def _coefficient_errors(space, coeffs, exact, j):
@@ -121,15 +120,24 @@ def _coefficient_errors(space, coeffs, exact, j):
 
 
 def jump_energy_ratio(spectrum, eta, K, S):
-    """Per-mode ratio eta * (x'Sx) / (x'Kx) for all eigenvectors."""
-    out = np.empty(spectrum.order)
-    for j in range(spectrum.order):
-        x = spectrum.vectors[:, j]
-        kx = float(x @ (K @ x))
-        if kx <= 0:
-            raise ValueError("nonpositive stiffness energy")
-        out[j] = eta * float(x @ (S @ x)) / kx
-    return out
+    """Per-mode ratio eta * (x'Sx) / (x'Kx) for all eigenvectors x.
+
+    For a factored spectrum, K and S may also be the 1D K1 and S1 of its
+    factor: with M1-orthonormal 1D vectors x_a, x'Kx = sum_a x_a'K1x_a, and
+    likewise for S, so each mode costs O(d n1).
+    """
+    if spectrum.factor is not None and K.shape[0] == spectrum.factor.order:
+        X = spectrum.factor.vectors
+        k1, s1 = ((X * (A @ X)).sum(axis=0) for A in (K, S))
+        kx, sx = k1[spectrum.indices].sum(axis=0), s1[spectrum.indices].sum(axis=0)
+    else:
+        kx, sx = np.empty((2, spectrum.order))
+        for j in range(spectrum.order):
+            x = spectrum.vector(j)
+            kx[j], sx[j] = float(x @ (K @ x)), float(x @ (S @ x))
+    if np.any(kx <= 0):
+        raise ValueError("nonpositive stiffness energy")
+    return eta * sx / kx
 
 
 def embed_coefficients(space_lo, coeffs_lo, space_hi):
@@ -164,9 +172,9 @@ def pythagorean_residual(space, spectrum, exact, j, eta, kappa=None):
     M = assemble_mass(space_hi)
 
     u_interp = space_hi.interpolate(lambda pts: uval(pts))
-    errs, sign = _coefficient_errors(space, spectrum.vectors[:, j], exact, j)
+    errs, sign = _coefficient_errors(space, spectrum.vector(j), exact, j)
 
-    u_h = sign * embed_coefficients(space, spectrum.vectors[:, j], space_hi)
+    u_h = sign * embed_coefficients(space, spectrum.vector(j), space_hi)
     e_vec = u_interp - u_h
     lhs = float(e_vec @ (K @ e_vec)) - eta * float(e_vec @ (S @ e_vec))
     rhs = lam * float(e_vec @ (M @ e_vec)) + lam_soft - lam
@@ -346,8 +354,8 @@ def resolve_eta(policy, p, mesh_kind, d):
 class SolveBundle:
     """Both spectra of a problem, and the pencil K, M, S as assembled.
 
-    When `kronecker` holds, K, M and S are the 1D pencil on `mesh.axes[0]`,
-    the spectra come from it, and `pencil()` forms the d-dimensional one.
+    On the Kronecker path K, M and S are the 1D pencil on `mesh.axes[0]`,
+    and both spectra are factored over its spectra.
     """
 
     space: object
@@ -357,19 +365,12 @@ class SolveBundle:
     fem: object
     soft: object
     eta: float
-    kronecker: bool = False
 
     @property
     def solver(self):
-        return "kronecker" if self.kronecker else "dense"
-
-    def pencil(self):
-        """The d-dimensional (K, M, S); on the Kronecker path, the Kronecker
-        sums of the 1D pencil, formed on each call."""
-        if not self.kronecker:
-            return self.K, self.M, self.S
-        d = self.space.mesh.d
-        return _kron_sum(self.K, self.M, d), _kron([self.M] * d), _kron_sum(self.S, self.M, d)
+        """The path of the two spectra: one name, or 'fem,soft' if they differ."""
+        fem, soft = self.fem.path, self.soft.path
+        return fem if fem == soft else f"{fem},{soft}"
 
 
 # Cell widths that agree to this relative tolerance count as congruent on
@@ -405,9 +406,9 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
     face_weight='mean' replaces every h_F by the mesh-average element length
     scale (the convention behind some published 1D non-uniform tables).
     Where `_is_kronecker_sum` holds, only the 1D pencil is assembled and
-    solved; the bundle holds it, and both spectra are formed from it, in
-    full. Otherwise both spectra hold the lowest `modes` modes (all if None)
-    and each pencil's certified lambda_max.
+    solved; the bundle holds it, and both spectra are factored over its
+    full 1D spectra. Otherwise both spectra hold the lowest `modes` modes
+    (all if None) and each pencil's certified lambda_max.
     """
     kappa = parse_coefficient(kappa_text)
     space = build_space(mesh, p)
@@ -426,7 +427,7 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
     fem = _solve(K, M, None if kronecker else modes)
     if kronecker:
         fem = _kronecker_spectrum(fem, mesh.d)
-    bundle = SolveBundle(space, K, M, S, fem=fem, soft=fem, eta=0.0, kronecker=kronecker)
+    bundle = SolveBundle(space, K, M, S, fem=fem, soft=fem, eta=0.0)
     bundle = _with_eta(bundle, eta, stiffen)
     if eta_policy == "default" and not stiffen and bundle.soft.values[0] <= 0:
         raise CoercivityViolation(
@@ -444,7 +445,7 @@ def _with_eta(bundle, eta, stiffen):
     K, S = bundle.K, bundle.S
     # stiffening flips the sign of the penalty term: K + eta*S
     A = K + eta * S if stiffen else soften(K, S, eta)
-    if bundle.kronecker:
+    if bundle.fem.path == "kronecker":
         soft = _kronecker_spectrum(_solve(A, bundle.M), bundle.space.mesh.d)
     else:
         soft = _solve(A, bundle.M, bundle.fem.order)
@@ -464,36 +465,24 @@ def _solve(A, M, k=None):
         raise SolverFailure(str(err)) from err
 
 
-def _kron(factors):
-    """The Kronecker product of sparse factors, slowest axis first, as CSR."""
-    out = factors[0]
-    for f in factors[1:]:
-        out = sp.kron(out, f, format="csr")
-    return out
-
-
-def _kron_sum(A1, M1, d):
-    """The sum over axes a of the d-fold Kronecker product with A1 as
-    factor a and M1 as every other factor."""
-    return sum(_kron([A1 if b == a else M1 for b in range(d)]) for a in range(d))
-
-
 def _kronecker_spectrum(spectrum, d):
-    """The spectrum of the d-fold Kronecker sum of a 1D pencil, from the 1D
-    spectrum: the stably sorted sums of d 1D eigenvalues, with the Kronecker
-    products of their (sign-fixed) eigenvectors as the vectors."""
-    mu, X = spectrum.values, spectrum.vectors
+    """The factored spectrum of the d-fold Kronecker sum of a 1D pencil: the
+    stably sorted sums of d 1D eigenvalues, with the index tuple of each
+    (slowest axis first) into the sign-fixed 1D `spectrum`."""
+    mu = spectrum.values
     values = mu
     for _ in range(d - 1):
         values = np.add.outer(mu, values).ravel()
     order = np.argsort(values, kind="stable")
-    # factor k of column order[i] is X[:, idx[k][i]], slowest axis first
-    idx = np.unravel_index(order, (len(mu),) * d)
-    vectors = X[:, idx[0]]
-    for j in idx[1:]:
-        vectors = (vectors[:, None, :] * X[:, j][None, :, :]).reshape(-1, len(order))
     values = values[order]
-    return gevp.Spectrum(values=values, vectors=vectors, lambda_max=float(values[-1]))
+    return gevp.Spectrum(
+        values=values,
+        vectors=None,
+        lambda_max=float(values[-1]),
+        path="kronecker",
+        indices=np.array(np.unravel_index(order, (len(mu),) * d)),
+        factor=spectrum,
+    )
 
 
 def _fmt(x):
@@ -562,8 +551,7 @@ def _spectrum_rows(cfg, bundle, reference, exact=None):
             relerr_soft = eigenvalue_error_curve(bundle.soft.values[:modes], reference)
     ratios = None
     if cfg.jump_ratio and has_soft:
-        K, _, S = bundle.pencil()
-        ratios = jump_energy_ratio(bundle.soft, bundle.eta, K, S)
+        ratios = jump_energy_ratio(bundle.soft, bundle.eta, bundle.K, bundle.S)
     efn = {}
     if cfg.eigenfunction_modes and exact is not None:
         target = bundle.soft if has_soft else bundle.fem

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from softfem import gevp
 from softfem.assembly import (
     assemble_mass,
     assemble_penalty,
@@ -251,24 +252,47 @@ def test_largest_eigenvalue_matches_dense(softened):
     assert abs(largest_eigenvalue(A, M) - dense) <= 1e-12 * dense
 
 
-def test_largest_eigenvalue_declines_an_inexact_ritz_value():
+@pytest.fixture(scope="module")
+def unit_square_p3():
+    """{softened: (A, M, dense lambda_max)} of the unit-square n=16 p=3
+    Galerkin and softened pencils, whose top modes are M-orthogonal to ones."""
+    space, K, M = pencil({"type": "unit-square", "n": 16}, 3)
+    eta = softness_parameters(3, "simplicial", d=2)["eta_default"]
+    out = {}
+    for softened, A in ((False, K), (True, soften(K, assemble_penalty(space), eta))):
+        n = A.shape[0]
+        top = scipy.linalg.eigh(
+            A.toarray(), M.toarray(), eigvals_only=True, subset_by_index=(n - 1, n - 1)
+        )[0]
+        out[softened] = A, M, top
+    return out
+
+
+def test_largest_eigenvalue_declines_an_inexact_ritz_value(monkeypatch, unit_square_p3):
     """Lanczos from ones converges 9.2e-6 below lambda_max on this pencil,
     so the count at theta (1 + EXTREME_RTOL) misses an eigenvalue: the dense
     value is returned."""
-    _, K, M = pencil({"type": "unit-square", "n": 16}, 3)
-    n = K.shape[0]
+    K, M, dense = unit_square_p3[False]
+    monkeypatch.setattr(gevp, "_start_vector", np.ones)
     assert _extreme_value(K, M, top=True) is None
-    dense = scipy.linalg.eigh(
-        K.toarray(), M.toarray(), eigvals_only=True, subset_by_index=(n - 1, n - 1)
-    )[0]
     assert largest_eigenvalue(K, M) == dense
 
 
+@pytest.mark.parametrize("softened", [False, True])
+def test_largest_eigenvalue_certified_on_a_symmetric_mesh(unit_square_p3, softened):
+    """Lanczos from the random start vector reaches the top mode that ones
+    misses, and the count certifies it."""
+    A, M, dense = unit_square_p3[softened]
+    assert _extreme_value(A, M, top=True) is not None
+    assert abs(largest_eigenvalue(A, M) - dense) <= 1e-12 * dense
+
+
 @pytest.mark.parametrize("top", [True, False])
-def test_extreme_value_count_rejects_a_missed_mode(top):
+def test_extreme_value_count_rejects_a_missed_mode(monkeypatch, top):
     """The extreme mode (1, -1, 0, ...) is orthogonal to the Lanczos start
-    vector ones, so Lanczos converges to the next value; the count at theta
-    sees the missed one, and the dense value is returned."""
+    vector, here ones, so Lanczos converges to the next value; the count at
+    theta sees the missed one, and the dense value is returned."""
+    monkeypatch.setattr(gevp, "_start_vector", np.ones)
     sign = 1.0 if top else -1.0
     # the 2 x 2 block has sign * 10 on (1, -1) and sign on (1, 1)
     block = sign * np.array([[5.5, -4.5], [-4.5, 5.5]])
@@ -283,9 +307,10 @@ def test_extreme_value_count_rejects_a_missed_mode(top):
 @pytest.mark.parametrize("top", [True, False])
 def test_extreme_values_need_a_positive_definite_mass(top):
     """With an indefinite M, A - sigma*M can be definite while an eigenvalue
-    of an M-negative mode lies beyond sigma: here Lanczos from ones stays off
-    the M-negative mode (1, -1, 0, ...) at lambda = 100 (top) or -100, and
-    the count at the Ritz value +-30 would pass. The dense path raises."""
+    of an M-negative mode lies beyond sigma: here Lanczos from ones would
+    stay off the M-negative mode (1, -1, 0, ...) at lambda = 100 (top) or
+    -100, and the count at the Ritz value +-30 would pass. The dense path
+    raises."""
     sign = 1.0 if top else -1.0
     # on (1, 1): M = 1 and A = 2 * sign; on (1, -1): M = -0.5 and A = -50 * sign
     Mb = np.array([[0.25, 0.75], [0.75, 0.25]])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,29 @@ def test_exact_laplace_spectrum_2d_multiplicities():
 def test_exact_laplace_spectrum_3d_first_value():
     spec = oracle.exact_laplace_spectrum(3, 4)
     assert abs(spec.values[0] - 3 * math.pi**2) < 1e-12
+
+
+def looped_laplace_spectrum(d, count):
+    """(values, indices) as `exact_laplace_spectrum` computed them with a
+    Python loop over the index tuples."""
+    m = max(2, math.ceil(count ** (1.0 / d)) + 1)
+    while True:
+        tuples = list(itertools.product(range(1, m + 1), repeat=d))
+        lam = np.array([sum(k * k for k in ks) * math.pi**2 for ks in tuples])
+        order = np.argsort(lam, kind="stable")
+        if len(lam) >= count and lam[order[count - 1]] <= (m + 1) ** 2 * math.pi**2:
+            return lam[order][:count], [tuples[i] for i in order[:count]]
+        m += 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 2, 7, 64, 100, 1331])
+def test_exact_laplace_spectrum_matches_the_loop(d, count):
+    spec = oracle.exact_laplace_spectrum(d, count)
+    values, indices = looped_laplace_spectrum(d, count)
+    assert spec.values.tobytes() == values.tobytes()
+    assert spec.indices == indices
+    assert all(type(k) is int for ks in spec.indices for k in ks)
 
 
 def test_eigenfunctions_are_normalized_and_satisfy_pde():

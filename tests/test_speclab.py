@@ -4,9 +4,11 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,9 +164,27 @@ def test_eta_sweep_assembles_once_and_matches_standalone_runs(tmp_path, monkeypa
 # -- the Kronecker-sum path -----------------------------------------------
 
 
+def kronecker_pencil(bundle):
+    """The d-dimensional (K, M, S) of a Kronecker-path bundle: the sums over
+    axes a of the Kronecker products with the 1D K1 (or S1) as factor a and
+    M1 as every other factor, slowest axis first."""
+    d = bundle.space.mesh.d
+
+    def kron(factors):
+        out = factors[0]
+        for f in factors[1:]:
+            out = sp.kron(out, f, format="csr")
+        return out
+
+    def kron_sum(A1):
+        return sum(kron([A1 if b == a else bundle.M for b in range(d)]) for a in range(d))
+
+    return kron_sum(bundle.K), kron([bundle.M] * d), kron_sum(bundle.S)
+
+
 def eigen_defects(spectrum, A, M):
     """(max ||Ax - lam Mx|| / (|lam| ||Mx||), max |X'MX - I|) of a spectrum."""
-    X = spectrum.vectors
+    X = np.column_stack([spectrum.vector(j) for j in range(spectrum.order)])
     MX = M @ X
     R = A @ X - MX * spectrum.values
     residual = np.linalg.norm(R, axis=0) / (np.abs(spectrum.values) * np.linalg.norm(MX, axis=0))
@@ -187,7 +207,7 @@ def test_kronecker_path_matches_dense(d, n, p, eta_policy, stiffen, face_weight)
     space = build_space(mesh, p)
     K, M = assemble_stiffness(space, kappa), assemble_mass(space)
     S = assemble_penalty(space, kappa, face_length=1.0 / n if face_weight == "mean" else None)
-    for mine, assembled in zip(bundle.pencil(), (K, M, S)):
+    for mine, assembled in zip(kronecker_pencil(bundle), (K, M, S)):
         assert abs(mine - assembled).max() <= 1e-14 * abs(assembled).max()
 
     eta = bundle.eta
@@ -202,27 +222,76 @@ def test_kronecker_path_matches_dense(d, n, p, eta_policy, stiffen, face_weight)
 
 @pytest.mark.parametrize("d,n,p", [(2, 3, 2), (3, 2, 3)])
 def test_kronecker_path_forms_no_d_dimensional_matrix(monkeypatch, d, n, p):
-    calls = []
+    calls, shapes = [], []
 
-    def counted(name):
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def shaped(name):
         original = getattr(speclab, name)
 
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
+        def wrapper(*args, **kwargs):
+            out = original(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
 
-        return wrapper
+        monkeypatch.setattr(speclab, name, wrapper)
 
-    for name in ("_kron", "_kron_sum"):
-        monkeypatch.setattr(speclab, name, counted(name))
+    counted(sp, "kron")
+    counted(np, "kron")
+    for name in ("assemble_stiffness", "assemble_mass", "assemble_penalty"):
+        shaped(name)
     mesh = mesh_from_spec({"type": "uniform", "n": n, "d": d})
     bundle = speclab.solve_problem(mesh, p)
     assert bundle.solver == "kronecker"
     assert calls == []
-    assert bundle.K.shape[0] ** d == bundle.fem.order  # the 1D pencil
-    K, M, S = bundle.pencil()
+    m = bundle.K.shape[0]
+    assert m ** d == bundle.fem.order  # the 1D pencil
+    assert shapes == [(m, m)] * 3
+    assert bundle.fem.vectors is None and bundle.soft.vectors is None
+    K, M, S = kronecker_pencil(bundle)
     assert K.shape == M.shape == S.shape == (bundle.fem.order,) * 2
     assert calls  # the counter sees the forming
+
+
+def test_kronecker_spectrum_is_factored_bit_for_bit():
+    """Value j is mu[i0] + (mu[i1] + mu[i2]) over the index tuple of mode j,
+    and vector(j) is column j of the full Kronecker product matrix, formed as
+    the path once formed it (slowest axis first)."""
+    bundle = speclab.solve_problem(mesh_from_spec({"type": "uniform", "n": 3, "d": 3}), 2)
+    spectrum = bundle.soft
+    mu, X, idx = spectrum.factor.values, spectrum.factor.vectors, spectrum.indices
+    assert spectrum.vectors is None and idx.shape == (3, spectrum.order)
+    assert np.array_equal(spectrum.values, mu[idx[0]] + (mu[idx[1]] + mu[idx[2]]))
+    full = X[:, idx[0]]
+    for j in idx[1:]:
+        full = (full[:, None, :] * X[:, j][None, :, :]).reshape(-1, spectrum.order)
+    for j in range(spectrum.order):
+        assert spectrum.vector(j).tobytes() == full[:, j].tobytes()
+
+
+def test_kronecker_path_scales_to_3d_n8_p3(tmp_path):
+    """12,167 dofs: the spectra stay factored, so no n x n array is formed
+    (the eigenvector matrices alone would take 2 x 1.1 GiB)."""
+    mesh = {"type": "uniform", "n": 8, "d": 3}
+    tracemalloc.start()
+    try:
+        bundle = speclab.solve_problem(mesh_from_spec(mesh), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bundle.solver == "kronecker" and bundle.fem.order == 12167
+    assert peak <= 16 * 2**20
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"name": "n8", "mesh": mesh, "degrees": [3], "reference": "exact"}))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 1 + 12167
 
 
 def test_kronecker_jump_ratio_matches_assembled_pencil(tmp_path):
@@ -256,7 +325,6 @@ def test_other_inputs_take_the_dense_path(spec, kappa):
     bundle = speclab.solve_problem(mesh_from_spec(spec), 2, kappa)
     assert bundle.solver == "dense"
     assert bundle.fem.order == bundle.K.shape[0]
-    assert bundle.pencil() == (bundle.K, bundle.M, bundle.S)
 
 
 def test_kronecker_eta_sweep_matches_standalone_runs(tmp_path, monkeypatch):
@@ -530,6 +598,24 @@ def test_cli_run_prints_solver_path(tmp_path, capsys):
         assert cli.main(["run", str(path), "--out", str(tmp_path / f"out{d}")]) == 0
         assert f"p=1 ndof={2 ** d} solver={solver} " in capsys.readouterr().out
         assert "solver" not in (tmp_path / f"out{d}" / "summary.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "eta,printed",
+    [("default", ["p=2 ndof=361 solver=dense ", "p=3 ndof=841 solver=sparse "]),
+     # an indefinite softened pencil: its lowest modes fall back to dense
+     ("1.0", ["p=3 ndof=841 solver=sparse,dense "])],
+)
+def test_cli_run_prints_the_path_each_pencil_took(tmp_path, capsys, eta, printed):
+    """With `modes: 40`, the 361-dof p=2 pencils are too small for a partial
+    solve to pay, and the 841-dof p=3 ones take the certified sparse solve."""
+    cfg = graded_2d_config(modes=40, degrees=[2, 3], reference="none", eta_sweep=None)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--eta", eta]) == 0
+    out = capsys.readouterr().out
+    assert all(line in out for line in printed)
+    assert "solver" not in (tmp_path / "out" / "summary.json").read_text()
 
 
 @pytest.mark.parametrize("kappa", ["-1", "exp(1000*x)"])
