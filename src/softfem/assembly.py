@@ -18,13 +18,14 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .coefficient import CoefficientField, parse_coefficient
+from .coefficient import parse_coefficient
 from .mesh import Mesh
 from .polyref import ReferenceBasis, cuboid_rule, simplex_rule
 
 
 class AssemblyError(RuntimeError):
-    """Raised when a coefficient is not finite and positive on an element."""
+    """Raised when a coefficient is not finite and positive on an element or
+    a face."""
 
 
 @dataclass
@@ -214,24 +215,18 @@ def assembly_quadrature(space):
     return simplex_rule(2 * p + 2)
 
 
-def _kappa_values(kappa, pts):
-    """kappa at the physical points (ne, nq, d) of every element; it must be
-    finite and positive at every point."""
+def _kappa_values(kappa, pts, where="element"):
+    """kappa at the physical points (n, nq, d) of every element (or face); it
+    must be finite and positive at every point."""
     vals = np.asarray(kappa(pts.reshape(-1, pts.shape[-1])), dtype=float)
     vals = vals.reshape(pts.shape[:2])
     bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
     if len(bad):
-        raise AssemblyError(f"coefficient kappa is not finite on element {bad[0]}")
+        raise AssemblyError(f"coefficient kappa is not finite on {where} {bad[0]}")
     bad = np.flatnonzero((vals <= 0).any(axis=1))
     if len(bad):
-        raise AssemblyError(f"coefficient kappa is not positive on element {bad[0]}")
+        raise AssemblyError(f"coefficient kappa is not positive on {where} {bad[0]}")
     return vals
-
-
-def element_kappa_min(space, kappa):
-    """Per-element minimum of kappa over the assembly quadrature nodes."""
-    quad = assembly_quadrature(space)
-    return _kappa_values(kappa, element_map(space).to_phys(quad.nodes)).min(axis=1)
 
 
 def _scatter(space, local, dofs, reduced):
@@ -302,21 +297,20 @@ def _face_quadrature(space):
 def assemble_penalty(space, kappa=None, reduced=True, face_length=None):
     """Gradient-jump penalty matrix over interior interfaces.
 
-    Each face contributes kappa_F * h_F * int_F [[grad v . n]] [[grad w . n]],
-    with kappa_F the minimum of the two adjacent element minima of kappa.
-    face_length, if given, replaces h_F by a constant for every face (some
-    published 1D results use the mean element size instead of the local h_F).
+    Each face contributes h_F * int_F kappa [[grad v . n]] [[grad w . n]],
+    with kappa evaluated at the face quadrature points (in 1D, at the face
+    point x_F); kappa is continuous, so it has one value there. face_length,
+    if given, replaces h_F by a constant for every face (some published 1D
+    results use the mean element size instead of the local h_F).
     """
     kappa = kappa if kappa is not None else parse_coefficient("1")
     faces = space.mesh.interfaces
     elems = faces.elements
-    h_f = faces.h_f if face_length is None else float(face_length)
-    kappa_tau = element_kappa_min(space, kappa)
-    kappa_f = np.minimum(kappa_tau[elems[:, 0]], kappa_tau[elems[:, 1]])
-
+    h_f = faces.h_f[:, None] if face_length is None else float(face_length)
     pts, w = _face_quadrature(space)
+    kappa_h = _kappa_values(kappa, pts, "face") * h_f
     jump = _face_jumps(space, pts, elems, faces.normal)
-    jw = jump * w[:, :, None] * (kappa_f * h_f)[:, None, None]
+    jw = jump * w[:, :, None] * kappa_h[:, :, None]
     dofs = space.element_dofs[elems].reshape(len(elems), 2 * space.basis.ndof)
     return _scatter(space, jw.transpose(0, 2, 1) @ jump, dofs, reduced)
 

@@ -1,13 +1,15 @@
 """Diffusion-coefficient expressions.
 
 A small recursive-descent parser over x, y, z with +, -, *, /, ^ (right
-associative, binding tighter than unary minus), sin, cos, exp, and pi.
-Fields evaluate vectorized over numpy arrays.
+associative, binding tighter than unary minus), sin, cos, exp, and pi that
+compiles while it parses: a subexpression without a variable becomes its
+np.float64 value (so it is constant, however written), and any other one a
+closure evaluated vectorized over numpy arrays.
 """
 
-from __future__ import annotations
-
 import math
+import operator
+import re
 
 import numpy as np
 
@@ -21,187 +23,140 @@ class CoefficientParseError(ValueError):
 
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-_CONSTANTS = {"pi": math.pi}
+_CONSTANTS = {"pi": np.float64(math.pi)}
 _VARIABLES = ("x", "y", "z")
+_ORIGIN = {v: np.float64(0.0) for v in _VARIABLES}  # where points lack a coordinate
+_OPERATORS = dict(zip("+-*/", (operator.add, operator.sub, operator.mul, operator.truediv)))
+# one token after optional whitespace: a number, a name, an operator or a
+# parenthesis, or any other character
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>[\d.]+(?:[eE][+-]?\d+)?)|(?P<name>[^\W\d]\w*)"
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S))"
+)
+# constants fold, and fields evaluate, to inf or nan where numpy gives them
+_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
+def _tokens(text):
+    """The tokens (kind, value, position) of text, scanned on demand and
+    ending with ('end', None, len(text)); an operator is its own kind."""
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        pos, s = m.start(kind), m.group(kind)
+        if kind == "bad":
+            raise CoefficientParseError(f"unexpected character {s!r}", pos)
+        if kind == "num":
             try:
-                value = float(text[i:j])
+                yield kind, np.float64(float(s)), pos
             except ValueError:
-                raise CoefficientParseError("malformed number", i) from None
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise CoefficientParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
-    return tokens
+                raise CoefficientParseError("malformed number", pos) from None
+        else:
+            yield (s if kind == "op" else kind), s, pos
+    yield "end", None, len(text)
 
 
-class _Parser:
+def _apply(op, *args):
+    """op on compiled operands: its value if they are all constants, else a
+    closure over the coordinates that evaluates them in order."""
+    if not any(map(callable, args)):
+        return op(*args)
+    parts = [a if callable(a) else (lambda env, a=a: a) for a in args]
+    return lambda env: op(*[f(env) for f in parts])
+
+
+class _Compiler:
+    """Recursive descent with one token of lookahead, `tok`; each rule
+    returns its subexpression compiled, and `compiled` is the whole text's."""
+
     def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
+        self.tokens = _tokens(text)
+        self.tok = next(self.tokens)
+        self.compiled = self.expr()
+        if self.tok[0] != "end":
+            raise CoefficientParseError("unexpected trailing input", self.tok[2])
 
     def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok, self.tok = self.tok, next(self.tokens, None)
         return tok
 
     def expect(self, kind):
         tok = self.advance()
         if tok[0] != kind:
             raise CoefficientParseError(f"expected {kind!r}", tok[2])
-        return tok
 
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise CoefficientParseError("unexpected trailing input", tok[2])
-        return node
+    def chain(self, ops, operand):
+        """operand (op operand)*, left associative, with op in ops."""
+        value = operand()
+        while self.tok[0] in ops:
+            op = _OPERATORS[self.advance()[0]]
+            value = _apply(op, value, operand())
+        return value
 
     def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            node = (op, node, rhs)
-        return node
+        return self.chain(("+", "-"), self.term)
 
     def term(self):
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            rhs = self.unary()
-            node = (op, node, rhs)
-        return node
+        return self.chain(("*", "/"), self.unary)
 
     def unary(self):
-        if self.peek()[0] == "-":
+        """-unary | atom [^ unary]: ^ is right associative and binds tighter than -."""
+        if self.tok[0] == "-":
             self.advance()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
+            return _apply(operator.neg, self.unary())
         base = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            # right associative; exponent may carry a unary minus
-            return ("^", base, self.unary())
-        return base
+        if self.tok[0] != "^":
+            return base
+        self.advance()
+        return _apply(operator.pow, base, self.unary())
 
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "num":
-            return ("const", value)
+            return value
         if kind == "(":
-            node = self.expr()
+            value = self.expr()
             self.expect(")")
-            return node
-        if kind == "ident":
+            return value
+        if kind == "name":
             if value in _FUNCTIONS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return ("call", value, arg)
+                if self.tok[0] != "(":
+                    raise CoefficientParseError("expected '('", self.tok[2])
+                return _apply(_FUNCTIONS[value], self.atom())
             if value in _CONSTANTS:
-                return ("const", _CONSTANTS[value])
+                return _CONSTANTS[value]
             if value in _VARIABLES:
-                return ("var", value)
+                return operator.itemgetter(value)
             raise CoefficientParseError(f"unknown identifier {value!r}", pos)
         raise CoefficientParseError("expected a value", pos)
 
 
-def _evaluate(node, env):
-    op = node[0]
-    if op == "const":
-        return node[1]
-    if op == "var":
-        return env[node[1]]
-    if op == "neg":
-        return -_evaluate(node[1], env)
-    if op == "call":
-        return _FUNCTIONS[node[1]](_evaluate(node[2], env))
-    a = _evaluate(node[1], env)
-    b = _evaluate(node[2], env)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if op == "^":
-        return a**b
-    raise AssertionError(f"unknown node {op!r}")
-
-
 class CoefficientField:
-    """A parsed coefficient expression, callable on point arrays."""
+    """A compiled coefficient expression, callable on point arrays;
+    `constant` is its np.float64 value if it has no variable, else None."""
 
-    def __init__(self, text, tree):
+    def __init__(self, text, compiled):
         self.text = text
-        self.tree = tree
+        self.constant = None if callable(compiled) else compiled
+        self._compiled = compiled
 
     def __call__(self, points):
         """Evaluate at points of shape (n, d) (or scalars/1D for d=1)."""
         pts = np.asarray(points, dtype=float)
-        scalar = pts.ndim == 0
-        if pts.ndim <= 1:
-            pts = pts.reshape(-1, 1)
-        env = {"x": pts[:, 0], "y": 0.0, "z": 0.0}
-        if pts.shape[1] > 1:
-            env["y"] = pts[:, 1]
-        if pts.shape[1] > 2:
-            env["z"] = pts[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = _evaluate(self.tree, env)
-        out = np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
-        return float(out[0]) if scalar else out
+        cols = pts.reshape(-1, 1) if pts.ndim <= 1 else pts
+        env = _ORIGIN | dict(zip(_VARIABLES, cols.T))
+        with np.errstate(**_QUIET):
+            out = self.constant if self.constant is not None else self._compiled(env)
+        out = np.broadcast_to(np.asarray(out, dtype=float), (len(cols),)).copy()
+        return float(out[0]) if pts.ndim == 0 else out
 
     def is_constant(self):
-        return self.tree[0] == "const"
+        return self.constant is not None
 
 
 def parse_coefficient(text):
-    """Parse an expression string into a CoefficientField."""
+    """Compile an expression string into a CoefficientField."""
     if not text or not text.strip():
         raise CoefficientParseError("empty expression", 0)
-    tree = _Parser(text).parse()
-    return CoefficientField(text, tree)
+    with np.errstate(**_QUIET):
+        compiled = _Compiler(text).compiled
+    return CoefficientField(text, compiled)

@@ -260,28 +260,17 @@ def trace_ratio_interval(coeffs, k=0, a=-1.0, b=1.0):
     return (b - a) * bnd / vol
 
 
-def reference_spectrum(problem, count, degree=7, refine=4, richardson=True):
+def reference_spectrum(problem, count, degree=7, refine=4, richardson=False):
     """High-order FEM reference eigenvalues for a problem without closed form.
 
     problem: {'kappa': expression string, 'mesh': mesh spec dict}. Solves on
     the `refine`-times refined mesh with the given degree, for the lowest
-    `count` modes only (all of them, if the space has fewer); the error
-    estimate compares against a half-resolution solve.
+    `count` modes only (all of them, if the space has fewer). `richardson`
+    is ignored: no error estimate is computed, and the flag stays only for
+    callers that still pass it.
     """
     kappa = parse_coefficient(problem.get("kappa", "1"))
-    base_spec = problem["mesh"]
-
-    def solve_on(spec):
-        mesh = mesh_from_spec(spec)
-        space = assembly.build_space(mesh, degree)
-        K = assembly.assemble_stiffness(space, kappa)
-        M = assembly.assemble_mass(space)
-        return gevp.solve_gmevp(K, M, k=count).values
-
-    fine = solve_on(refine_spec(base_spec, refine))
-    estimate = None
-    if richardson and refine >= 2:
-        coarse = solve_on(refine_spec(base_spec, max(1, refine // 2)))
-        m = min(count, len(coarse))
-        estimate = np.abs(fine[:m] - coarse[:m]) / (2 ** (2 * degree) - 1)
-    return fine[:count], estimate
+    space = assembly.build_space(mesh_from_spec(refine_spec(problem["mesh"], refine)), degree)
+    K = assembly.assemble_stiffness(space, kappa)
+    M = assembly.assemble_mass(space)
+    return gevp.solve_gmevp(K, M, k=count).values

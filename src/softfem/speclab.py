@@ -24,7 +24,7 @@ from .assembly import (
     soften,
     softness_parameters,
 )
-from .coefficient import parse_coefficient
+from .coefficient import CoefficientParseError, parse_coefficient
 from .mesh import build_cartesian_mesh, mesh_from_spec
 from .polyref import MAX_DEGREE, cuboid_rule, simplex_rule
 
@@ -261,6 +261,10 @@ class ExperimentConfig:
             if not valid(value):
                 raise ConfigError(f"config field {key!r} must be {expected}")
         cfg = cls(**data)
+        try:
+            kappa = parse_coefficient(cfg.kappa)
+        except CoefficientParseError as err:
+            raise ConfigError(f"config field 'kappa': {err}") from None
         if cfg.ladder is None:
             if cfg.mesh is None:
                 raise ConfigError("config field 'mesh' (or 'ladder') is required")
@@ -270,7 +274,7 @@ class ExperimentConfig:
         for key in data:
             if key not in ("name", "kappa", "eta", "stiffen", "ladder"):
                 raise ConfigError(f"config field {key!r} does not apply to a ladder")
-        if cfg.kappa.strip() != "1":
+        if kappa.constant != 1.0:
             raise ConfigError("config field 'kappa' must be 1 in a ladder")
         return cfg
 
@@ -498,12 +502,11 @@ def _reference_values(cfg, mesh, count):
         d = _exact_dimension(cfg, mesh, "reference")
         return oracle.exact_laplace_spectrum(d, count).values
     if cfg.reference == "high-order":
-        values, _ = oracle.reference_spectrum(
+        values = oracle.reference_spectrum(
             {"kappa": cfg.kappa, "mesh": cfg.mesh},
             count,
             degree=cfg.reference_degree,
             refine=cfg.reference_refine,
-            richardson=False,
         )
         if len(values) < count:
             raise ConfigError(
@@ -518,7 +521,7 @@ def _exact_dimension(cfg, mesh, name):
     """The dimension of the exact kappa = 1 Laplace modes on the unit domain
     that config field `name` compares with; a ConfigError naming the field
     unless kappa is 1 and the mesh covers that domain."""
-    if cfg.kappa.strip() != "1":
+    if parse_coefficient(cfg.kappa).constant != 1.0:
         raise ConfigError(f"config field {name!r}: exact modes need kappa = 1")
     if not _is_unit_domain(mesh):
         raise ConfigError(

@@ -211,6 +211,25 @@ def test_nonfinite_kappa_raises_with_element():
         assemble_stiffness(space, parse_coefficient("1/(x - x)"))
 
 
+def test_penalty_weights_each_face_by_kappa_on_it():
+    """In 1D the face weight is kappa(x_F): with one interior face at 0.5,
+    kappa = 1 + x scales the penalty by 1.5, not by a value from inside an
+    element."""
+    space = build_space(uniform_1d(2), 3)
+    s1 = assemble_penalty(space, parse_coefficient("1")).toarray()
+    s2 = assemble_penalty(space, parse_coefficient("1 + x")).toarray()
+    assert np.allclose(s2, 1.5 * s1, rtol=1e-14, atol=0)
+
+
+def test_nonpositive_face_kappa_raises_with_face():
+    # kappa vanishes at the face x = 0.5 only, where no element node lies
+    space = build_space(uniform_1d(2), 1)
+    kappa = parse_coefficient("(2*x - 1)^2")
+    assemble_stiffness(space, kappa)
+    with pytest.raises(AssemblyError, match="not positive on face 0"):
+        assemble_penalty(space, kappa)
+
+
 @pytest.mark.parametrize(
     "mesh,p",
     [

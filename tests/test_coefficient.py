@@ -1,7 +1,10 @@
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softfem.coefficient import CoefficientParseError, parse_coefficient
 
@@ -62,3 +65,103 @@ def test_parse_error_reports_position():
         assert err.position == 4
     else:
         raise AssertionError("expected a parse error")
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [("1/2", 0.5), ("2*pi", 2 * math.pi), ("-(3)^2", -9.0), ("exp(0)/4", 0.25),
+     ("1/0", math.inf), ("0^-1", math.inf), ("10^400", math.inf), ("(-2)^0.5", math.nan)],
+)
+def test_expressions_without_a_variable_compile_to_constants(text, value):
+    """Constant subexpressions fold with numpy float64 arithmetic: to inf or
+    nan where numpy gives them, never to a Python exception."""
+    field = parse_coefficient(text)
+    assert field.is_constant() and isinstance(field.constant, np.float64)
+    np.testing.assert_equal(field.constant, value)
+    np.testing.assert_equal(field(np.zeros((3, 2))), np.full(3, value))
+
+
+def test_a_lexical_error_after_a_syntax_error_reports_the_first():
+    # the text is scanned as it is parsed, so the leftmost error is reported
+    with pytest.raises(CoefficientParseError, match="trailing") as err:
+        parse_coefficient("x y $")
+    assert err.value.position == 2
+
+
+# -- grammar fuzz: random expression trees, rendered to text ---------------
+
+FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv, "^": operator.pow}
+LEAVES = st.one_of(
+    st.floats(0.0, 1e3).map(lambda v: ("num", v)),
+    st.just(("pi",)),
+    st.sampled_from(["x", "y", "z"]).map(lambda v: ("var", v)),
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(sorted(BINARY)), sub, sub),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.sampled_from(sorted(FUNCTIONS)), sub),
+    ),
+    max_leaves=12,
+)
+
+
+# how tightly each operator binds; leaves and calls bind tightest (5)
+PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def render(tree):
+    """The text of a tree, with only the parentheses the grammar needs."""
+    kind = tree[0]
+    if kind == "num":
+        return repr(tree[1])
+    if kind in ("pi", "var"):
+        return tree[-1]
+    if kind in FUNCTIONS:
+        return f"{kind}({render(tree[1])})"
+
+    def operand(t, least):  # bare if it binds at least this tightly
+        return render(t) if PRECEDENCE.get(t[0], 5) >= least else f"({render(t)})"
+
+    if kind == "neg":
+        return "-" + operand(tree[1], 3)
+    if kind == "^":  # the base is an atom, the exponent a unary
+        return f"{operand(tree[1], 5)} ^ {operand(tree[2], 3)}"
+    prec = PRECEDENCE[kind]  # left associative
+    return f"{operand(tree[1], prec)} {kind} {operand(tree[2], prec + 1)}"
+
+
+def evaluate(tree, env):
+    """The tree evaluated with numpy: float64 constants, coordinate arrays."""
+    kind = tree[0]
+    if kind == "num":
+        return np.float64(tree[1])
+    if kind == "pi":
+        return np.float64(math.pi)
+    if kind == "var":
+        return env[tree[1]]
+    args = [evaluate(t, env) for t in tree[1:]]
+    if kind == "neg":
+        return -args[0]
+    return FUNCTIONS[kind](*args) if kind in FUNCTIONS else BINARY[kind](*args)
+
+
+def has_variable(tree):
+    if tree[0] in ("num", "pi", "var"):
+        return tree[0] == "var"
+    return any(has_variable(t) for t in tree[1:])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tree=TREES, d=st.integers(1, 3))
+def test_compiled_expressions_match_numpy_bit_for_bit(tree, d):
+    pts = np.random.default_rng(d).uniform(-1.0, 2.0, (17, d))
+    env = {v: np.float64(0.0) for v in "xyz"} | dict(zip("xyz", pts.T))
+    field = parse_coefficient(render(tree))
+    with np.errstate(all="ignore"):
+        want = np.broadcast_to(np.asarray(evaluate(tree, env), dtype=float), (len(pts),))
+    assert field(pts).tobytes() == want.tobytes()
+    assert field.is_constant() == (not has_variable(tree))

@@ -618,7 +618,9 @@ def test_cli_run_prints_the_path_each_pencil_took(tmp_path, capsys, eta, printed
     assert "solver" not in (tmp_path / "out" / "summary.json").read_text()
 
 
-@pytest.mark.parametrize("kappa", ["-1", "exp(1000*x)"])
+@pytest.mark.parametrize(
+    "kappa", ["-1", "exp(1000*x)", "1/0", "0^-1", "(-2)^0.5", "10^400"]
+)
 @pytest.mark.parametrize("d", [1, 2])
 def test_cli_rejects_nonpositive_or_nonfinite_kappa(tmp_path, capsys, kappa, d):
     cfg = {"name": "k", "kappa": kappa, "mesh": {"type": "uniform", "n": 3, "d": d}}
@@ -626,6 +628,46 @@ def test_cli_rejects_nonpositive_or_nonfinite_kappa(tmp_path, capsys, kappa, d):
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "kappa is not" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa,literal", [("1/2", "0.5"), ("2*pi", repr(2 * math.pi))])
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
+def test_constant_kappa_expressions_take_the_kronecker_path(
+    tmp_path, capsys, kappa, literal, d, n
+):
+    """Any kappa without a variable is constant, however it is written."""
+    outputs = []
+    for tag, text in (("expr", kappa), ("literal", literal)):
+        path = tmp_path / f"{tag}.json"
+        cfg = {"name": "c", "kappa": text, "mesh": {"type": "uniform", "n": n, "d": d},
+               "degrees": [2]}
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / tag)]) == 0
+        assert "solver=kronecker" in capsys.readouterr().out
+        outputs.append((tmp_path / tag / "spectrum.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"ladder": [{"degree": 2, "n": [4, 8]}]},
+        {"mesh": {"type": "uniform", "n": 4, "d": 2}, "degrees": [2], "reference": "exact",
+         "eigenfunction_modes": [1, 2]},
+    ],
+    ids=["ladder", "exact-reference"],
+)
+def test_unit_kappa_may_be_written_as_any_constant_one(tmp_path, cfg):
+    outputs = []
+    for tag, kappa in (("one", "1"), ("float", "1.0"), ("expr", "2/2")):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps({"name": "u", "kappa": kappa, **cfg}))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / tag)]) == 0
+        summary = json.loads((tmp_path / tag / "summary.json").read_text())
+        assert summary.pop("kappa") == kappa
+        csvs = sorted((f.name, f.read_bytes()) for f in (tmp_path / tag).glob("*.csv"))
+        outputs.append((summary, csvs))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize(
@@ -682,6 +724,8 @@ LADDER = {"name": "bad", "ladder": [{"degree": 1, "n": [4, 8]}]}
         ({**MESHED, "degrees": [2, MAX_DEGREE + 1]}, "degrees"),
         ({**MESHED, "reference_degree": 70}, "reference_degree"),
         ({"name": "bad", "ladder": [{"degree": 70, "n": [4]}]}, "ladder"),
+        ({**MESHED, "kappa": "1 +"}, "kappa"),
+        ({**LADDER, "kappa": "(1"}, "kappa"),
     ],
 )
 def test_cli_rejects_bad_config_fields(tmp_path, capsys, cfg, name):
