@@ -30,6 +30,8 @@ def _load_config(target):
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config {target!r}: no such preset or file")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"config {target!r}: cannot read the file ({err})")
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {target!r}: invalid JSON ({err})")
     if not isinstance(data, dict):

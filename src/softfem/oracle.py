@@ -61,7 +61,12 @@ def exact_laplace_spectrum(d, count):
         raise ValueError("dimension must be 1, 2, or 3")
     if count < 1:
         raise ValueError("count must be >= 1")
-    m = max(2, math.ceil(count ** (1.0 / d)) + 1)
+    # a little fewer than V r^d index tuples in {1, 2, ...}^d have |k| <= r,
+    # V the volume of the positive orthant of the unit ball; the added d
+    # covers the shortfall at the coordinate planes, and the check below
+    # stays the guard
+    orthant = {1: 1.0, 2: math.pi / 4, 3: math.pi / 6}[d]
+    m = max(2, math.ceil((count / orthant) ** (1.0 / d)) + d)
     while True:
         # every index tuple in {1..m}^d, the last axis fastest
         tuples = np.indices((m,) * d).reshape(d, -1).T + 1

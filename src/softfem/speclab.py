@@ -356,19 +356,31 @@ def resolve_eta(policy, p, mesh_kind, d):
 
 @dataclass
 class SolveBundle:
-    """Both spectra of a problem, and the pencil K, M, S as assembled.
+    """Both spectra of a problem on the degree-`p` space of `mesh`, which has
+    `ndof` degrees of freedom, and the pencil K, M, S as assembled.
 
     On the Kronecker path K, M and S are the 1D pencil on `mesh.axes[0]`,
-    and both spectra are factored over its spectra.
+    both spectra are factored over its spectra, and the d-dimensional space
+    is built when `space` is first read.
     """
 
-    space: object
+    mesh: object
+    p: int
+    ndof: int
     K: object
     M: object
     S: object
     fem: object
     soft: object
     eta: float
+    built_space: object = field(default=None, repr=False)
+
+    @property
+    def space(self):
+        """The degree-p FE space on the mesh."""
+        if self.built_space is None:
+            self.built_space = build_space(self.mesh, self.p)
+        return self.built_space
 
     @property
     def solver(self):
@@ -409,20 +421,25 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
 
     face_weight='mean' replaces every h_F by the mesh-average element length
     scale (the convention behind some published 1D non-uniform tables).
-    Where `_is_kronecker_sum` holds, only the 1D pencil is assembled and
-    solved; the bundle holds it, and both spectra are factored over its
-    full 1D spectra. Otherwise both spectra hold the lowest `modes` modes
-    (all if None) and each pencil's certified lambda_max.
+    Where `_is_kronecker_sum` holds, only the 1D space is built and only
+    the 1D pencil is assembled and solved; the bundle holds it, and both
+    spectra are factored over its full 1D spectra. Otherwise both spectra
+    hold the lowest `modes` modes (all if None) and each pencil's certified
+    lambda_max.
     """
     kappa = parse_coefficient(kappa_text)
-    space = build_space(mesh, p)
-    if space.ndof == 0:
+    kronecker = _is_kronecker_sum(mesh, kappa)
+    if kronecker:
+        space, base = None, build_space(build_cartesian_mesh(mesh.axes[:1]), p)
+        ndof = base.ndof ** mesh.d
+    else:
+        space = base = build_space(mesh, p)
+        ndof = space.ndof
+    if ndof == 0:
         raise ConfigError(
             f"config fields 'mesh' and 'degrees' (or 'ladder'): the degree-{p} space "
             "on this mesh has no interior degree of freedom"
         )
-    kronecker = _is_kronecker_sum(mesh, kappa)
-    base = build_space(build_cartesian_mesh(mesh.axes[:1]), p) if kronecker else space
     K = assemble_stiffness(base, kappa)
     M = assemble_mass(base)
     face_length = float(np.mean(mesh.h0)) if face_weight == "mean" else None
@@ -431,7 +448,8 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
     fem = _solve(K, M, None if kronecker else modes)
     if kronecker:
         fem = _kronecker_spectrum(fem, mesh.d)
-    bundle = SolveBundle(space, K, M, S, fem=fem, soft=fem, eta=0.0)
+    bundle = SolveBundle(mesh, p, ndof, K, M, S, fem=fem, soft=fem, eta=0.0,
+                         built_space=space)
     bundle = _with_eta(bundle, eta, stiffen)
     if eta_policy == "default" and not stiffen and bundle.soft.values[0] <= 0:
         raise CoercivityViolation(
@@ -450,7 +468,7 @@ def _with_eta(bundle, eta, stiffen):
     # stiffening flips the sign of the penalty term: K + eta*S
     A = K + eta * S if stiffen else soften(K, S, eta)
     if bundle.fem.path == "kronecker":
-        soft = _kronecker_spectrum(_solve(A, bundle.M), bundle.space.mesh.d)
+        soft = _kronecker_spectrum(_solve(A, bundle.M), bundle.mesh.d)
     else:
         soft = _solve(A, bundle.M, bundle.fem.order)
     return replace(bundle, soft=soft, eta=eta)
@@ -539,12 +557,15 @@ def _is_unit_domain(mesh):
 
 def _reported_modes(cfg, bundle):
     """The number of modes a run reports: `modes`, at most the dof count."""
-    n = bundle.space.ndof
+    n = bundle.ndof
     return min(cfg.modes or n, n)
 
 
+CSV_BLOCK = 4096
+
+
 def _spectrum_rows(cfg, bundle, reference, exact=None):
-    n = bundle.space.ndof
+    n = bundle.ndof
     modes = _reported_modes(cfg, bundle)
     has_soft = bundle.eta != 0.0
     relerr_fem = relerr_soft = None
@@ -566,21 +587,37 @@ def _spectrum_rows(cfg, bundle, reference, exact=None):
                     )
                 except MultiplicityError:
                     pass
+    h1 = l2 = None
+    if efn:  # only the rows of the listed simple modes have these
+        h1, l2 = (
+            [_fmt(efn[j][key]) if j in efn else "" for j in range(1, modes + 1)]
+            for key in ("h1", "l2")
+        )
+    # one "%" per row; "%.17g" % x gives the bytes of format(x, ".17g")
+    number = np.arange(1, modes + 1)
+    columns = [
+        ("%d", number),
+        ("%.17g", number / n),
+        ("%.17g", reference),
+        ("%.17g", bundle.fem.values),
+        ("%.17g", bundle.soft.values if has_soft else None),
+        ("%.17g", relerr_fem),
+        ("%.17g", relerr_soft),
+        ("%s", h1),
+        ("%s", l2),
+        ("%.17g", ratios),
+    ]
+    row = ",".join("" if column is None else spec for spec, column in columns)
     lines = [CSV_HEADER]
-    for j in range(modes):
-        row = [
-            str(j + 1),
-            _fmt((j + 1) / n),
-            _fmt(reference[j]) if reference is not None else "",
-            _fmt(bundle.fem.values[j]),
-            _fmt(bundle.soft.values[j]) if has_soft else "",
-            _fmt(relerr_fem[j]) if relerr_fem is not None else "",
-            _fmt(relerr_soft[j]) if relerr_soft is not None else "",
-            _fmt(efn[j + 1]["h1"]) if (j + 1) in efn else "",
-            _fmt(efn[j + 1]["l2"]) if (j + 1) in efn else "",
-            _fmt(ratios[j]) if ratios is not None else "",
+    # a block of rows at a time, so that few cells are Python floats at once
+    for start in range(0, modes, CSV_BLOCK):
+        rows = slice(start, min(start + CSV_BLOCK, modes))
+        cells = [
+            column[rows] if spec == "%s" else column[rows].tolist()
+            for spec, column in columns
+            if column is not None
         ]
-        lines.append(",".join(row))
+        lines.extend(row % values for values in zip(*cells))
     return "\n".join(lines) + "\n", relerr_fem, relerr_soft
 
 
@@ -590,14 +627,14 @@ def _top_decile_mean(relerr):
 
 
 def _degree_summary(cfg, bundle, relerr_fem, relerr_soft):
-    mesh = bundle.space.mesh
-    pars = softness_parameters(bundle.space.p, mesh.kind, d=mesh.d)
+    mesh = bundle.mesh
+    pars = softness_parameters(bundle.p, mesh.kind, d=mesh.d)
     gp = oracle.gamma_p(
-        bundle.space.p, mesh.kind, d=mesh.d if mesh.kind == "simplicial" else None
+        bundle.p, mesh.kind, d=mesh.d if mesh.kind == "simplicial" else None
     )
     out = {
-        "p": bundle.space.p,
-        "n_dofs": bundle.space.ndof,
+        "p": bundle.p,
+        "n_dofs": bundle.ndof,
         "eta": bundle.eta,
         "eta_max": pars["eta_max"],
         "gamma_p": gp["gamma"],
@@ -720,7 +757,10 @@ def run_experiment(config, out_dir):
             raise ConfigError(f"unknown preset {config!r}")
         config = PRESETS[config]
     cfg = ExperimentConfig.from_dict(config)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out {out_dir!r}: cannot make the output directory ({err})")
     summary = {
         "name": cfg.name,
         "kappa": cfg.kappa,

@@ -49,7 +49,7 @@ def looped_laplace_spectrum(d, count):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("count", [1, 2, 7, 64, 100, 1331])
+@pytest.mark.parametrize("count", [1, 2, 7, 64, 100, 500, 1331, 12167])
 def test_exact_laplace_spectrum_matches_the_loop(d, count):
     spec = oracle.exact_laplace_spectrum(d, count)
     values, indices = looped_laplace_spectrum(d, count)

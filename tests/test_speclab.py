@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,6 +261,35 @@ def test_kronecker_path_forms_no_d_dimensional_matrix(monkeypatch, d, n, p):
     assert calls  # the counter sees the forming
 
 
+@pytest.mark.parametrize("d,efn_modes", [(2, []), (3, []), (2, [1, 2]), (3, [1, 2])])
+def test_kronecker_run_builds_the_d_dimensional_space_on_demand(
+    tmp_path, monkeypatch, d, efn_modes
+):
+    built = []
+
+    def spy(mesh, p):
+        built.append(mesh.d)
+        return build_space(mesh, p)
+
+    monkeypatch.setattr(speclab, "build_space", spy)
+    mesh = {"type": "uniform", "n": 3, "d": d}
+    cfg = {"name": "k", "mesh": mesh, "degrees": [2], "reference": "exact",
+           "eigenfunction_modes": efn_modes}
+    summary = speclab.run_experiment(cfg, str(tmp_path))
+    assert summary["solver"] == {"2": "kronecker"}
+    assert summary["by_degree"]["2"]["n_dofs"] == 5**d
+    # the 1D space, and the d-dimensional one only for eigenfunction errors
+    assert built == ([1, d] if efn_modes else [1])
+
+    built.clear()
+    bundle = speclab.solve_problem(mesh_from_spec(mesh), 2)
+    assert built == [1] and bundle.ndof == 5**d
+    space, want = bundle.space, build_space(bundle.mesh, 2)
+    assert bundle.space is space and built == [1, d]
+    assert space.ndof == want.ndof == bundle.ndof
+    assert np.array_equal(space.element_dofs, want.element_dofs)
+
+
 def test_kronecker_spectrum_is_factored_bit_for_bit():
     """Value j is mu[i0] + (mu[i1] + mu[i2]) over the index tuple of mode j,
     and vector(j) is column j of the full Kronecker product matrix, formed as
@@ -462,6 +492,104 @@ def test_csv_roundtrip(tmp_path):
         assert float(fields[9]) >= 0.0  # jump ratio
 
 
+def per_cell_rows(cfg, bundle, reference, exact=None):
+    """The CSV text of `speclab._spectrum_rows`, written with one
+    `format(float(x), ".17g")` call per cell."""
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    n = bundle.ndof
+    modes = speclab._reported_modes(cfg, bundle)
+    has_soft = bundle.eta != 0.0
+    relerr_fem = relerr_soft = None
+    if reference is not None:
+        relerr_fem = speclab.eigenvalue_error_curve(bundle.fem.values[:modes], reference)
+        if has_soft:
+            relerr_soft = speclab.eigenvalue_error_curve(bundle.soft.values[:modes], reference)
+    ratios = None
+    if cfg.jump_ratio and has_soft:
+        ratios = speclab.jump_energy_ratio(bundle.soft, bundle.eta, bundle.K, bundle.S)
+    efn = {}
+    if cfg.eigenfunction_modes and exact is not None:
+        target = bundle.soft if has_soft else bundle.fem
+        for mode in cfg.eigenfunction_modes:
+            if mode <= modes:
+                try:
+                    efn[mode] = speclab.eigenfunction_errors(bundle.space, target, exact, mode - 1)
+                except speclab.MultiplicityError:
+                    pass
+    lines = [speclab.CSV_HEADER]
+    for j in range(modes):
+        row = [
+            str(j + 1),
+            fmt((j + 1) / n),
+            fmt(reference[j]) if reference is not None else "",
+            fmt(bundle.fem.values[j]),
+            fmt(bundle.soft.values[j]) if has_soft else "",
+            fmt(relerr_fem[j]) if relerr_fem is not None else "",
+            fmt(relerr_soft[j]) if relerr_soft is not None else "",
+            fmt(efn[j + 1]["h1"]) if (j + 1) in efn else "",
+            fmt(efn[j + 1]["l2"]) if (j + 1) in efn else "",
+            fmt(ratios[j]) if ratios is not None else "",
+        ]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def assert_rows_match_per_cell(cfg, bundle, reference, exact=None):
+    cfg = speclab.ExperimentConfig.from_dict(cfg)
+    text = speclab._spectrum_rows(cfg, bundle, reference, exact)[0]
+    assert text.encode() == per_cell_rows(cfg, bundle, reference, exact).encode()
+    return text
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # a 3D Kronecker run
+        {"mesh": {"type": "uniform", "n": 3, "d": 3}, "degrees": [2]},
+        # eigenfunction errors on some rows only (modes 2 and 3 are a
+        # degenerate pair, so only 1 and 4 have them), and the jump ratio
+        {"mesh": {"type": "uniform", "n": 4, "d": 2}, "degrees": [2], "jump_ratio": True,
+         "eigenfunction_modes": [1, 2, 4], "modes": 9},
+        {"mesh": {"type": "unit-square", "n": 2}, "degrees": [2], "jump_ratio": True,
+         "eigenfunction_modes": [1, 4], "eta": "galerkin"},
+    ],
+)
+def test_spectrum_rows_match_the_per_cell_writer(monkeypatch, fields):
+    monkeypatch.setattr(speclab, "CSV_BLOCK", 7)  # rows span several blocks
+    cfg = {"name": "w", "reference": "exact", **fields}
+    mesh = mesh_from_spec(cfg["mesh"])
+    bundle = speclab.solve_problem(mesh, cfg["degrees"][0], eta_policy=cfg.get("eta", "default"))
+    modes = cfg.get("modes", bundle.ndof)
+    d = 2 if mesh.kind == "simplicial" else mesh.d
+    reference = oracle.exact_laplace_spectrum(d, modes).values
+    exact = oracle.exact_laplace_spectrum(d, 8)
+    text = assert_rows_match_per_cell(cfg, bundle, reference, exact)
+    rows = [row.split(",") for row in text.splitlines()[1:]]
+    assert len(rows) == modes
+    if "eigenfunction_modes" in cfg:
+        with_errors = [j for j, row in enumerate(rows, 1) if row[7]]
+        assert with_errors == [1, 4]
+
+
+def test_spectrum_rows_match_the_per_cell_writer_on_special_values(small_bundle):
+    special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e-7]
+    values = np.resize(special, small_bundle.ndof)
+    bundle = replace(
+        small_bundle,
+        fem=replace(small_bundle.fem, values=values),
+        soft=replace(small_bundle.soft, values=values[::-1].copy()),
+    )
+    cfg = {"name": "s", "mesh": {"type": "uniform", "n": 8, "d": 1}, "degrees": [2]}
+    with np.errstate(all="ignore"):
+        text = assert_rows_match_per_cell(cfg, bundle, values[::-1].copy())
+        assert_rows_match_per_cell(cfg, bundle, None)
+    cells = {cell for row in text.splitlines()[1:] for cell in row.split(",")[3:7]}
+    assert {"inf", "-inf", "nan", "-0", "4.9406564584124654e-324"} <= cells
+
+
 def test_ladder_run(tmp_path):
     cfg = {
         "name": "ladder",
@@ -529,6 +657,23 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
     path.write_text("not json")
     assert cli.main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("case", ["directory", "utf-16 bom", "out is a file", "out under a file"])
+def test_cli_unreadable_paths_exit_2(tmp_path, capsys, case):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"name": "x", "mesh": {"type": "uniform", "n": 2, "d": 1}}))
+    (tmp_path / "file").write_text("")
+    target, out, name = {
+        "directory": (tmp_path, tmp_path / "out", "config"),
+        "utf-16 bom": (tmp_path / "bom.json", tmp_path / "out", "config"),
+        "out is a file": (config, tmp_path / "file", "--out"),
+        "out under a file": (config, tmp_path / "file" / "sub", "--out"),
+    }[case]
+    (tmp_path / "bom.json").write_bytes(b"\xff\xfe")
+    assert cli.main(["run", str(target), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} ") and "Traceback" not in err
 
 
 def test_cli_eta_override(tmp_path):
@@ -758,8 +903,9 @@ def test_cli_rejects_configs_without_enough_modes(tmp_path, capsys, cfg, names):
 @st.composite
 def small_runs(draw):
     """A config and extra arguments for `softfem run` on a 1D or 2D mesh of
-    at most 6 cells per axis, with the solve and reference fields varied
-    (`modes` may be out of range)."""
+    at most 6 cells per axis, with the solve, reference and optional column
+    fields varied (`modes` may be out of range, and `eigenfunction_modes`
+    applies only where kappa is 1)."""
     d = draw(st.integers(1, 2))
     if draw(st.booleans()):
         mesh = {"type": "uniform", "n": draw(st.integers(1, 6)), "d": d}
@@ -778,6 +924,11 @@ def small_runs(draw):
         "reference": draw(st.sampled_from(["none", "exact", "high-order"])),
         "reference_degree": draw(st.integers(1, 3)),
         "reference_refine": draw(st.integers(1, 2)),
+        "jump_ratio": draw(st.booleans()),
+        "eigenfunction_modes": draw(st.lists(st.integers(1, 6), max_size=2)),
+        "eta_sweep": draw(st.none() | st.lists(st.floats(0.0, 0.3), max_size=2)),
+        "stiffen": draw(st.booleans()),
+        "face_weight": draw(st.sampled_from(["local", "mean"])),
     }
     modes = draw(st.none() | st.integers(-1, 40))
     argv = []
