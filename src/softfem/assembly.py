@@ -12,6 +12,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,6 +50,15 @@ class FeSpace:
     @property
     def ndof(self):
         return len(self.reduced_to_full)
+
+    @functools.cached_property
+    def element_tables(self):
+        """(quadrature rule, basis values V and gradients G at its nodes,
+        ElementMap) of the element integrals, built on first use; K and M
+        share them."""
+        quad = assembly_quadrature(self)
+        V, G = self.basis.eval(quad.nodes)
+        return quad, V, G, element_map(self)
 
     def interpolate(self, f):
         """Reduced coefficient vector of the nodal interpolant of f."""
@@ -252,18 +262,15 @@ def _scatter(space, local, dofs, reduced):
 
 def assemble_mass(space, reduced=True):
     """Mass matrix of the L2 inner product."""
-    quad = assembly_quadrature(space)
-    V, _ = space.basis.eval(quad.nodes)
-    Vw = V * (quad.weights * element_map(space).detj[:, None])[:, :, None]
+    quad, V, _, emap = space.element_tables
+    Vw = V * (quad.weights * emap.detj[:, None])[:, :, None]
     return _scatter(space, Vw.transpose(0, 2, 1) @ V, space.element_dofs, reduced)
 
 
 def assemble_stiffness(space, kappa=None, reduced=True):
     """Stiffness matrix of (kappa grad v, grad w)."""
     kappa = kappa if kappa is not None else parse_coefficient("1")
-    quad = assembly_quadrature(space)
-    _, G = space.basis.eval(quad.nodes)
-    emap = element_map(space)
+    quad, _, G, emap = space.element_tables
     w = quad.weights * emap.detj[:, None] * _kappa_values(kappa, emap.to_phys(quad.nodes))
     # physical gradients (ne, nloc, nq * d): the local matrix is one product
     # over the (quadrature point, axis) pairs

@@ -78,8 +78,10 @@ def cmd_trace_check(args):
     p = args.p
     if not 1 <= p <= MAX_DEGREE:
         raise ConfigError(f"--p must be an integer in [1, {MAX_DEGREE}]")
-    rng = np.random.default_rng(args.seed)
     samples = args.samples
+    if samples < 0:
+        raise ConfigError("--samples must be an integer >= 0")
+    rng = np.random.default_rng(args.seed)
     if args.kind == "interval":
         const_sq = oracle.sharp_trace_constant("interval-k", p) ** 2
         worst = 0.0

@@ -11,6 +11,7 @@ elements' h_tau^0.
 
 from __future__ import annotations
 
+import functools
 import numbers
 
 import numpy as np
@@ -34,6 +35,11 @@ class Mesh:
       interfaces  record array with one row per interior face, in the order
                   of `faces`, with fields `elements` (e1 < e2), `vertex_ids`,
                   `measure`, `normal` (unit, pointing from e1 to e2) and `h_f`.
+
+    A simplicial mesh builds its topology at construction, which checks it.
+    A tensor mesh builds it on first read: its breakpoints, checked by
+    `build_cartesian_mesh`, always give well-formed faces, and a run on the
+    Kronecker path or a reference solve of K and M reads none of it.
     """
 
     def __init__(self, d, kind, vertices, elements, axes=None):
@@ -54,10 +60,23 @@ class Mesh:
         if np.any(ids[:, 1:] == ids[:, :-1]):
             raise InvalidMeshError("repeated vertex in element")
         self._build_geometry()
-        self._build_faces()
-        for arr in (self.vertices, self.elements, self.volumes, self.h, self.h0,
-                    self.faces, self.face_ids, self.on_boundary, self.interfaces):
+        for arr in (self.vertices, self.elements, self.volumes, self.h, self.h0):
             arr.setflags(write=False)
+        if kind == "simplicial":
+            self._topology  # built now, so that a malformed mesh raises here
+
+    @functools.cached_property
+    def _topology(self):
+        """(faces, face_ids, on_boundary, interfaces), read-only."""
+        topology = self._build_faces()
+        for arr in topology:
+            arr.setflags(write=False)
+        return topology
+
+    faces = property(lambda self: self._topology[0])
+    face_ids = property(lambda self: self._topology[1])
+    on_boundary = property(lambda self: self._topology[2])
+    interfaces = property(lambda self: self._topology[3])
 
     @property
     def n_elements(self):
@@ -103,15 +122,14 @@ class Mesh:
     # -- faces ------------------------------------------------------------
 
     def _build_faces(self):
+        """The topology arrays, checked: each face has one or two elements."""
         local = self.local_faces
         keys = np.sort(self.elements[:, local], axis=2).reshape(-1, local.shape[1])
-        self.faces, index, counts = np.unique(
+        faces, index, counts = np.unique(
             keys, axis=0, return_inverse=True, return_counts=True
         )
         if np.any(counts > 2):
             raise InvalidMeshError("face shared by more than two elements")
-        self.face_ids = index.reshape(self.n_elements, len(local))
-        self.on_boundary = counts == 1
 
         # the elements of every face, grouped by face and ascending in each group
         owner = np.argsort(index.ravel(), kind="stable") // len(local)
@@ -119,7 +137,7 @@ class Mesh:
         e1, e2 = owner[first], owner[first + 1]
         if np.any(e1 == e2):
             raise InvalidMeshError("face adjacent to one element twice")
-        vertex_ids = self.faces[counts == 2]
+        vertex_ids = faces[counts == 2]
         verts = self.vertices[vertex_ids]
         if self.d == 1:
             measure, normal = np.ones(len(e1)), np.ones((len(e1), 1))
@@ -134,7 +152,7 @@ class Mesh:
         centers = self.vertices[self.elements].mean(axis=1)
         flip = ((centers[e2] - centers[e1]) * normal).sum(axis=1) < 0
         normal = np.where(flip[:, None], -normal, normal)
-        self.interfaces = np.rec.fromarrays(
+        interfaces = np.rec.fromarrays(
             [np.stack([e1, e2], axis=1), vertex_ids, measure, normal,
              np.minimum(self.h0[e1], self.h0[e2])],
             dtype=[
@@ -145,6 +163,7 @@ class Mesh:
                 ("h_f", float),
             ],
         )
+        return faces, index.reshape(self.n_elements, len(local)), counts == 1, interfaces
 
 
 def _norms(v):

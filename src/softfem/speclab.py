@@ -458,15 +458,20 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
     return bundle
 
 
-def _with_eta(bundle, eta, stiffen):
+def _with_eta(bundle, eta, stiffen, name="eta"):
     """The bundle with its softened pencil solved again at eta, for as many
     modes as the Galerkin spectrum holds; K, M, S and the Galerkin spectrum
-    are reused."""
+    are reused. `name` is the config field that gave eta."""
     if eta == 0.0:
         return replace(bundle, soft=bundle.fem, eta=eta)
     K, S = bundle.K, bundle.S
     # stiffening flips the sign of the penalty term: K + eta*S
-    A = K + eta * S if stiffen else soften(K, S, eta)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        A = K + eta * S if stiffen else soften(K, S, eta)
+    if not np.isfinite(A.data).all():
+        raise ConfigError(
+            f"config field {name!r}: eta = {eta!r} overflows the softened matrix"
+        )
     if bundle.fem.path == "kronecker":
         soft = _kronecker_spectrum(_solve(A, bundle.M), bundle.mesh.d)
     else:
@@ -564,6 +569,17 @@ def _reported_modes(cfg, bundle):
 CSV_BLOCK = 4096
 
 
+def _format_floats(values):
+    """The text of every float in values, as a list: "%.17g" % x, which has
+    the bytes of format(x, ".17g"). Each distinct bit pattern is formatted
+    once, so 0.0 and -0.0 stay apart; a Kronecker spectrum repeats most of
+    its values."""
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64),
+                              return_inverse=True)
+    text = np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def _spectrum_rows(cfg, bundle, reference, exact=None):
     n = bundle.ndof
     modes = _reported_modes(cfg, bundle)
@@ -593,28 +609,27 @@ def _spectrum_rows(cfg, bundle, reference, exact=None):
             [_fmt(efn[j][key]) if j in efn else "" for j in range(1, modes + 1)]
             for key in ("h1", "l2")
         )
-    # one "%" per row; "%.17g" % x gives the bytes of format(x, ".17g")
+    # one "%" per row, with every float column formatted by _format_floats
     number = np.arange(1, modes + 1)
     columns = [
-        ("%d", number),
-        ("%.17g", number / n),
-        ("%.17g", reference),
-        ("%.17g", bundle.fem.values),
-        ("%.17g", bundle.soft.values if has_soft else None),
-        ("%.17g", relerr_fem),
-        ("%.17g", relerr_soft),
-        ("%s", h1),
-        ("%s", l2),
-        ("%.17g", ratios),
+        number / n,
+        reference,
+        bundle.fem.values,
+        bundle.soft.values if has_soft else None,
+        relerr_fem,
+        relerr_soft,
+        h1,
+        l2,
+        ratios,
     ]
-    row = ",".join("" if column is None else spec for spec, column in columns)
+    row = ",".join(["%d"] + ["" if column is None else "%s" for column in columns])
     lines = [CSV_HEADER]
-    # a block of rows at a time, so that few cells are Python floats at once
+    # a block of rows at a time, so that few cells are Python objects at once
     for start in range(0, modes, CSV_BLOCK):
         rows = slice(start, min(start + CSV_BLOCK, modes))
-        cells = [
-            column[rows] if spec == "%s" else column[rows].tolist()
-            for spec, column in columns
+        cells = [number[rows].tolist()] + [
+            column[rows] if isinstance(column, list) else _format_floats(column[rows])
+            for column in columns
             if column is not None
         ]
         lines.extend(row % values for values in zip(*cells))
@@ -698,7 +713,7 @@ def _run_single(cfg, out_dir):
         if cfg.eta_sweep:
             sweep = {}
             for i, eta in enumerate(cfg.eta_sweep):
-                b = _with_eta(bundle, float(eta), cfg.stiffen)
+                b = _with_eta(bundle, float(eta), cfg.stiffen, "eta_sweep")
                 csv_text, rf, rs = _spectrum_rows(cfg, b, reference, exact)
                 with open(
                     os.path.join(out_dir, f"spectrum_p{p}_eta{i}.csv"), "w"

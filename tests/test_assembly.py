@@ -254,6 +254,9 @@ def test_matrices_are_canonical_symmetric_csr(mesh, p):
 
 
 def test_basis_is_evaluated_once_per_assembly(monkeypatch):
+    """K and M of one space share one basis evaluation at the element
+    quadrature, whichever is assembled first, and come out bit-identical
+    either way; the penalty makes its own at the face points."""
     calls = []
     original = ReferenceBasis.eval
 
@@ -267,11 +270,20 @@ def test_basis_is_evaluated_once_per_assembly(monkeypatch):
             mesh_from_spec({"type": "uniform", "n": n, "d": 3}),
             build_simplicial_mesh("unit-square", n=n),
         ):
-            space = build_space(mesh, 2)
-            for assemble in (assemble_mass, assemble_stiffness, assemble_penalty):
+            built = []
+            for order in ((assemble_mass, assemble_stiffness),
+                          (assemble_stiffness, assemble_mass)):
+                space = build_space(mesh, 2)
                 calls.clear()
-                assemble(space)
+                built.append({assemble: assemble(space) for assemble in order})
                 assert len(calls) == 1
+                calls.clear()
+                assemble_penalty(space)
+                assert len(calls) == 1
+            for assemble in (assemble_mass, assemble_stiffness):
+                first, second = (b[assemble] for b in built)
+                for part in ("indptr", "indices", "data"):
+                    assert getattr(first, part).tobytes() == getattr(second, part).tobytes()
 
 
 @pytest.mark.parametrize("d,n,p", [(2, 3, 2), (3, 2, 2)])

@@ -202,6 +202,37 @@ def test_face_shared_by_three_triangles_is_rejected():
         build_simplicial_mesh("explicit", nodes=nodes, elements=[(0, 1, 2), (0, 1, 3), (0, 1, 4)])
 
 
+def test_tensor_topology_is_built_on_first_read(monkeypatch):
+    """A tensor mesh builds its face table when one of its topology arrays is
+    first read, a simplicial mesh at construction; either way the arrays are
+    those of an eager build, and read-only."""
+    built = []
+    original = Mesh._build_faces
+
+    def spy(self):
+        built.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Mesh, "_build_faces", spy)
+    axes = [[0.0, 0.3, 1.0], [0.0, 0.5, 0.7, 1.0], [-1.0, 1.0]]
+    for d in (1, 2, 3):
+        built.clear()
+        mesh = build_cartesian_mesh(axes[:d])
+        assert built == []
+        eager = original(mesh)
+        for name, expected in zip(("faces", "face_ids", "on_boundary", "interfaces"), eager):
+            arr = getattr(mesh, name)
+            assert arr.dtype == expected.dtype and arr.shape == expected.shape
+            assert arr.tobytes() == expected.tobytes()
+            assert not arr.flags.writeable
+        assert built == [mesh]
+    built.clear()
+    mesh = build_simplicial_mesh("unit-square", n=2)
+    assert built == [mesh]
+    mesh.interfaces
+    assert built == [mesh]
+
+
 def check_face_table(mesh):
     """Properties every face table holds, checked against the vertex
     coordinates and element vertex lists."""

@@ -22,7 +22,7 @@ from softfem.assembly import (
     soften,
 )
 from softfem.coefficient import parse_coefficient
-from softfem.mesh import mesh_from_spec
+from softfem.mesh import Mesh, mesh_from_spec
 from softfem.polyref import MAX_DEGREE, cuboid_rule, simplex_rule
 
 
@@ -590,6 +590,62 @@ def test_spectrum_rows_match_the_per_cell_writer_on_special_values(small_bundle)
     assert {"inf", "-inf", "nan", "-0", "4.9406564584124654e-324"} <= cells
 
 
+def test_spectrum_rows_match_the_per_cell_writer_on_repeated_values(monkeypatch, small_bundle):
+    """Equal values, 0.0 next to -0.0 and two NaNs with different bits each
+    get the cells of the per-cell writer, also in a run of equal values that
+    crosses the block edge after row 7."""
+    monkeypatch.setattr(speclab, "CSV_BLOCK", 7)
+    other_nan = np.array([0x7FF8000000000001]).view(float)[0]
+    values = np.array(
+        [0.0, -0.0, math.nan, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5, other_nan, 0.1, 0.1, -0.0, 0.0, 7.0]
+    )
+    assert len(values) == small_bundle.ndof
+    bundle = replace(
+        small_bundle,
+        fem=replace(small_bundle.fem, values=values),
+        soft=replace(small_bundle.soft, values=values[::-1].copy()),
+    )
+    cfg = {"name": "r", "mesh": {"type": "uniform", "n": 8, "d": 1}, "degrees": [2]}
+    with np.errstate(all="ignore"):
+        text = assert_rows_match_per_cell(cfg, bundle, values[::-1].copy())
+        assert_rows_match_per_cell(cfg, bundle, None)
+    fem = [row.split(",")[3] for row in text.splitlines()[1:]]
+    tenth = "0.10000000000000001"
+    assert fem == ["0", "-0", "nan"] + ["2.5"] * 6 + ["nan", tenth, tenth, "-0", "0", "7"]
+
+
+@pytest.fixture
+def face_builds(monkeypatch):
+    """(d, element count) of every mesh whose face table is built."""
+    built = []
+    original = Mesh._build_faces
+
+    def spy(self):
+        built.append((self.d, self.n_elements))
+        return original(self)
+
+    monkeypatch.setattr(Mesh, "_build_faces", spy)
+    return built
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kronecker_run_builds_only_the_1d_face_table(tmp_path, face_builds, d):
+    cfg = {"name": "k", "mesh": {"type": "uniform", "n": 3, "d": d}, "degrees": [2],
+           "reference": "exact"}
+    assert speclab.run_experiment(cfg, str(tmp_path))["solver"] == {"2": "kronecker"}
+    assert face_builds == [(1, 3)]
+
+
+def test_high_order_reference_builds_no_face_table(tmp_path, face_builds):
+    """The reference pencil is K and M only, so its refined mesh reads no
+    face; the run's own 3 x 3 mesh has the penalty's."""
+    cfg = {"name": "r", "kappa": "1 + x", "mesh": {"type": "uniform", "n": 3, "d": 2},
+           "degrees": [1], "reference": "high-order", "reference_degree": 2,
+           "reference_refine": 2}
+    speclab.run_experiment(cfg, str(tmp_path))
+    assert face_builds == [(2, 9)]
+
+
 def test_ladder_run(tmp_path):
     cfg = {
         "name": "ladder",
@@ -734,6 +790,32 @@ def test_cli_rejects_bad_eta_and_modes(tmp_path, capsys, fields, argv, name):
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")] + argv) == 2
     assert f"field '{name}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+NONUNIFORM = {"type": "cartesian", "breakpoints": [[0, 0.3, 0.5, 1], [0, 0.2, 0.7, 1]]}
+
+
+@pytest.mark.parametrize(
+    "target,argv,name",
+    [
+        ("table1", ["--eta", "1e308"], "eta"),
+        ({"mesh": {"type": "unit-square", "n": 3}, "eta": 1e308}, [], "eta"),
+        ({"mesh": {"type": "unit-square", "n": 3}, "eta": 1e308}, ["--stiffen"], "eta"),
+        ({"mesh": {"type": "unit-square", "n": 3}, "eta": 1e308, "modes": 2}, [], "eta"),
+        ({"mesh": NONUNIFORM, "eta_sweep": [1e308]}, [], "eta_sweep"),
+    ],
+    ids=["ladder", "unit-square", "stiffen", "modes", "eta_sweep"],
+)
+def test_cli_rejects_an_eta_that_overflows_the_softened_matrix(
+    tmp_path, capsys, target, argv, name
+):
+    if isinstance(target, dict):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": "huge", **target}))
+        target = str(path)
+    assert cli.main(["run", target, "--out", str(tmp_path / "out")] + argv) == 2
+    err = capsys.readouterr().err
+    assert f"field '{name}'" in err and "1e+308" in err and "Traceback" not in err
 
 
 def test_cli_run_prints_solver_path(tmp_path, capsys):
@@ -904,8 +986,10 @@ def test_cli_rejects_configs_without_enough_modes(tmp_path, capsys, cfg, names):
 def small_runs(draw):
     """A config and extra arguments for `softfem run` on a 1D or 2D mesh of
     at most 6 cells per axis, with the solve, reference and optional column
-    fields varied (`modes` may be out of range, and `eigenfunction_modes`
-    applies only where kappa is 1)."""
+    fields varied (`modes` may be out of range, a numeric eta may overflow
+    the softened matrix, and `eigenfunction_modes` applies only where kappa
+    is 1)."""
+    huge_or_small_eta = st.floats(0.0, 0.3) | st.sampled_from([1e300, 1e308])
     d = draw(st.integers(1, 2))
     if draw(st.booleans()):
         mesh = {"type": "uniform", "n": draw(st.integers(1, 6)), "d": d}
@@ -920,13 +1004,13 @@ def small_runs(draw):
         "mesh": mesh,
         "kappa": draw(st.sampled_from(["1", "1 + x"])),
         "degrees": draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True)),
-        "eta": draw(st.sampled_from(["default", "galerkin"]) | st.floats(0.0, 0.3)),
+        "eta": draw(st.sampled_from(["default", "galerkin"]) | huge_or_small_eta),
         "reference": draw(st.sampled_from(["none", "exact", "high-order"])),
         "reference_degree": draw(st.integers(1, 3)),
         "reference_refine": draw(st.integers(1, 2)),
         "jump_ratio": draw(st.booleans()),
         "eigenfunction_modes": draw(st.lists(st.integers(1, 6), max_size=2)),
-        "eta_sweep": draw(st.none() | st.lists(st.floats(0.0, 0.3), max_size=2)),
+        "eta_sweep": draw(st.none() | st.lists(huge_or_small_eta, max_size=2)),
         "stiffen": draw(st.booleans()),
         "face_weight": draw(st.sampled_from(["local", "mean"])),
     }
@@ -1023,6 +1107,13 @@ def test_cli_trace_check_rejects_degrees_out_of_range(capsys, argv):
     assert cli.main(["trace-check", *argv]) == 2
     err = capsys.readouterr().err
     assert "--p" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["interval", "cuboid", "simplex"])
+def test_cli_trace_check_rejects_negative_samples(capsys, kind):
+    assert cli.main(["trace-check", "--p", "2", "--kind", kind, "--samples", "-2"]) == 2
+    err = capsys.readouterr().err
+    assert "--samples" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("kind", ["cuboid", "simplex"])
