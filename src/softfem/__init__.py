@@ -30,7 +30,6 @@ from .polyref import (
     ReferenceBasis,
     gauss_legendre_rule,
     gauss_lobatto_rule,
-    legendre_eval,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,11 @@ import numpy as np
 import scipy.linalg
 
 
-class MassNotSpdError(RuntimeError):
+class EigensolveError(RuntimeError):
+    """A dense eigensolve failed."""
+
+
+class MassNotSpdError(EigensolveError):
     """The mass matrix is not symmetric positive definite."""
 
 
@@ -193,10 +197,15 @@ def _extreme_value(A, M, top):
 
 
 def _dense_eigh(A, M, **kwargs):
+    M = M.toarray()
     try:
-        return scipy.linalg.eigh(A.toarray(), M.toarray(), **kwargs)
+        return scipy.linalg.eigh(A.toarray(), M, **kwargs)
     except np.linalg.LinAlgError as err:
-        raise MassNotSpdError("mass matrix is not SPD") from err
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            raise MassNotSpdError("mass matrix is not SPD") from err
+        raise EigensolveError(f"dense eigensolve failed: {err}") from err
 
 
 def solve_gmevp(A, M, k=None):

@@ -18,7 +18,7 @@ import scipy.linalg
 from . import assembly, gevp
 from .coefficient import parse_coefficient
 from .mesh import mesh_from_spec, refine_spec
-from .polyref import ReferenceBasis, gauss_legendre_rule, gauss_lobatto_rule
+from .polyref import ReferenceBasis, gauss_legendre_rule
 
 
 @dataclass
@@ -190,20 +190,16 @@ def superconvergence_bound(j, h):
 
 
 def gamma_p(p, mesh_kind, d=None):
-    """Lower-bound constant gamma_p and the best asymptotic reduction ratio."""
+    """Lower-bound constant gamma_p of gamma_p * lambda_j <= lambda_soft_j."""
     if p < 1:
         raise ValueError("degree must be >= 1")
     if mesh_kind == "tensor":
-        gamma = 2.0 / (p + 2)
-        best = 1.0 + p / 2.0
-    elif mesh_kind == "simplicial":
+        return 2.0 / (p + 2)
+    if mesh_kind == "simplicial":
         if d not in (2, 3):
             raise ValueError("simplicial meshes require d in {2, 3}")
-        gamma = (4.0 - d) / (p + 4.0 - d)
-        best = 1.0 + p / (4.0 - d)
-    else:
-        raise ValueError(f"unknown mesh kind {mesh_kind!r}")
-    return {"gamma": gamma, "best_ratio": best}
+        return (4.0 - d) / (p + 4.0 - d)
+    raise ValueError(f"unknown mesh kind {mesh_kind!r}")
 
 
 def sharp_trace_constant(kind, p, k=0, geometry=None, d=None):
@@ -243,22 +239,19 @@ def sharp_trace_constant(kind, p, k=0, geometry=None, d=None):
 def extremal_trace_polynomial(p):
     """A degree-p polynomial on [-1,1] attaining the C1(0,p) trace bound.
 
-    It vanishes at the interior Gauss-Lobatto nodes of the (p+2)-point rule,
-    so its squared boundary-to-volume ratio equals (p+1)(p+2)/h with h = 2.
-    Returns ascending power-basis coefficients.
+    It is L_{p+1}', which vanishes at the interior Gauss-Lobatto nodes of
+    the (p+2)-point rule, so its squared boundary-to-volume ratio equals
+    (p+1)(p+2)/h with h = 2. Returns its Legendre-series coefficients.
     """
     if p < 1:
         raise ValueError("degree must be >= 1")
-    interior = gauss_lobatto_rule(p + 2).nodes[1:-1]
-    return np.polynomial.polynomial.polyfromroots(interior)
+    return np.polynomial.legendre.legder(np.eye(p + 2)[p + 1])
 
 
 def trace_ratio_interval(coeffs, k=0, a=-1.0, b=1.0):
-    """h * ||v^(k)||^2_boundary / ||v^(k)||^2_element for a power-basis poly."""
-    poly = np.polynomial.Polynomial(coeffs)
-    for _ in range(k):
-        poly = poly.deriv()
-    quad = gauss_legendre_rule(poly.degree() + 2 if poly.degree() >= 0 else 1)
+    """h * ||v^(k)||^2_boundary / ||v^(k)||^2_element for a Legendre series."""
+    poly = np.polynomial.Legendre(coeffs).deriv(k)
+    quad = gauss_legendre_rule(poly.degree() + 2)
     x = a + 0.5 * (quad.nodes + 1.0) * (b - a)
     vol = float(np.sum(quad.weights * (b - a) / 2.0 * poly(x) ** 2))
     bnd = float(poly(a) ** 2 + poly(b) ** 2)

@@ -1,46 +1,17 @@
 """Reference-element polynomials and quadrature.
 
-Legendre polynomials, Gauss-Legendre and Gauss-Lobatto rules, and nodal
-Lagrange bases on the interval [-1,1], the cuboid [-1,1]^d, and the unit
-simplex {x >= 0, sum(x) <= 1}.
+Gauss-Legendre and Gauss-Lobatto rules, and nodal Lagrange bases on the
+interval [-1,1], the cuboid [-1,1]^d, and the unit simplex
+{x >= 0, sum(x) <= 1}. Every basis is a Legendre-Vandermonde inverse
+(`numpy.polynomial.legendre`), which stays well conditioned at high degree.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-
-class NumericError(RuntimeError):
-    """Raised when an iterative numeric procedure fails to converge."""
-
-
-def legendre_eval(n, x):
-    """Evaluate the Legendre polynomial L_n and its derivative at x.
-
-    Uses the three-term recurrence. Normalization L_n(1) = 1.
-    Accepts scalars or arrays; returns (value, derivative).
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.ones_like(x), np.zeros_like(x)
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(1, n):
-        p_next = ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-        p_prev, p = p, p_next
-    # (1-x^2) L_n' = n (L_{n-1} - x L_n); at x = +-1 use the closed form
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dp = n * (p_prev - x * p) / (1.0 - x * x)
-    endpoint = np.isclose(np.abs(x), 1.0)
-    if np.any(endpoint):
-        sign = np.where(x > 0, 1.0, (-1.0) ** (n - 1))
-        dp = np.where(endpoint, sign * n * (n + 1) / 2.0, dp)
-    return p, dp
+from numpy.polynomial import legendre
 
 
 @dataclass(frozen=True)
@@ -62,8 +33,6 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
-_MAX_NEWTON_ITERS = 100
-
 # the most points `gauss_legendre_rule` gives
 MAX_POINTS = 64
 # the highest polynomial degree a run accepts: eigenfunction errors
@@ -72,57 +41,30 @@ MAX_DEGREE = MAX_POINTS - 5
 
 
 def gauss_legendre_rule(n):
-    """Gauss-Legendre rule with n points on [-1,1], exact to degree 2n-1.
-
-    Nodes are roots of L_n located by Newton iteration from Chebyshev
-    initial guesses; tolerance 1e-15 on the update.
-    """
+    """Gauss-Legendre rule with n points on [-1,1], exact to degree 2n-1."""
     if not 1 <= n <= MAX_POINTS:
         raise ValueError(f"point count must be in [1, {MAX_POINTS}]")
-    if n == 1:
-        return QuadratureRule(np.array([0.0]), np.array([2.0]), 1)
-    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
-    for it in range(_MAX_NEWTON_ITERS):
-        p, dp = legendre_eval(n, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    else:
-        raise NumericError("Gauss-Legendre Newton iteration did not converge")
-    x = np.sort(x)
-    _, dp = legendre_eval(n, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return QuadratureRule(x, w, 2 * n - 1)
+    return QuadratureRule(*legendre.leggauss(n), 2 * n - 1)
 
 
 def gauss_lobatto_rule(n):
     """Gauss-Lobatto rule with n points on [-1,1], exact to degree 2n-3.
 
     Endpoints +-1 are always nodes; the interior nodes are the roots of
-    L_{n-1}'. Weights are 2 / (n(n-1) L_{n-1}(x)^2).
+    L_{n-1}', the eigenvalues of the Jacobi matrix of the weight 1 - x^2
+    (Golub-Welsch). Weights are 2 / (n(n-1) L_{n-1}(x)^2).
     """
     if n < 2:
         raise ValueError("Lobatto rule needs at least 2 points")
-    if n == 2:
-        return QuadratureRule(np.array([-1.0, 1.0]), np.array([1.0, 1.0]), 1)
-    m = n - 2  # interior point count
-    # interior roots of L_{n-1}' interlace the Gauss nodes of L_{n-1}
-    x = np.cos(np.pi * (np.arange(1, m + 1)) / (n - 1))
-    for it in range(_MAX_NEWTON_ITERS):
-        p, dp = legendre_eval(n - 1, x)
-        # d/dx L'_{n-1} from (1-x^2) L'' = 2x L' - k(k+1) L with k = n-1
-        ddp = (2.0 * x * dp - (n - 1) * n * p) / (1.0 - x * x)
-        dx = dp / ddp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    else:
-        raise NumericError("Gauss-Lobatto Newton iteration did not converge")
-    nodes = np.concatenate(([-1.0], np.sort(x), [1.0]))
-    lval, _ = legendre_eval(n - 1, nodes)
-    w = 2.0 / (n * (n - 1) * lval * lval)
-    return QuadratureRule(nodes, w, 2 * n - 3)
+    interior = np.empty(0)
+    if n > 2:
+        k = np.arange(1, n - 2)
+        beta = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
+        interior = np.linalg.eigvalsh(np.diag(beta, 1) + np.diag(beta, -1))
+        interior = 0.5 * (interior - interior[::-1])
+    nodes = np.concatenate(([-1.0], interior, [1.0]))
+    lval = legendre.legval(nodes, np.eye(n)[n - 1])
+    return QuadratureRule(nodes, 2.0 / (n * (n - 1) * lval * lval), 2 * n - 3)
 
 
 def cuboid_rule(d, points_per_axis):
@@ -163,20 +105,10 @@ def lobatto_points(p):
     return gauss_lobatto_rule(p + 1).nodes
 
 
-def _lagrange_polys(nodes):
-    """1D Lagrange basis polynomials for the given nodes (numpy Polynomial)."""
-    polys = []
-    for i, xi in enumerate(nodes):
-        roots = np.delete(nodes, i)
-        c = np.polynomial.polynomial.polyfromroots(roots)
-        c = c / np.polynomial.polynomial.polyval(xi, c)
-        polys.append(np.polynomial.Polynomial(c))
-    return polys
-
-
-def _simplex_lattice(p):
-    """Principal lattice multi-indices (i, j) with i + j <= p on the triangle."""
-    return [(i, j) for j in range(p + 1) for i in range(p + 1 - j)]
+def _legendre_tables(x, p):
+    """Values and derivatives of L_0 .. L_p at the points x, each (len(x), p+1)."""
+    derivatives = legendre.legvander(x, p - 1) @ legendre.legder(np.eye(p + 1))
+    return legendre.legvander(x, p), derivatives
 
 
 class ReferenceBasis:
@@ -207,27 +139,19 @@ class ReferenceBasis:
 
         if kind in ("interval", "cuboid"):
             pts1 = lobatto_points(p)
-            self._polys = _lagrange_polys(pts1)
-            self._dpolys = [q.deriv() for q in self._polys]
-            if self.d == 1:
-                self.nodes = pts1.reshape(-1, 1)
-            else:
-                grids = np.meshgrid(*([pts1] * self.d), indexing="ij")
-                self.nodes = np.stack(
-                    [g.reshape(-1, order="F") for g in grids], axis=1
-                )
-            self.ndof = (p + 1) ** self.d
+            # Legendre coefficients of the 1D Lagrange basis
+            self._coeff = np.linalg.inv(legendre.legvander(pts1, p))
+            # the 1D basis index of each local dof per axis, axis 0 fastest
+            self._digits = np.indices((p + 1,) * self.d)[::-1].reshape(self.d, -1)
+            self.nodes = pts1[self._digits.T]
         else:
-            lattice = _simplex_lattice(p)
-            pts = np.array([(i / p, j / p) for i, j in lattice])
-            self.nodes = pts
-            self.ndof = len(lattice)
-            # monomial (total degree <= p) coefficients of the Lagrange basis
-            self._mono = [(a, b) for b in range(p + 1) for a in range(p + 1 - b)]
-            V = np.array(
-                [[x**a * y**b for a, b in self._mono] for x, y in pts]
-            )
-            self._coeff = np.linalg.solve(V, np.eye(self.ndof))
+            # the principal lattice (i, j)/p, i + j <= p; the same (a, b)
+            # index the products L_a(2x-1) L_b(2y-1), which span P_p
+            lattice = [(i, j) for j in range(p + 1) for i in range(p + 1 - j)]
+            self.nodes = np.array(lattice, dtype=float) / p
+            self._ab = np.array(lattice).T
+            self._coeff = np.linalg.inv(self._legendre_products(self.nodes)[0])
+        self.ndof = len(self.nodes)
         self.nodes.setflags(write=False)
 
     def eval(self, points):
@@ -242,7 +166,9 @@ class ReferenceBasis:
             raise ValueError("point dimension mismatch")
         self._check_inside(pts)
         if self.kind == "simplex":
-            return self._eval_simplex(pts)
+            C = self._coeff
+            values, dx, dy = self._legendre_products(pts)
+            return values @ C, np.stack([dx @ C, dy @ C], axis=2)
         return self._eval_tensor(pts)
 
     def _check_inside(self, pts):
@@ -255,43 +181,18 @@ class ReferenceBasis:
             raise ValueError("point outside the reference cell")
 
     def _eval_tensor(self, pts):
-        nq = pts.shape[0]
-        p1 = self.p + 1
-        vals1 = np.empty((self.d, nq, p1))
-        ders1 = np.empty((self.d, nq, p1))
-        for ax in range(self.d):
-            for i in range(p1):
-                vals1[ax, :, i] = self._polys[i](pts[:, ax])
-                ders1[ax, :, i] = self._dpolys[i](pts[:, ax])
-        values = np.ones((nq, self.ndof))
-        grads = np.ones((nq, self.ndof, self.d))
-        for m in range(self.ndof):
-            idx = m
-            comp_val = np.ones(nq)
-            comp_der = [np.ones(nq) for _ in range(self.d)]
-            for ax in range(self.d):
-                i = idx % p1
-                idx //= p1
-                v = vals1[ax, :, i]
-                dv = ders1[ax, :, i]
-                comp_val = comp_val * v
-                for gx in range(self.d):
-                    comp_der[gx] = comp_der[gx] * (dv if gx == ax else v)
-            values[:, m] = comp_val
-            for gx in range(self.d):
-                grads[:, m, gx] = comp_der[gx]
-        return values, grads
+        vals, ders = [], []
+        for ax, digits in enumerate(self._digits):
+            V, D = _legendre_tables(pts[:, ax], self.p)
+            vals.append((V @ self._coeff)[:, digits])
+            ders.append((D @ self._coeff)[:, digits])
+        grads = [np.prod(vals[:ax] + [ders[ax]] + vals[ax + 1:], axis=0)
+                 for ax in range(self.d)]
+        return np.prod(vals, axis=0), np.stack(grads, axis=2)
 
-    def _eval_simplex(self, pts):
-        x, y = pts[:, 0], pts[:, 1]
-        nmono = len(self._mono)
-        mv = np.empty((pts.shape[0], nmono))
-        mdx = np.empty_like(mv)
-        mdy = np.empty_like(mv)
-        for k, (a, b) in enumerate(self._mono):
-            mv[:, k] = x**a * y**b
-            mdx[:, k] = a * x ** max(a - 1, 0) * y**b if a else 0.0
-            mdy[:, k] = b * x**a * y ** max(b - 1, 0) if b else 0.0
-        values = mv @ self._coeff
-        grads = np.stack([mdx @ self._coeff, mdy @ self._coeff], axis=2)
-        return values, grads
+    def _legendre_products(self, pts):
+        """Values, x- and y-derivatives of L_a(2x-1) L_b(2y-1) at the points."""
+        a, b = self._ab
+        Vx, Dx = _legendre_tables(2.0 * pts[:, 0] - 1.0, self.p)
+        Vy, Dy = _legendre_tables(2.0 * pts[:, 1] - 1.0, self.p)
+        return Vx[:, a] * Vy[:, b], 2.0 * Dx[:, a] * Vy[:, b], 2.0 * Vx[:, a] * Dy[:, b]

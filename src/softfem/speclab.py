@@ -488,7 +488,7 @@ def _solve(A, M, k=None):
         if spectrum.lambda_max is None:
             spectrum = replace(spectrum, lambda_max=gevp.largest_eigenvalue(A, M))
         return spectrum
-    except gevp.MassNotSpdError as err:
+    except gevp.EigensolveError as err:
         raise SolverFailure(str(err)) from err
 
 
@@ -644,15 +644,14 @@ def _top_decile_mean(relerr):
 def _degree_summary(cfg, bundle, relerr_fem, relerr_soft):
     mesh = bundle.mesh
     pars = softness_parameters(bundle.p, mesh.kind, d=mesh.d)
-    gp = oracle.gamma_p(
-        bundle.p, mesh.kind, d=mesh.d if mesh.kind == "simplicial" else None
-    )
     out = {
         "p": bundle.p,
         "n_dofs": bundle.ndof,
         "eta": bundle.eta,
         "eta_max": pars["eta_max"],
-        "gamma_p": gp["gamma"],
+        "gamma_p": oracle.gamma_p(
+            bundle.p, mesh.kind, d=mesh.d if mesh.kind == "simplicial" else None
+        ),
         "lambda_min_fem": float(bundle.fem.values[0]),
         "lambda_max_fem": bundle.fem.lambda_max,
         "lambda_min_soft": float(bundle.soft.values[0]),

@@ -152,12 +152,9 @@ def test_full_branch_spectrum_matches_assembly(p):
 
 
 def test_gamma_p_values():
-    assert abs(oracle.gamma_p(2, "tensor")["gamma"] - 0.5) < 1e-15
-    assert abs(oracle.gamma_p(3, "tensor")["best_ratio"] - (1 + 1.5)) < 1e-15
-    g2 = oracle.gamma_p(2, "simplicial", d=2)
-    assert abs(g2["gamma"] - 2.0 / 4.0) < 1e-15
-    g3 = oracle.gamma_p(2, "simplicial", d=3)
-    assert abs(g3["gamma"] - 1.0 / 3.0) < 1e-15
+    assert abs(oracle.gamma_p(2, "tensor") - 0.5) < 1e-15
+    assert abs(oracle.gamma_p(2, "simplicial", d=2) - 2.0 / 4.0) < 1e-15
+    assert abs(oracle.gamma_p(2, "simplicial", d=3) - 1.0 / 3.0) < 1e-15
 
 
 def test_superconvergence_bound_formula():

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -818,6 +820,43 @@ def test_cli_rejects_an_eta_that_overflows_the_softened_matrix(
     assert f"field '{name}'" in err and "1e+308" in err and "Traceback" not in err
 
 
+def test_cli_failed_dense_eigensolve_is_not_a_mass_matrix_failure(tmp_path, capsys):
+    # M is SPD here; the huge eta makes the dense eigensolve itself fail
+    cfg = {"name": "huge", "mesh": {"type": "uniform", "n": 3, "d": 3}, "degrees": [2],
+           "eta": 1e306}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "dense eigensolve failed" in err
+    assert "not SPD" not in err and "Traceback" not in err
+
+
+def test_cli_runs_the_highest_degree(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"name": "top", "mesh": {"type": "uniform", "n": 1, "d": 1},
+                                "degrees": [MAX_DEGREE]}))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("p", [20, 40, 59])
+def test_high_degree_first_eigenvalue_is_accurate(p):
+    bundle = speclab.solve_problem(mesh_from_spec({"type": "uniform", "n": 2, "d": 1}), p)
+    for spectrum in (bundle.fem, bundle.soft):
+        assert abs(spectrum.values[0] / math.pi**2 - 1.0) <= 1e-11
+
+
+def test_importing_the_package_skips_slow_scipy_modules():
+    code = (
+        "import sys, softfem; "
+        "print(sorted(m for m in ('scipy.special', 'scipy.sparse.linalg') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_cli_run_prints_solver_path(tmp_path, capsys):
     for d, solver in ((1, "dense"), (2, "kronecker")):
         path = tmp_path / f"cfg{d}.json"
@@ -1116,9 +1155,12 @@ def test_cli_trace_check_rejects_negative_samples(capsys, kind):
     assert "--samples" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("kind", ["cuboid", "simplex"])
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_cli_trace_check_every_degree(capsys, kind, p):
+@pytest.mark.parametrize(
+    "p,kind",
+    [(p, kind) for p in (1, 2, 3, 4) for kind in ("cuboid", "simplex")]
+    + [(p, "interval") for p in (30, 40, MAX_DEGREE)],
+)
+def test_cli_trace_check_every_degree(capsys, p, kind):
     assert cli.main(["trace-check", "--p", str(p), "--kind", kind, "--samples", "20"]) == 0
     assert "status=ok" in capsys.readouterr().out
 
