@@ -2,9 +2,9 @@
 
 Pencils are scipy sparse matrices, as assembled. Full spectra are dense
 solves. A few lowest modes of a large pencil are a sparse shift-invert
-solve, and the largest eigenvalue (or the smallest, of an indefinite A) a
-Lanczos Ritz value; an inertia count certifies each, and the dense solve is
-the fallback whenever a count does not.
+solve, and the largest eigenvalue a Lanczos Ritz value (the smallest of an
+indefinite A is the largest of -A); an inertia count certifies each, and the
+dense solve is the fallback whenever a count does not.
 """
 
 from __future__ import annotations
@@ -162,38 +162,32 @@ def _start_vector(n):
 EXTREME_RTOL = 1e-12
 
 
-def _extreme_value(A, M, top):
-    """The largest (top) or smallest eigenvalue of A x = lambda M x by
-    Lanczos, or None unless an inertia count certifies it.
+def _extreme_value(A, M):
+    """The largest eigenvalue of A x = lambda M x by Lanczos, or None unless
+    an inertia count certifies it.
 
     Lanczos in the M inner product (the factor of M, which must show no
-    negative pivot, applies M^-1) gives a Ritz value theta with
-    theta <= lambda_max, or theta >= lambda_min. The factor of A - sigma*M,
-    sigma = theta + EXTREME_RTOL * |theta| (top) or theta - EXTREME_RTOL *
-    |theta|, must then show n negative pivots (every eigenvalue below sigma)
-    or none (none below sigma), which proves the extreme value lies within
-    EXTREME_RTOL * |theta| of theta. The bottom end runs only for an
-    indefinite A, whose lowest mode shift-invert at 0 cannot reach.
+    negative pivot, applies M^-1) gives a Ritz value theta <= lambda_max.
+    The factor of A - sigma*M, sigma = theta + EXTREME_RTOL * |theta|, must
+    then show n negative pivots (every eigenvalue below sigma), which proves
+    lambda_max lies within EXTREME_RTOL * |theta| of theta.
     """
     n = A.shape[0]
     if not _pays(1, n):
         return None
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    sign = 1.0 if top else -1.0
     try:
-        if not top and not _inertia(A)[1]:
-            return None
         lu, negative = _inertia(M)
         if negative != 0:
             return None
         inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
-        theta = float(eigsh(A, 1, M, which="LA" if top else "SA", Minv=inverse,
-                            v0=_start_vector(n), return_eigenvectors=False)[0])
-        _, below = _inertia(A - (theta + sign * EXTREME_RTOL * abs(theta)) * M)
+        theta = float(eigsh(A, 1, M, which="LA", Minv=inverse, v0=_start_vector(n),
+                            return_eigenvectors=False)[0])
+        _, below = _inertia(A - (theta + EXTREME_RTOL * abs(theta)) * M)
     except RuntimeError:  # a singular factor, or ARPACK did not converge
         return None
-    return theta if below == (n if top else 0) else None
+    return theta if below == n else None
 
 
 def _dense_eigh(A, M, **kwargs):
@@ -231,21 +225,18 @@ def solve_gmevp(A, M, k=None):
 
 def smallest_eigenvalue(A, M):
     """The smallest pencil eigenvalue only (cheaper than a full solve): the
-    certified sparse solve with k = 1, else (an indefinite A) the certified
-    Lanczos value, else a dense solve for that value."""
+    certified sparse solve with k = 1, else minus `largest_eigenvalue(-A, M)`,
+    which also resolves an indefinite A that shift-invert at 0 cannot."""
     spectrum = _lowest_modes(A, M, 1)
     if spectrum is not None:
         return float(spectrum.values[0])
-    value = _extreme_value(A, M, top=False)
-    if value is not None:
-        return value
-    return float(_dense_eigh(A, M, eigvals_only=True, subset_by_index=(0, 0))[0])
+    return -largest_eigenvalue(-A, M)
 
 
 def largest_eigenvalue(A, M):
     """The largest pencil eigenvalue only: the certified Lanczos value, else
     a dense solve for that value."""
-    value = _extreme_value(A, M, top=True)
+    value = _extreme_value(A, M)
     if value is not None:
         return value
     n = A.shape[0]

@@ -36,8 +36,11 @@ class Mesh:
                   of `faces`, with fields `elements` (e1 < e2), `vertex_ids`,
                   `measure`, `normal` (unit, pointing from e1 to e2) and `h_f`.
 
-    A simplicial mesh builds its topology at construction, which checks it.
-    A tensor mesh builds it on first read: its breakpoints, checked by
+    Construction checks that there are elements, that their vertex ids are
+    in range, distinct in each element and cover every vertex, and that the
+    coordinates are finite, and turns clockwise triangles counterclockwise.
+    A simplicial mesh builds its topology then too, which checks it. A
+    tensor mesh builds it on first read: its breakpoints, checked by
     `build_cartesian_mesh`, always give well-formed faces, and a run on the
     Kronecker path or a reference solve of K and M reads none of it.
     """
@@ -46,19 +49,25 @@ class Mesh:
         self.d = d
         self.kind = kind
         self.vertices = np.asarray(vertices, dtype=float).reshape(len(vertices), d)
-        self.elements = np.asarray(elements, dtype=int)
+        self.elements = np.array(elements, dtype=int)  # a copy: triangles may be turned
         self.axes = axes  # per-axis breakpoints for tensor meshes
         nv = len(self.vertices)
         expected = 2**d if kind == "tensor" else d + 1
+        if not self.elements.size:
+            raise InvalidMeshError("mesh has no element")
         if self.elements.ndim != 2 or self.elements.shape[1] != expected:
-            raise InvalidMeshError(
-                f"{kind} elements in {d}D need {expected} vertices each"
-            )
-        if self.elements.min(initial=0) < 0 or self.elements.max(initial=-1) >= nv:
-            raise InvalidMeshError("element references an invalid vertex")
+            raise InvalidMeshError(f"{kind} elements in {d}D need {expected} vertices each")
+        bad = np.flatnonzero(((self.elements < 0) | (self.elements >= nv)).any(axis=1))
+        if len(bad):
+            raise InvalidMeshError(f"element {bad[0]} references an invalid vertex")
         ids = np.sort(self.elements, axis=1)
         if np.any(ids[:, 1:] == ids[:, :-1]):
             raise InvalidMeshError("repeated vertex in element")
+        if not np.isfinite(self.vertices).all():
+            raise InvalidMeshError("vertex coordinates must be finite")
+        unused = np.flatnonzero(np.bincount(self.elements.ravel(), minlength=nv) == 0)
+        if len(unused):
+            raise InvalidMeshError(f"vertex {unused[0]} belongs to no element")
         self._build_geometry()
         for arr in (self.vertices, self.elements, self.volumes, self.h, self.h0):
             arr.setflags(write=False)
@@ -108,14 +117,14 @@ class Mesh:
             self.volumes = edges.prod(axis=1)
             self.h0 = edges.min(axis=1)
         else:
-            a, b, c = verts[:, 0], verts[:, 1], verts[:, 2]
-            area2 = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-                c[:, 0] - a[:, 0]
-            )
-            bad = np.flatnonzero(area2 <= 0)
+            area2 = _area2(verts)
+            bad = np.flatnonzero((area2 == 0) | ~np.isfinite(area2))
             if len(bad):
-                raise InvalidMeshError(f"degenerate or clockwise triangle element {bad[0]}")
-            self.volumes = 0.5 * area2
+                raise InvalidMeshError(f"triangle element {bad[0]} has zero or non-finite area")
+            cw = area2 < 0
+            self.elements[cw] = self.elements[cw][:, [0, 2, 1]]
+            self.volumes = 0.5 * np.abs(area2)
+            a, b, c = self.vertices[self.elements].transpose(1, 0, 2)  # as turned
             perimeter = _norms(b - a) + _norms(c - b) + _norms(a - c)
             self.h0 = self.d * self.volumes / perimeter
 
@@ -164,6 +173,13 @@ class Mesh:
             ],
         )
         return faces, index.reshape(self.n_elements, len(local)), counts == 1, interfaces
+
+
+def _area2(verts):
+    """Twice the signed areas of the triangles verts (n, 3, 2), positive
+    where a triangle is counterclockwise."""
+    a, b, c = verts[:, 0], verts[:, 1], verts[:, 2]
+    return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
 
 
 def _norms(v):
@@ -221,32 +237,20 @@ def build_simplicial_mesh(kind, n=None, nodes=None, elements=None):
     the upper-right quadrant [1/2,1)x(1/2,1], with n cells per half-axis
     (grid 2n x 2n). kind 'explicit': user-provided nodes/elements.
     """
-    if kind == "unit-square":
+    if kind in ("unit-square", "l-shape"):
         if n is None or n < 1:
-            raise InvalidMeshError("unit-square mesh needs n >= 1")
-        return _split_cells(np.linspace(0.0, 1.0, n + 1), np.ones((n, n), dtype=bool))
-    if kind == "l-shape":
-        if n is None or n < 1:
-            raise InvalidMeshError("l-shape mesh needs n >= 1")
-        upper = np.arange(2 * n) >= n
+            raise InvalidMeshError(f"{kind} mesh needs n >= 1")
+        m = n if kind == "unit-square" else 2 * n
+        upper = np.arange(m) >= n  # empty for the unit square
         keep = ~(upper[:, None] & upper[None, :])
-        return _split_cells(np.linspace(0.0, 1.0, 2 * n + 1), keep)
+        return _split_cells(np.linspace(0.0, 1.0, m + 1), keep)
     if kind == "explicit":
         if nodes is None or elements is None:
             raise InvalidMeshError("explicit mesh needs nodes and elements")
-        nodes = np.asarray(nodes, dtype=float)
-        fixed = []
-        for i, el in enumerate(elements):
-            if np.shape(el) != (3,):
-                raise InvalidMeshError(f"element {i} {el!r} is not a vertex triple")
-            if any(not 0 <= v < len(nodes) for v in el):
-                raise InvalidMeshError(f"element {i} references an invalid vertex")
-            a, b, c = (nodes[v] for v in el)
-            area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if area2 == 0:
-                raise InvalidMeshError("zero-area triangle in explicit mesh")
-            fixed.append(list(el) if area2 > 0 else [el[0], el[2], el[1]])
-        return Mesh(2, "simplicial", nodes, fixed)
+        bad = next((i for i, el in enumerate(elements) if np.shape(el) != (3,)), None)
+        if bad is not None:
+            raise InvalidMeshError(f"element {bad} {elements[bad]!r} is not a vertex triple")
+        return Mesh(2, "simplicial", np.asarray(nodes, dtype=float), np.asarray(elements))
     raise InvalidMeshError(f"unknown simplicial mesh kind {kind!r}")
 
 
@@ -254,35 +258,30 @@ def parse_mesh_text(text):
     """Parse the plain-text simplicial mesh format.
 
     Format: a line ``nodes <count>`` followed by ``x y`` lines, then
-    ``elements <count>`` followed by three 0-based vertex indices per line.
-    ``#`` starts a comment.
+    ``elements <count>`` followed by three 0-based vertex indices per line,
+    and nothing after them. ``#`` starts a comment.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    it = iter(lines)
-    try:
-        head = next(it).split()
-        if head[0] != "nodes":
-            raise InvalidMeshError("expected 'nodes <count>' header")
-        n_nodes = int(head[1])
-        nodes = [tuple(map(float, next(it).split())) for _ in range(n_nodes)]
-        head = next(it).split()
-        if head[0] != "elements":
-            raise InvalidMeshError("expected 'elements <count>' header")
-        n_el = int(head[1])
-        elements = [tuple(map(int, next(it).split())) for _ in range(n_el)]
-    except StopIteration:
-        raise InvalidMeshError("truncated mesh file") from None
-    for el in elements:
-        if len(el) != 3:
-            raise InvalidMeshError("each element line needs three vertex indices")
-    for nd in nodes:
-        if len(nd) != 2:
-            raise InvalidMeshError("each node line needs two coordinates")
-    return build_simplicial_mesh("explicit", nodes=nodes, elements=elements)
+    rows = [row for row in (line.split("#", 1)[0].split() for line in text.splitlines()) if row]
+    arrays, start = [], 0
+    for name, dtype, width, what in (
+        ("nodes", float, 2, "two numbers"),
+        ("elements", int, 3, "three integer vertex indices"),
+    ):
+        head = rows[start] if start < len(rows) else []
+        if len(head) != 2 or head[0] != name or not head[1].isdecimal():
+            raise InvalidMeshError(f"expected '{name} <count>' header")
+        count = int(head[1])
+        section = rows[start + 1 : start + 1 + count]
+        start += 1 + count
+        if len(section) < count:
+            raise InvalidMeshError(f"truncated mesh file: '{name}' needs {count} lines")
+        try:
+            arrays.append(np.array(section, dtype=dtype).reshape(count, width))
+        except (ValueError, OverflowError):
+            raise InvalidMeshError(f"each line of '{name}' needs {what}") from None
+    if start < len(rows):
+        raise InvalidMeshError("text after the last element")
+    return build_simplicial_mesh("explicit", nodes=arrays[0], elements=arrays[1])
 
 
 def load_mesh(path):

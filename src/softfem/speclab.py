@@ -122,11 +122,11 @@ def _coefficient_errors(space, coeffs, exact, j):
 def jump_energy_ratio(spectrum, eta, K, S):
     """Per-mode ratio eta * (x'Sx) / (x'Kx) for all eigenvectors x.
 
-    For a factored spectrum, K and S may also be the 1D K1 and S1 of its
-    factor: with M1-orthonormal 1D vectors x_a, x'Kx = sum_a x_a'K1x_a, and
-    likewise for S, so each mode costs O(d n1).
+    For a factored spectrum, K and S are the 1D K1 and S1 of its factor:
+    with M1-orthonormal 1D vectors x_a, x'Kx = sum_a x_a'K1x_a, and likewise
+    for S, so each mode costs O(d n1).
     """
-    if spectrum.factor is not None and K.shape[0] == spectrum.factor.order:
+    if spectrum.factor is not None:
         X = spectrum.factor.vectors
         k1, s1 = ((X * (A @ X)).sum(axis=0) for A in (K, S))
         kx, sx = k1[spectrum.indices].sum(axis=0), s1[spectrum.indices].sum(axis=0)
@@ -641,7 +641,7 @@ def _top_decile_mean(relerr):
     return float(np.mean(np.sort(relerr)[-k:]))
 
 
-def _degree_summary(cfg, bundle, relerr_fem, relerr_soft):
+def _degree_summary(bundle, relerr_fem, relerr_soft):
     mesh = bundle.mesh
     pars = softness_parameters(bundle.p, mesh.kind, d=mesh.d)
     out = {
@@ -708,7 +708,7 @@ def _run_single(cfg, out_dir):
         if len(degrees) == 1:
             with open(os.path.join(out_dir, "spectrum.csv"), "w") as fh:
                 fh.write(csv_text)
-        summaries[str(p)] = _degree_summary(cfg, bundle, relerr_fem, relerr_soft)
+        summaries[str(p)] = _degree_summary(bundle, relerr_fem, relerr_soft)
         if cfg.eta_sweep:
             sweep = {}
             for i, eta in enumerate(cfg.eta_sweep):
@@ -718,12 +718,12 @@ def _run_single(cfg, out_dir):
                     os.path.join(out_dir, f"spectrum_p{p}_eta{i}.csv"), "w"
                 ) as fh:
                     fh.write(csv_text)
-                sweep[_fmt(eta)] = _degree_summary(cfg, b, rf, rs)
+                sweep[_fmt(eta)] = _degree_summary(b, rf, rs)
             summaries[str(p)]["eta_sweep"] = sweep
     return summaries, {str(p): bundles[p].solver for p in degrees}
 
 
-def _run_ladder(cfg, out_dir):
+def _run_ladder(cfg):
     """Mesh-refinement study tracking eigenpair errors and their rates."""
     results = {}
     for block in cfg.ladder:
@@ -784,7 +784,7 @@ def run_experiment(config, out_dir):
         "mesh": cfg.mesh,
     }
     if cfg.ladder is not None:
-        summary["ladder"] = _run_ladder(cfg, out_dir)
+        summary["ladder"] = _run_ladder(cfg)
     else:
         summary["by_degree"], solvers = _run_single(cfg, out_dir)
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:

@@ -297,3 +297,42 @@ def test_jittered_triangulation_face_table(kind, n, seed):
     interior = 3 * n * n - 2 * n if kind == "unit-square" else 9 * n * n - 4 * n
     assert len(mesh.interfaces) == interior
     check_face_table(mesh)
+
+
+SQUARE_MESH = "nodes 4\n0 0\n1 0\n1 1\n0 1\nelements 2\n0 1 2\n0 2 3\n"
+
+
+@st.composite
+def mutated_mesh_texts(draw):
+    """SQUARE_MESH with one to three lines dropped, duplicated or swapped,
+    or one token replaced by a bad number, a word or nothing."""
+    lines = SQUARE_MESH.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "token"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = lines[i].split()
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+                st.sampled_from(["nan", "inf", "-1", "2.5", "x", ""])
+            )
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated_mesh_texts())
+def test_parse_mesh_text_returns_a_mesh_or_rejects_it(text):
+    try:
+        mesh = parse_mesh_text(text)
+    except InvalidMeshError:
+        return
+    assert isinstance(mesh, Mesh)

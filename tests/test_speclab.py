@@ -338,7 +338,8 @@ def test_kronecker_jump_ratio_matches_assembled_pencil(tmp_path):
     bundle = speclab.solve_problem(mesh, 2)
     space = build_space(mesh, 2)
     K, S = assemble_stiffness(space), assemble_penalty(space)
-    want = speclab.jump_energy_ratio(bundle.soft, bundle.eta, K, S)
+    vectors = [bundle.soft.vector(j) for j in range(bundle.soft.order)]
+    want = np.array([bundle.eta * (x @ (S @ x)) / (x @ (K @ x)) for x in vectors])
     # relative to the largest ratio: one mode's ratio is 5e-18, rounding noise
     assert np.max(np.abs(written - want)) <= 1e-12 * np.max(want)
 
@@ -1023,15 +1024,20 @@ def test_cli_rejects_configs_without_enough_modes(tmp_path, capsys, cfg, names):
 
 @st.composite
 def small_runs(draw):
-    """A config and extra arguments for `softfem run` on a 1D or 2D mesh of
-    at most 6 cells per axis, with the solve, reference and optional column
-    fields varied (`modes` may be out of range, a numeric eta may overflow
-    the softened matrix, and `eigenfunction_modes` applies only where kappa
-    is 1)."""
+    """A config and extra arguments for `softfem run` on a 1D or 2D tensor
+    mesh of at most 6 cells per axis or a small triangle mesh (the unit
+    square with n = 1 or 2, the L-shape with n = 1), with the solve,
+    reference and optional column fields varied (`modes` may be out of
+    range, a numeric eta may overflow the softened matrix, and
+    `eigenfunction_modes` applies only where kappa is 1)."""
     huge_or_small_eta = st.floats(0.0, 0.3) | st.sampled_from([1e300, 1e308])
     d = draw(st.integers(1, 2))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["uniform", "cartesian", "triangles"]))
+    if kind == "uniform":
         mesh = {"type": "uniform", "n": draw(st.integers(1, 6)), "d": d}
+    elif kind == "triangles":
+        kind, n = draw(st.sampled_from([("unit-square", 1), ("unit-square", 2), ("l-shape", 1)]))
+        mesh = {"type": kind, "n": n}
     else:
         axes = []
         for _ in range(d):
@@ -1181,3 +1187,28 @@ def test_cli_mesh_info(tmp_path, capsys):
     assert cli.main(["mesh-info", str(path)]) == 2
     assert cli.main(["mesh-info", str(tmp_path / "missing.mesh")]) == 2
     assert "cannot read mesh file" in capsys.readouterr().err
+
+
+MALFORMED_MESH_FILES = {
+    "count-not-a-number": "nodes x\n0 0\n",
+    "no-count": "nodes\n0 0\n",
+    "node-not-a-number": "nodes 3\n0 a\n1 0\n0 1\nelements 1\n0 1 2\n",
+    "element-not-an-integer": "nodes 3\n0 0\n1 0\n0 1\nelements 1\n0 1 2.5\n",
+    "node-not-finite": "nodes 3\nnan 1\n1 0\n0 1\nelements 1\n0 1 2\n",
+    "line-after-the-last-element": "nodes 4\n0 0\n1 0\n1 1\n0 1\nelements 1\n0 1 2\n0 2 3\n",
+    "unused-node": "nodes 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\nelements 2\n0 1 2\n0 2 3\n",
+    "no-element": "nodes 0\nelements 0\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_MESH_FILES.values(), ids=MALFORMED_MESH_FILES.keys())
+def test_cli_malformed_mesh_file_exits_2(tmp_path, capsys, text):
+    """`mesh-info` and a run on the file both exit 2 with an error line."""
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "f", "mesh": {"type": "file", "path": str(path)}}))
+    for argv in (["mesh-info", str(path)], ["run", str(cfg), "--out", str(tmp_path / "out")]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
