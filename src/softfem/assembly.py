@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .coefficient import parse_coefficient
+from .coefficient import UNIT
 from .mesh import Mesh
 from .polyref import ReferenceBasis, cuboid_rule, simplex_rule
 
@@ -267,9 +267,8 @@ def assemble_mass(space, reduced=True):
     return _scatter(space, Vw.transpose(0, 2, 1) @ V, space.element_dofs, reduced)
 
 
-def assemble_stiffness(space, kappa=None, reduced=True):
+def assemble_stiffness(space, kappa=UNIT, reduced=True):
     """Stiffness matrix of (kappa grad v, grad w)."""
-    kappa = kappa if kappa is not None else parse_coefficient("1")
     quad, _, G, emap = space.element_tables
     w = quad.weights * emap.detj[:, None] * _kappa_values(kappa, emap.to_phys(quad.nodes))
     # physical gradients (ne, nloc, nq * d): the local matrix is one product
@@ -301,7 +300,7 @@ def _face_quadrature(space):
     return pts, w * (faces.measure / 2 ** (d - 1))[:, None]
 
 
-def assemble_penalty(space, kappa=None, reduced=True, face_length=None):
+def assemble_penalty(space, kappa=UNIT, reduced=True, face_length=None):
     """Gradient-jump penalty matrix over interior interfaces.
 
     Each face contributes h_F * int_F kappa [[grad v . n]] [[grad w . n]],
@@ -310,7 +309,6 @@ def assemble_penalty(space, kappa=None, reduced=True, face_length=None):
     if given, replaces h_F by a constant for every face (some published 1D
     results use the mean element size instead of the local h_F).
     """
-    kappa = kappa if kappa is not None else parse_coefficient("1")
     faces = space.mesh.interfaces
     elems = faces.elements
     h_f = faces.h_f[:, None] if face_length is None else float(face_length)
@@ -343,15 +341,18 @@ def soften(K, S, eta):
 
 
 def softness_parameters(p, mesh_kind, d=None):
-    """Coercivity limit and default value of the softness parameter."""
+    """The softness constants of degree p on a mesh kind: the coercivity
+    limit `eta_max`, the default value `eta_default`, and `gamma`, the
+    constant of gamma * lambda_j <= lambda_soft_j at the default. gamma is
+    1 - eta_default / eta_max, kept in the closed form that rounds once."""
     if p < 1:
         raise ValueError("degree must be >= 1")
     if mesh_kind == "tensor":
-        eta_max = 1.0 / (2 * p * (p + 1))
+        eta_max, gamma = 1.0 / (2 * p * (p + 1)), 2.0 / (p + 2)
     elif mesh_kind == "simplicial":
-        if d is None or d < 2:
-            raise ValueError("simplicial meshes require d >= 2")
-        eta_max = 1.0 / (2 * p * (p + d - 1))
+        if d not in (2, 3):
+            raise ValueError("simplicial meshes require d in {2, 3}")
+        eta_max, gamma = 1.0 / (2 * p * (p + d - 1)), (4.0 - d) / (p + 4.0 - d)
     else:
         raise ValueError(f"unknown mesh kind {mesh_kind!r}")
-    return {"eta_max": eta_max, "eta_default": 1.0 / (2 * (p + 1) * (p + 2))}
+    return {"eta_max": eta_max, "eta_default": 1.0 / (2 * (p + 1) * (p + 2)), "gamma": gamma}

@@ -18,7 +18,7 @@ from . import oracle, speclab
 from .assembly import AssemblyError
 from .coefficient import CoefficientParseError
 from .mesh import InvalidMeshError, load_mesh
-from .polyref import MAX_DEGREE
+from .polyref import MAX_DEGREE, BasisError
 from .speclab import CoercivityViolation, ConfigError, SolverFailure
 
 
@@ -43,16 +43,11 @@ def cmd_run(args):
     cfg = _load_config(args.target)
     if args.modes is not None:
         cfg["modes"] = args.modes
-    if args.eta is not None:
-        if args.eta in ("default", "galerkin"):
+    if args.eta is not None:  # a number, or text; the config rule checks either
+        try:
+            cfg["eta"] = float(args.eta)
+        except ValueError:
             cfg["eta"] = args.eta
-        else:
-            try:
-                cfg["eta"] = float(args.eta)
-            except ValueError:
-                raise ConfigError(
-                    "config field 'eta': expected 'default', 'galerkin', or a number"
-                )
     if args.stiffen:
         cfg["stiffen"] = True
     summary = speclab.run_experiment(cfg, args.out)
@@ -108,7 +103,10 @@ def cmd_trace_check(args):
     else:
         mesh = build_simplicial_mesh("unit-square", n=2)
     bound = 1.0 / softness_parameters(p, mesh.kind, d=mesh.d)["eta_max"]
-    space = build_space(mesh, p)
+    try:
+        space = build_space(mesh, p)
+    except BasisError as err:
+        raise ConfigError(f"--p {p}: {err}") from None
     Kd = assemble_stiffness(space).toarray()
     Sd = assemble_penalty(space).toarray()
     worst = 0.0

@@ -160,3 +160,6 @@ def parse_coefficient(text):
     with np.errstate(**_QUIET):
         compiled = _Compiler(text).compiled
     return CoefficientField(text, compiled)
+
+
+UNIT = parse_coefficient("1")  # kappa = 1, the default coefficient

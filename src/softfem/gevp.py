@@ -269,12 +269,16 @@ def stiffness_reduction(fem, soft):
     )
 
 
-def cluster_eigenvalues(values, rel_tol=1e-8):
+# neighbours closer than this, relative to the larger or to 1, form a cluster
+CLUSTER_RTOL = 1e-8
+
+
+def cluster_eigenvalues(values):
     """Group near-degenerate eigenvalues; returns a list of index lists."""
     clusters = []
     current = [0]
     for j in range(1, len(values)):
-        if abs(values[j] - values[j - 1]) <= rel_tol * max(
+        if abs(values[j] - values[j - 1]) <= CLUSTER_RTOL * max(
             abs(values[j]), abs(values[j - 1]), 1.0
         ):
             current.append(j)

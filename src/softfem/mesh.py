@@ -49,7 +49,11 @@ class Mesh:
         self.d = d
         self.kind = kind
         self.vertices = np.asarray(vertices, dtype=float).reshape(len(vertices), d)
-        self.elements = np.array(elements, dtype=int)  # a copy: triangles may be turned
+        ids = np.asarray(elements)
+        if ids.dtype.kind not in "iuf":
+            raise InvalidMeshError("vertex ids must be integers")
+        with np.errstate(invalid="ignore"):  # nan and inf ids fail the test below
+            self.elements = ids.astype(int)  # a copy: triangles may be turned
         self.axes = axes  # per-axis breakpoints for tensor meshes
         nv = len(self.vertices)
         expected = 2**d if kind == "tensor" else d + 1
@@ -57,6 +61,9 @@ class Mesh:
             raise InvalidMeshError("mesh has no element")
         if self.elements.ndim != 2 or self.elements.shape[1] != expected:
             raise InvalidMeshError(f"{kind} elements in {d}D need {expected} vertices each")
+        bad = np.flatnonzero((self.elements != ids).any(axis=1))
+        if len(bad):
+            raise InvalidMeshError(f"element {bad[0]} has a vertex id that is not an integer")
         bad = np.flatnonzero(((self.elements < 0) | (self.elements >= nv)).any(axis=1))
         if len(bad):
             raise InvalidMeshError(f"element {bad[0]} references an invalid vertex")
@@ -158,9 +165,18 @@ class Mesh:
             span = verts.max(axis=1) - verts.min(axis=1)
             measure = np.where(span > 1e-14, span, 1.0).prod(axis=1)
             normal = np.eye(self.d)[np.argmin(np.abs(span), axis=1)]
+        # the signed distances of both element centres from the face: of
+        # opposite signs unless the two elements fold over each other
         centers = self.vertices[self.elements].mean(axis=1)
-        flip = ((centers[e2] - centers[e1]) * normal).sum(axis=1) < 0
-        normal = np.where(flip[:, None], -normal, normal)
+        side1, side2 = (((centers[e] - verts[:, 0]) * normal).sum(axis=1) for e in (e1, e2))
+        folded = np.flatnonzero(side1 * side2 >= 0)
+        if len(folded):
+            f = folded[0]
+            raise InvalidMeshError(
+                f"elements {e1[f]} and {e2[f]} lie on the same side of their shared "
+                f"face {tuple(vertex_ids[f].tolist())}"
+            )
+        normal = np.where((side2 < 0)[:, None], -normal, normal)  # from e1 to e2
         interfaces = np.rec.fromarrays(
             [np.stack([e1, e2], axis=1), vertex_ids, measure, normal,
              np.minimum(self.h0[e1], self.h0[e2])],
@@ -342,7 +358,8 @@ def mesh_from_spec(spec):
 
 
 def refine_spec(spec, factor):
-    """A spec for the same domain with each cell split `factor` times."""
+    """A spec for the same domain with each cell split `factor` times. A
+    file spec refines only by 1, to itself."""
     kind = spec.get("type")
     if kind == "cartesian":
         new_axes = []
@@ -355,4 +372,6 @@ def refine_spec(spec, factor):
         return {"type": "cartesian", "breakpoints": new_axes}
     if kind in ("uniform", "unit-square", "l-shape"):
         return {**spec, "n": int(spec["n"]) * factor}
-    raise InvalidMeshError(f"cannot refine mesh spec type {kind!r}")
+    if factor == 1:
+        return spec
+    raise InvalidMeshError(f"cannot refine mesh spec type {kind!r} by {factor}, only by 1")

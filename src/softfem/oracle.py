@@ -189,19 +189,6 @@ def superconvergence_bound(j, h):
     return (j * math.pi * h) ** 4 / 360.0
 
 
-def gamma_p(p, mesh_kind, d=None):
-    """Lower-bound constant gamma_p of gamma_p * lambda_j <= lambda_soft_j."""
-    if p < 1:
-        raise ValueError("degree must be >= 1")
-    if mesh_kind == "tensor":
-        return 2.0 / (p + 2)
-    if mesh_kind == "simplicial":
-        if d not in (2, 3):
-            raise ValueError("simplicial meshes require d in {2, 3}")
-        return (4.0 - d) / (p + 4.0 - d)
-    raise ValueError(f"unknown mesh kind {mesh_kind!r}")
-
-
 def sharp_trace_constant(kind, p, k=0, geometry=None, d=None):
     """Sharp discrete trace constants.
 
@@ -258,7 +245,7 @@ def trace_ratio_interval(coeffs, k=0, a=-1.0, b=1.0):
     return (b - a) * bnd / vol
 
 
-def reference_spectrum(problem, count, degree=7, refine=4, richardson=False):
+def reference_spectrum(problem, count, degree, refine, richardson=False):
     """High-order FEM reference eigenvalues for a problem without closed form.
 
     problem: {'kappa': expression string, 'mesh': mesh spec dict}. Solves on

@@ -24,9 +24,9 @@ from .assembly import (
     soften,
     softness_parameters,
 )
-from .coefficient import CoefficientParseError, parse_coefficient
-from .mesh import build_cartesian_mesh, mesh_from_spec
-from .polyref import MAX_DEGREE, cuboid_rule, simplex_rule
+from .coefficient import UNIT, CoefficientParseError, parse_coefficient
+from .mesh import InvalidMeshError, build_cartesian_mesh, mesh_from_spec
+from .polyref import MAX_DEGREE, BasisError, cuboid_rule, simplex_rule
 
 
 class ConfigError(ValueError):
@@ -153,7 +153,7 @@ def embed_coefficients(space_lo, coeffs_lo, space_hi):
     return full_hi[space_hi.reduced_to_full]
 
 
-def pythagorean_residual(space, spectrum, exact, j, eta, kappa=None):
+def pythagorean_residual(space, spectrum, exact, j, eta, kappa=UNIT):
     """Residual of the eigenpair energy identity for softFEM mode j.
 
     The exact eigenfunction is replaced by its degree-(p+4) interpolant on
@@ -161,7 +161,6 @@ def pythagorean_residual(space, spectrum, exact, j, eta, kappa=None):
     perturbation introduced by that replacement.
     """
     _check_simple(spectrum.values, j)
-    kappa = kappa if kappa is not None else parse_coefficient("1")
     lam = float(exact.values[j])
     lam_soft = float(spectrum.values[j])
     uval, _ = exact.eigenfunction(j)
@@ -433,7 +432,10 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
         space, base = None, build_space(build_cartesian_mesh(mesh.axes[:1]), p)
         ndof = base.ndof ** mesh.d
     else:
-        space = base = build_space(mesh, p)
+        try:
+            space = base = build_space(mesh, p)
+        except BasisError as err:
+            raise ConfigError(f"config field 'degrees' (or 'ladder'): {err}") from None
         ndof = space.ndof
     if ndof == 0:
         raise ConfigError(
@@ -525,12 +527,17 @@ def _reference_values(cfg, mesh, count):
         d = _exact_dimension(cfg, mesh, "reference")
         return oracle.exact_laplace_spectrum(d, count).values
     if cfg.reference == "high-order":
-        values = oracle.reference_spectrum(
-            {"kappa": cfg.kappa, "mesh": cfg.mesh},
-            count,
-            degree=cfg.reference_degree,
-            refine=cfg.reference_refine,
-        )
+        try:
+            values = oracle.reference_spectrum(
+                {"kappa": cfg.kappa, "mesh": cfg.mesh},
+                count,
+                degree=cfg.reference_degree,
+                refine=cfg.reference_refine,
+            )
+        except BasisError as err:
+            raise ConfigError(f"config field 'reference_degree': {err}") from None
+        except InvalidMeshError as err:  # the problem mesh was built: its refinement failed
+            raise ConfigError(f"config field 'reference_refine': {err}") from None
         if len(values) < count:
             raise ConfigError(
                 "config fields 'reference_degree' and 'reference_refine': the "
@@ -649,9 +656,7 @@ def _degree_summary(bundle, relerr_fem, relerr_soft):
         "n_dofs": bundle.ndof,
         "eta": bundle.eta,
         "eta_max": pars["eta_max"],
-        "gamma_p": oracle.gamma_p(
-            bundle.p, mesh.kind, d=mesh.d if mesh.kind == "simplicial" else None
-        ),
+        "gamma_p": pars["gamma"],
         "lambda_min_fem": float(bundle.fem.values[0]),
         "lambda_max_fem": bundle.fem.lambda_max,
         "lambda_min_soft": float(bundle.soft.values[0]),
@@ -673,6 +678,16 @@ def _degree_summary(bundle, relerr_fem, relerr_soft):
         if relerr_soft is not None:
             out["top_decile_relerr_soft"] = _top_decile_mean(relerr_soft)
     return out
+
+
+def _report(cfg, bundle, reference, exact, out_dir, names):
+    """Write the CSV of a bundle under each file name in `names`, and return
+    its summary."""
+    csv_text, relerr_fem, relerr_soft = _spectrum_rows(cfg, bundle, reference, exact)
+    for name in names:
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(csv_text)
+    return _degree_summary(bundle, relerr_fem, relerr_soft)
 
 
 def _run_single(cfg, out_dir):
@@ -699,27 +714,14 @@ def _run_single(cfg, out_dir):
         bundle = bundles[p]
         modes = _reported_modes(cfg, bundle)
         reference = None if full_reference is None else full_reference[:modes]
-        csv_text, relerr_fem, relerr_soft = _spectrum_rows(
-            cfg, bundle, reference, exact
-        )
-        path = os.path.join(out_dir, f"spectrum_p{p}.csv")
-        with open(path, "w") as fh:
-            fh.write(csv_text)
-        if len(degrees) == 1:
-            with open(os.path.join(out_dir, "spectrum.csv"), "w") as fh:
-                fh.write(csv_text)
-        summaries[str(p)] = _degree_summary(bundle, relerr_fem, relerr_soft)
+        names = [f"spectrum_p{p}.csv"] + (["spectrum.csv"] if len(degrees) == 1 else [])
+        summaries[str(p)] = _report(cfg, bundle, reference, exact, out_dir, names)
         if cfg.eta_sweep:
-            sweep = {}
-            for i, eta in enumerate(cfg.eta_sweep):
-                b = _with_eta(bundle, float(eta), cfg.stiffen, "eta_sweep")
-                csv_text, rf, rs = _spectrum_rows(cfg, b, reference, exact)
-                with open(
-                    os.path.join(out_dir, f"spectrum_p{p}_eta{i}.csv"), "w"
-                ) as fh:
-                    fh.write(csv_text)
-                sweep[_fmt(eta)] = _degree_summary(b, rf, rs)
-            summaries[str(p)]["eta_sweep"] = sweep
+            summaries[str(p)]["eta_sweep"] = {
+                _fmt(eta): _report(cfg, _with_eta(bundle, float(eta), cfg.stiffen, "eta_sweep"),
+                                   reference, exact, out_dir, [f"spectrum_p{p}_eta{i}.csv"])
+                for i, eta in enumerate(cfg.eta_sweep)
+            }
     return summaries, {str(p): bundles[p].solver for p in degrees}
 
 

@@ -382,7 +382,7 @@ def check_bounds(lam_fem, lam_soft, gamma):
 def test_criterion_7_two_sided_bounds(bundles_1d_200, preset_runs):
     checks = []
     for p in range(1, 6):
-        gamma = oracle.gamma_p(p, "tensor")
+        gamma = softness_parameters(p, "tensor")["gamma"]
         b200 = bundles_1d_200[p]
         checks.append(check_bounds(b200.fem.values, b200.soft.values, gamma))
         b50 = speclab.solve_problem(uniform_1d(50), p)
@@ -393,7 +393,7 @@ def test_criterion_7_two_sided_bounds(bundles_1d_200, preset_runs):
         d = 3 if name == "fig-3d" else 2
         for p_str in summary["by_degree"]:
             p = int(p_str)
-            gamma = oracle.gamma_p(p, mesh_kind, d=d if mesh_kind == "simplicial" else None)
+            gamma = softness_parameters(p, mesh_kind, d=d)["gamma"]
             rows = read_spectrum_csv(out / f"spectrum_p{p}.csv")
             fem = [r["lambda_fem"] for r in rows]
             soft = [r["lambda_soft"] for r in rows]

@@ -363,5 +363,5 @@ def test_condition_number_rejects_indefinite():
 
 def test_cluster_eigenvalues():
     values = np.array([1.0, 1.0 + 1e-12, 2.0, 3.0, 3.0, 3.0])
-    clusters = cluster_eigenvalues(values, rel_tol=1e-8)
+    clusters = cluster_eigenvalues(values)
     assert clusters == [[0, 1], [2], [3, 4, 5]]

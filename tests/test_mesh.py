@@ -191,6 +191,39 @@ def test_refine_spec_doubles_resolution():
     assert np.allclose(np.sort(mesh.h), [0.2, 0.2, 0.3, 0.3])
 
 
+def test_refine_spec_by_one_keeps_any_spec():
+    spec = {"type": "file", "path": "square.mesh"}
+    assert refine_spec(spec, 1) == spec
+    with pytest.raises(InvalidMeshError, match="'file' by 2"):
+        refine_spec(spec, 2)
+
+
+@pytest.mark.parametrize(
+    "nodes,elements",
+    [
+        ([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (0, 2, 1)]),  # one triangle twice
+        ([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2), (0, 1, 3)]),  # folded over edge 0-1
+    ],
+    ids=["duplicated", "folded"],
+)
+def test_overlapping_triangles_are_rejected(nodes, elements):
+    with pytest.raises(InvalidMeshError, match=r"elements 0 and 1 lie on the same side .* \(0, 1\)"):
+        build_simplicial_mesh("explicit", nodes=nodes, elements=elements)
+
+
+@pytest.mark.parametrize(
+    "elements,bad",
+    [([(0, 1, 2.7)], 0), ([(0, 1, 2), (1, 3, np.nan)], 1), ([(0, 1, 2), (1, 3, 2.5)], 1)],
+)
+def test_non_integer_vertex_ids_are_rejected(elements, bad):
+    nodes = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    with pytest.raises(InvalidMeshError, match=f"element {bad} has a vertex id that is not an integer"):
+        build_simplicial_mesh("explicit", nodes=nodes, elements=elements)
+    # whole numbers of any numeric type are ids
+    mesh = build_simplicial_mesh("explicit", nodes=nodes[:3], elements=[(0.0, 1.0, 2.0)])
+    assert mesh.elements.tolist() == [[0, 1, 2]]
+
+
 def test_mesh_rejects_mismatched_dimension():
     with pytest.raises(InvalidMeshError):
         Mesh(2, "simplicial", np.zeros((3, 2)), [[0, 1]])

@@ -11,6 +11,7 @@ from softfem.assembly import (
     assemble_stiffness,
     build_space,
     soften,
+    softness_parameters,
 )
 from softfem.gevp import solve_gmevp
 from softfem.mesh import mesh_from_spec
@@ -152,9 +153,9 @@ def test_full_branch_spectrum_matches_assembly(p):
 
 
 def test_gamma_p_values():
-    assert abs(oracle.gamma_p(2, "tensor") - 0.5) < 1e-15
-    assert abs(oracle.gamma_p(2, "simplicial", d=2) - 2.0 / 4.0) < 1e-15
-    assert abs(oracle.gamma_p(2, "simplicial", d=3) - 1.0 / 3.0) < 1e-15
+    assert abs(softness_parameters(2, "tensor")["gamma"] - 0.5) < 1e-15
+    assert abs(softness_parameters(2, "simplicial", d=2)["gamma"] - 2.0 / 4.0) < 1e-15
+    assert abs(softness_parameters(2, "simplicial", d=3)["gamma"] - 1.0 / 3.0) < 1e-15
 
 
 def test_superconvergence_bound_formula():

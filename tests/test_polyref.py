@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from softfem.polyref import (
+    NODAL_TOL,
+    BasisError,
     ReferenceBasis,
     cuboid_rule,
     gauss_legendre_rule,
@@ -153,3 +155,18 @@ def test_basis_rejects_points_outside_reference_element():
     basis = ReferenceBasis("interval", 2, 1)
     with pytest.raises(ValueError):
         basis.eval(np.array([[1.5]]))
+
+
+def test_basis_is_checked_to_be_nodal():
+    """The simplex basis on the equispaced lattice loses nodality above
+    p = 13; tensor bases stay nodal up to the degree bound."""
+    for p in (1, 8, 13):
+        ReferenceBasis("simplex", p, 2)
+    for p in (14, 16, 20):
+        with pytest.raises(BasisError, match=f"degree-{p} simplex basis is not nodal"):
+            ReferenceBasis("simplex", p, 2)
+    ReferenceBasis("interval", 59)
+    ReferenceBasis("cuboid", 10, 3)
+    basis = ReferenceBasis("simplex", 13, 2)
+    V, G = basis.eval(basis.nodes)
+    assert np.abs(V - np.eye(basis.ndof)).max() <= NODAL_TOL

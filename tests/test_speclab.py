@@ -1177,6 +1177,62 @@ def test_cli_trace_check(capsys):
     assert cli.main(["trace-check", "--p", "1", "--kind", "simplex", "--samples", "50"]) == 0
 
 
+FOLDED_MESH = "nodes 3\n0 0\n1 0\n0 1\nelements 2\n0 1 2\n0 2 1\n"
+SQUARE_MESH = "nodes 4\n0 0\n1 0\n1 1\n0 1\nelements 2\n0 1 2\n0 2 3\n"
+
+
+def test_cli_rejects_a_folded_mesh_file(tmp_path, capsys):
+    """Two copies of one triangle would count the area 0.5 twice and give
+    three interior faces; both commands exit 2 instead."""
+    path = tmp_path / "folded.mesh"
+    path.write_text(FOLDED_MESH)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "f", "mesh": {"type": "file", "path": str(path)}}))
+    assert cli.main(["mesh-info", str(path)]) == 2
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("lie on the same side of their shared face") == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "fields,name",
+    [
+        ({"mesh": {"type": "unit-square", "n": 2}, "degrees": [20], "reference": "exact"},
+         "degrees"),
+        ({"mesh": {"type": "unit-square", "n": 2}, "degrees": [2], "reference": "high-order",
+          "reference_degree": 16, "reference_refine": 1}, "reference_degree"),
+    ],
+)
+def test_cli_rejects_a_degree_whose_basis_is_not_nodal(tmp_path, capsys, fields, name):
+    """At p = 20 the simplex basis is far from nodal (its lambda_1 on this
+    mesh would be 13.85, below 2 pi^2 = 19.74), so each command exits 2."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"name": "b", **fields}))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{name}'" in err and "is not nodal" in err
+    assert cli.main(["trace-check", "--p", "20", "--kind", "simplex"]) == 2
+    assert "--p 20" in capsys.readouterr().err
+
+
+def test_high_order_reference_on_a_mesh_file(tmp_path, capsys):
+    mesh_path = tmp_path / "square.mesh"
+    mesh_path.write_text(SQUARE_MESH)
+    spec = {"type": "file", "path": str(mesh_path)}
+    cfg = {"name": "r", "mesh": spec, "degrees": [3], "modes": 3,
+           "reference": "high-order", "reference_degree": 4, "reference_refine": 1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "spectrum.csv").read_text().strip().split("\n")[1:]
+    expected = oracle.reference_spectrum({"kappa": "1", "mesh": spec}, 3, degree=4, refine=1)
+    assert [float(r.split(",")[2]) for r in rows] == expected.tolist()
+    path.write_text(json.dumps({**cfg, "reference_refine": 2}))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out2")]) == 2
+    assert "config field 'reference_refine'" in capsys.readouterr().err
+
+
 def test_cli_mesh_info(tmp_path, capsys):
     path = tmp_path / "m.mesh"
     path.write_text("nodes 4\n0 0\n1 0\n1 1\n0 1\nelements 2\n0 1 2\n0 2 3\n")
