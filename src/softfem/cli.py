@@ -13,13 +13,16 @@ import json
 import sys
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
+from scipy.sparse import csr_matrix, diags
 
-from . import oracle, speclab
+from . import assembly, oracle, speclab
 from .assembly import AssemblyError
 from .coefficient import CoefficientParseError
-from .mesh import InvalidMeshError, load_mesh
+from .gevp import EigensolveError, largest_eigenvalue
+from .mesh import InvalidMeshError, build_cartesian_mesh, build_simplicial_mesh, load_mesh
 from .polyref import MAX_DEGREE, BasisError
-from .speclab import CoercivityViolation, ConfigError, SolverFailure
+from .speclab import CoercivityViolation, ConfigError
 
 
 def _load_config(target):
@@ -70,52 +73,33 @@ def cmd_run(args):
 
 
 def cmd_trace_check(args):
+    """The exact maximum of the trace ratio, the largest eigenvalue of one
+    pencil, against its bound: x'Sx / x'Kx <= 1/eta_max on a small mesh, or
+    on the interval the end-value form of a degree-p Legendre series
+    against its Gram matrix, whose maximum is C1(0,p)^2 exactly."""
     p = args.p
     if not 1 <= p <= MAX_DEGREE:
         raise ConfigError(f"--p must be an integer in [1, {MAX_DEGREE}]")
-    samples = args.samples
-    if samples < 0:
-        raise ConfigError("--samples must be an integer >= 0")
-    rng = np.random.default_rng(args.seed)
-    if args.kind == "interval":
-        const_sq = oracle.sharp_trace_constant("interval-k", p) ** 2
-        worst = 0.0
-        for _ in range(samples):
-            coeffs = rng.standard_normal(p + 1)
-            worst = max(worst, oracle.trace_ratio_interval(coeffs))
-        attained = oracle.trace_ratio_interval(oracle.extremal_trace_polynomial(p))
-        print(f"kind=interval p={p} constant_sq={const_sq:.12g}")
-        print(f"sampled_max={worst:.12g} extremal={attained:.12g}")
-        ok = (
-            worst <= const_sq * (1 + 1e-10)
-            and abs(attained - const_sq) < 1e-8 * const_sq
-        )
-        print("status=ok" if ok else "status=violated")
-        return 0 if ok else 1
-    # cuboid / simplex: the gradient trace constants bound the assembled
-    # penalty form, x'Sx <= x'Kx / eta_max. Verify that domination on a
-    # small mesh.
-    from .assembly import assemble_penalty, assemble_stiffness, build_space, softness_parameters
-    from .mesh import build_cartesian_mesh, build_simplicial_mesh
-
-    if args.kind == "cuboid":  # 2x2 cells: an interior dof at every p
-        mesh = build_cartesian_mesh([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
+    if args.kind == "interval":  # h = 2: the pencil (2 E'E, diag 2/(2k+1))
+        E = legvander(np.array([-1.0, 1.0]), p)
+        A, B = csr_matrix(2.0 * E.T @ E), diags(2.0 / (2 * np.arange(p + 1) + 1)).tocsr()
+        bound = oracle.sharp_trace_constant("interval-k", p) ** 2
     else:
-        mesh = build_simplicial_mesh("unit-square", n=2)
-    bound = 1.0 / softness_parameters(p, mesh.kind, d=mesh.d)["eta_max"]
-    try:
-        space = build_space(mesh, p)
-    except BasisError as err:
-        raise ConfigError(f"--p {p}: {err}") from None
-    Kd = assemble_stiffness(space).toarray()
-    Sd = assemble_penalty(space).toarray()
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.standard_normal(space.ndof)
-        worst = max(worst, float(x @ Sd @ x) / float(x @ Kd @ x))
-    print(f"kind={args.kind} p={p} domination_bound={bound:.12g}")
-    print(f"sampled_max_ratio={worst:.12g}")
+        if args.kind == "cuboid":  # 2x2 cells: an interior dof at every p
+            mesh = build_cartesian_mesh([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
+        else:
+            mesh = build_simplicial_mesh("unit-square", n=2)
+        bound = 1.0 / assembly.softness_parameters(p, mesh.kind, d=mesh.d)["eta_max"]
+        try:
+            space = assembly.build_space(mesh, p)
+        except BasisError as err:
+            raise ConfigError(f"--p {p}: {err}") from None
+        A, B = assembly.assemble_penalty(space), assembly.assemble_stiffness(space)
+    worst = largest_eigenvalue(A, B)
+    print(f"kind={args.kind} p={p} bound={bound:.12g} max_ratio={worst:.12g}")
     ok = worst <= bound * (1 + 1e-10)
+    if args.kind == "interval":  # the bound is also attained
+        ok = ok and worst >= bound * (1 - 1e-10)
     print("status=ok" if ok else "status=violated")
     return 0 if ok else 1
 
@@ -150,8 +134,6 @@ def build_parser():
     tc = sub.add_parser("trace-check", help="verify a discrete trace constant")
     tc.add_argument("--p", type=int, required=True)
     tc.add_argument("--kind", required=True, choices=["interval", "cuboid", "simplex"])
-    tc.add_argument("--samples", type=int, default=200)
-    tc.add_argument("--seed", type=int, default=0)
     tc.set_defaults(func=cmd_trace_check)
 
     mi = sub.add_parser("mesh-info", help="print statistics for a mesh file")
@@ -168,7 +150,7 @@ def main(argv=None):
     except (ConfigError, CoefficientParseError, InvalidMeshError, AssemblyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except SolverFailure as err:
+    except EigensolveError as err:  # MassNotSpdError is one too
         print(f"solver failure: {err}", file=sys.stderr)
         return 3
     except CoercivityViolation as err:

@@ -33,10 +33,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
-class SolverFailure(RuntimeError):
-    pass
-
-
 class CoercivityViolation(RuntimeError):
     """Negative softened pencil eigenvalue under the default eta policy."""
 
@@ -299,6 +295,11 @@ def _is_eta(value):
     return numeric and 0 <= value < math.inf
 
 
+def _is_distinct(values):
+    """No two of the numbers compare equal (so 0.0 and -0.0 repeat)."""
+    return len(set(values)) == len(values)
+
+
 def _is_ladder(blocks):
     """A non-empty list of {'degree', 'n', 'track_modes'} blocks."""
     return isinstance(blocks, list) and len(blocks) > 0 and all(
@@ -317,8 +318,8 @@ _FIELD_RULES = {
     "kappa": (lambda v: isinstance(v, str), "a string"),
     "mesh": (lambda v: v is None or isinstance(v, dict), "an object with a 'type'"),
     "degrees": (
-        lambda v: _is_counts(v, _is_degree),
-        f"a non-empty list of integers in [1, {MAX_DEGREE}]",
+        lambda v: _is_counts(v, _is_degree) and _is_distinct(v),
+        f"a non-empty list of distinct integers in [1, {MAX_DEGREE}]",
     ),
     "eta": (
         lambda v: v in ("galerkin", "default") or _is_eta(v),
@@ -333,8 +334,9 @@ _FIELD_RULES = {
     "eigenfunction_modes": (lambda v: v == [] or _is_counts(v), "a list of integers >= 1"),
     "face_weight": (lambda v: v in ("local", "mean"), "'local' or 'mean'"),
     "eta_sweep": (
-        lambda v: v is None or (isinstance(v, list) and all(_is_eta(e) for e in v)),
-        "a list of finite numbers >= 0",
+        lambda v: v is None
+        or (isinstance(v, list) and all(_is_eta(e) for e in v) and _is_distinct(v)),
+        "a list of distinct finite numbers >= 0",
     ),
     "ladder": (
         lambda v: v is None or _is_ladder(v),
@@ -485,13 +487,10 @@ def _solve(A, M, k=None):
     """The lowest k modes of the pencil (all if k is None) and its
     lambda_max, certified by `gevp.largest_eigenvalue` after a partial
     sparse solve."""
-    try:
-        spectrum = gevp.solve_gmevp(A, M, k)
-        if spectrum.lambda_max is None:
-            spectrum = replace(spectrum, lambda_max=gevp.largest_eigenvalue(A, M))
-        return spectrum
-    except gevp.EigensolveError as err:
-        raise SolverFailure(str(err)) from err
+    spectrum = gevp.solve_gmevp(A, M, k)
+    if spectrum.lambda_max is None:
+        spectrum = replace(spectrum, lambda_max=gevp.largest_eigenvalue(A, M))
+    return spectrum
 
 
 def _kronecker_spectrum(spectrum, d):

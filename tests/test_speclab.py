@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softfem import cli, gevp, oracle, speclab
+from softfem import assembly, cli, gevp, oracle, speclab
 from softfem.assembly import (
     assemble_mass,
     assemble_penalty,
@@ -757,7 +757,7 @@ def test_cli_error_exit_codes(tmp_path, monkeypatch, capsys):
     cfg.write_text(json.dumps({"name": "x", "mesh": {"type": "uniform", "n": 4, "d": 1}}))
 
     def boom_solver(*a, **k):
-        raise speclab.SolverFailure("did not converge")
+        raise gevp.EigensolveError("did not converge")
 
     monkeypatch.setattr(speclab, "run_experiment", boom_solver)
     assert cli.main(["run", str(cfg)]) == 3
@@ -767,6 +767,43 @@ def test_cli_error_exit_codes(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(speclab, "run_experiment", boom_coercivity)
     assert cli.main(["run", str(cfg)]) == 4
+
+
+def test_cli_reference_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    """A failed eigensolve of the high-order reference is a solver failure
+    like any other, not a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "x", "mesh": {"type": "uniform", "n": 4, "d": 1},
+                               "reference": "high-order"}))
+
+    def boom(*a, **k):
+        raise gevp.EigensolveError("dense eigensolve failed")
+
+    monkeypatch.setattr(oracle, "reference_spectrum", boom)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == "solver failure: dense eigensolve failed\n"
+
+
+@pytest.mark.parametrize(
+    "fields,name",
+    [
+        ({"degrees": [2, 2]}, "degrees"),
+        ({"degrees": [1, 3, 1]}, "degrees"),
+        ({"eta_sweep": [0.01, 0.01]}, "eta_sweep"),
+        ({"eta_sweep": [0.0, -0.0]}, "eta_sweep"),
+        ({"eta_sweep": [1, 1.0]}, "eta_sweep"),
+    ],
+)
+def test_cli_rejects_repeated_degrees_and_etas(tmp_path, capsys, fields, name):
+    """A repeated degree or eta would be solved twice and reported once."""
+    cfg = {"name": "rep", "mesh": {"type": "uniform", "n": 4, "d": 1}, **fields}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"field '{name}'" in err and "distinct" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -1154,27 +1191,51 @@ def test_cli_trace_check_rejects_degrees_out_of_range(capsys, argv):
     assert "--p" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("kind", ["interval", "cuboid", "simplex"])
-def test_cli_trace_check_rejects_negative_samples(capsys, kind):
-    assert cli.main(["trace-check", "--p", "2", "--kind", kind, "--samples", "-2"]) == 2
-    err = capsys.readouterr().err
-    assert "--samples" in err and "Traceback" not in err
-
-
 @pytest.mark.parametrize(
     "p,kind",
     [(p, kind) for p in (1, 2, 3, 4) for kind in ("cuboid", "simplex")]
     + [(p, "interval") for p in (30, 40, MAX_DEGREE)],
 )
 def test_cli_trace_check_every_degree(capsys, p, kind):
-    assert cli.main(["trace-check", "--p", str(p), "--kind", kind, "--samples", "20"]) == 0
+    assert cli.main(["trace-check", "--p", str(p), "--kind", kind]) == 0
     assert "status=ok" in capsys.readouterr().out
 
 
 def test_cli_trace_check(capsys):
     assert cli.main(["trace-check", "--p", "2", "--kind", "interval"]) == 0
     assert "status=ok" in capsys.readouterr().out
-    assert cli.main(["trace-check", "--p", "1", "--kind", "simplex", "--samples", "50"]) == 0
+    assert cli.main(["trace-check", "--p", "1", "--kind", "simplex"]) == 0
+
+
+def _max_ratio(out):
+    return float(out.split("max_ratio=")[1].split()[0])
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_cli_trace_check_cuboid_maximum(capsys, p):
+    """On the 2x2 cells the exact maximum of x'Sx / x'Kx is 2p^2, the
+    fraction p/(p+1) of the bound 1/eta_max = 2p(p+1)."""
+    assert cli.main(["trace-check", "--p", str(p), "--kind", "cuboid"]) == 0
+    out = capsys.readouterr().out
+    assert _max_ratio(out) == pytest.approx(2 * p * p, rel=1e-10)
+    assert f"bound={2 * p * (p + 1)} " in out
+
+
+@pytest.mark.parametrize("kind,factor", [("cuboid", 1.3), ("simplex", 2.6)])
+def test_cli_trace_check_catches_a_too_large_eta_max(capsys, monkeypatch, kind, factor):
+    """An eta_max above the sharp one lowers the bound below the exact
+    maximum (32 on the cuboid, 15.73 on the simplex, at p = 4), which a
+    random sample of the ratio does not reach."""
+    real = assembly.softness_parameters
+
+    def too_large(*args, **kwargs):
+        pars = dict(real(*args, **kwargs))
+        pars["eta_max"] *= factor
+        return pars
+
+    monkeypatch.setattr(assembly, "softness_parameters", too_large)
+    assert cli.main(["trace-check", "--p", "4", "--kind", kind]) == 1
+    assert "status=violated" in capsys.readouterr().out
 
 
 FOLDED_MESH = "nodes 3\n0 0\n1 0\n0 1\nelements 2\n0 1 2\n0 2 1\n"
