@@ -72,14 +72,16 @@ class StiffnessMetrics:
     rho_percent: float
 
 
-def _fix_signs(vectors):
-    """Make the first nonzero component of each eigenvector positive.
+def _fix_signs(vectors, columns):
+    """The given columns of `vectors`, in that order, as one C-ordered copy in
+    which the first nonzero component of each column is positive.
 
     Components of at most 1e-12 times the largest magnitude in their column
     count as zero; a zero column is left as it is.
     """
-    # a C-ordered copy: later dot products over a column round by its stride
-    out = vectors.copy()
+    # C order: later dot products over a column round by its stride
+    out = np.empty((vectors.shape[0], len(columns)), dtype=vectors.dtype)
+    np.take(vectors, columns, axis=1, out=out, mode="clip")  # "raise" would buffer out
     if out.size:
         cut = 1e-12 * np.maximum(out.max(axis=0), -out.min(axis=0))
         lead = np.argmax((out > cut) | (out < -cut), axis=0)
@@ -138,14 +140,15 @@ def _lowest_modes(A, M, k):
             return None
         inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
         vals, vecs = eigsh(A, k + 1, M, sigma=0.0, OPinv=inverse, v0=np.ones(n))
+        del lu, inverse  # one factor alive at a time
         order = np.argsort(vals, kind="stable")
-        vals, vecs = vals[order], vecs[:, order]
+        vals = vals[order]
         _, below = _inertia(A - 0.5 * (vals[k - 1] + vals[k]) * M)
     except RuntimeError:  # a singular factor, or ARPACK did not converge
         return None
     if below != k:
         return None
-    return Spectrum(values=vals[:k], vectors=_fix_signs(vecs[:, :k]), path="sparse")
+    return Spectrum(values=vals[:k], vectors=_fix_signs(vecs, order[:k]), path="sparse")
 
 
 def _start_vector(n):
@@ -184,6 +187,7 @@ def _extreme_value(A, M):
         inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
         theta = float(eigsh(A, 1, M, which="LA", Minv=inverse, v0=_start_vector(n),
                             return_eigenvectors=False)[0])
+        del lu, inverse  # one factor alive at a time
         _, below = _inertia(A - (theta + EXTREME_RTOL * abs(theta)) * M)
     except RuntimeError:  # a singular factor, or ARPACK did not converge
         return None
@@ -191,12 +195,14 @@ def _extreme_value(A, M):
 
 
 def _dense_eigh(A, M, **kwargs):
-    M = M.toarray()
+    """scipy.linalg.eigh on Fortran-ordered dense copies of A and M, which
+    LAPACK overwrites in place (the eigenvectors, if asked for, replace A)."""
     try:
-        return scipy.linalg.eigh(A.toarray(), M, **kwargs)
+        return scipy.linalg.eigh(A.toarray(order="F"), M.toarray(order="F"),
+                                 overwrite_a=True, overwrite_b=True, **kwargs)
     except np.linalg.LinAlgError as err:
         try:
-            np.linalg.cholesky(M)
+            np.linalg.cholesky(M.toarray())
         except np.linalg.LinAlgError:
             raise MassNotSpdError("mass matrix is not SPD") from err
         raise EigensolveError(f"dense eigensolve failed: {err}") from err
@@ -220,7 +226,7 @@ def solve_gmevp(A, M, k=None):
     vals, vecs = _dense_eigh(A, M)
     order = np.argsort(vals, kind="stable")[:k]
     lambda_max = float(vals.max(initial=-np.inf))  # -inf for an empty pencil
-    return Spectrum(values=vals[order], vectors=_fix_signs(vecs[:, order]), lambda_max=lambda_max)
+    return Spectrum(values=vals[order], vectors=_fix_signs(vecs, order), lambda_max=lambda_max)
 
 
 def smallest_eigenvalue(A, M):

@@ -301,15 +301,15 @@ def _is_distinct(values):
 
 
 def _is_ladder(blocks):
-    """A non-empty list of {'degree', 'n', 'track_modes'} blocks."""
+    """A non-empty list of {'degree', 'n', 'track_modes'} blocks of distinct
+    degrees, each with distinct `n` and `track_modes` entries."""
     return isinstance(blocks, list) and len(blocks) > 0 and all(
         isinstance(b, dict)
         and set(b) <= {"degree", "n", "track_modes"}
         and _is_degree(b.get("degree"))
-        and _is_counts(b.get("n"))
-        and _is_counts(b.get("track_modes", [1]))
+        and all(_is_counts(v) and _is_distinct(v) for v in (b.get("n"), b.get("track_modes", [1])))
         for b in blocks
-    )
+    ) and _is_distinct([b["degree"] for b in blocks])
 
 
 # every ExperimentConfig field: (validity test of a given value, what it must be)
@@ -341,7 +341,8 @@ _FIELD_RULES = {
     "ladder": (
         lambda v: v is None or _is_ladder(v),
         "a list of blocks {'degree': p, 'n': [...], 'track_modes': [...]} "
-        f"of integers >= 1, with p <= {MAX_DEGREE} ('track_modes' is optional)",
+        f"of integers >= 1, with distinct degrees p <= {MAX_DEGREE} and no entry "
+        "repeated in a list ('track_modes' is optional)",
     ),
 }
 
@@ -735,6 +736,11 @@ def _run_ladder(cfg):
         for n in ns:
             mesh = mesh_from_spec({"type": "uniform", "n": n, "d": 1})
             bundle = solve_problem(mesh, p, cfg.kappa, cfg.eta, cfg.stiffen)
+            if max(track) > bundle.ndof:
+                raise ConfigError(
+                    f"config field 'ladder': track mode {max(track)} is above the "
+                    f"mode count {bundle.ndof} of degree {p} at n={n}"
+                )
             for m in track:
                 lam = exact.values[m - 1]
                 rows[m]["relerr"].append(

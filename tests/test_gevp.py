@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from softfem import gevp
 from softfem.assembly import (
@@ -89,7 +92,7 @@ def test_sign_convention_first_nonzero_positive():
     raw[:3, 4] = [-1e-13, 0.0, 0.7]  # led by a negative entry under the cut
     raw[:2, 6] = [2e-13, -0.9]  # led by a positive entry under the cut
     for vectors in (spec.vectors, raw, -raw):
-        fixed = _fix_signs(vectors)
+        fixed = _fix_signs(vectors, np.arange(9))
         expected = fix_signs_loop(vectors)
         assert fixed.tobytes() == expected.tobytes()
         assert fixed.flags.c_contiguous
@@ -326,6 +329,68 @@ def test_dense_solve_records_lambda_max():
     full = solve_gmevp(a, m)
     assert full.lambda_max == full.values[-1]
     assert solve_gmevp(a, m, 3).lambda_max == full.lambda_max
+
+
+def traced_peak(call):
+    """The peak of the memory traced while call() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_solves_overwrite_their_dense_copies(monkeypatch):
+    """LAPACK works in place on the dense A and M: a full solve holds them
+    and xSYGVD's 2n^2 workspace (4n^2 doubles), a one-value solve A and M."""
+    _, K, M = pencil({"type": "unit-square", "n": 8}, 3)
+    dense = 8 * K.shape[0] ** 2  # bytes of one dense n x n matrix (n = 529)
+    assert traced_peak(lambda: solve_gmevp(K, M)) <= 4.5 * dense
+    monkeypatch.setattr(gevp, "_extreme_value", lambda A, M: None)
+    assert traced_peak(lambda: largest_eigenvalue(K, M)) <= 2.5 * dense
+
+
+class LiveFactor:
+    """A SuperLU factor that counts the live ones."""
+
+    live = 0
+
+    def __init__(self, lu):
+        self.lu = lu
+        LiveFactor.live += 1
+
+    def __del__(self):
+        LiveFactor.live -= 1
+
+    def solve(self, b):  # a LinearOperator over it keeps this proxy alive
+        return self.lu.solve(b)
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+
+@pytest.mark.parametrize(
+    "solve,factors",
+    [(lambda A, M: _lowest_modes(A, M, 5), 3), (_extreme_value, 2)],
+    ids=["lowest-modes", "extreme-value"],
+)
+def test_shifted_pencil_is_factored_alone(monkeypatch, solve, factors):
+    """The factor that applies A^-1 or M^-1 in Lanczos is freed before the
+    shifted pencil is factored for its inertia count."""
+    live_at_call = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting_splu(*args, **kwargs):
+        live_at_call.append(LiveFactor.live)
+        return LiveFactor(splu(*args, **kwargs))
+
+    monkeypatch.setattr(LiveFactor, "live", 0)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    _, K, M = pencil({"type": "unit-square", "n": 8}, 3)
+    assert solve(K, M) is not None
+    assert len(live_at_call) == factors and live_at_call[-1] == 0
+    assert LiveFactor.live == 0
 
 
 def test_permutation_invariance_of_spectrum():

@@ -1030,6 +1030,10 @@ LADDER = {"name": "bad", "ladder": [{"degree": 1, "n": [4, 8]}]}
         ({"name": "bad", "ladder": [{"degree": 70, "n": [4]}]}, "ladder"),
         ({**MESHED, "kappa": "1 +"}, "kappa"),
         ({**LADDER, "kappa": "(1"}, "kappa"),
+        ({"name": "bad", "ladder": [{"degree": 1, "n": [8, 16], "track_modes": [1, 1]}]}, "ladder"),
+        ({"name": "bad", "ladder": [{"degree": 1, "n": [8, 8, 16]}]}, "ladder"),
+        ({"name": "bad", "ladder": [{"degree": 1, "n": [8, 16]}, {"degree": 1, "n": [32, 64]}]},
+         "ladder"),
     ],
 )
 def test_cli_rejects_bad_config_fields(tmp_path, capsys, cfg, name):
@@ -1049,6 +1053,8 @@ def test_cli_rejects_bad_config_fields(tmp_path, capsys, cfg, name):
         # one cell at p = 1 has no interior dof
         ({"name": "bad", "mesh": {"type": "uniform", "n": 1, "d": 1}}, ("mesh", "degrees")),
         ({"name": "bad", "ladder": [{"degree": 1, "n": [1, 2]}]}, ("ladder",)),
+        # 1 interior dof at n = 2 for track mode 5
+        ({"name": "bad", "ladder": [{"degree": 1, "n": [2, 4], "track_modes": [5]}]}, ("ladder",)),
     ],
 )
 def test_cli_rejects_configs_without_enough_modes(tmp_path, capsys, cfg, names):
@@ -1057,6 +1063,18 @@ def test_cli_rejects_configs_without_enough_modes(tmp_path, capsys, cfg, names):
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert all(f"'{name}'" in err for name in names)
+
+
+def run_exit_code(cfg, argv=()):
+    """The exit code of `softfem run` on cfg, and what it wrote to stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["run", path, "--out", os.path.join(tmp, "out"), *argv])
+    return code, err.getvalue()
 
 
 @st.composite
@@ -1109,15 +1127,32 @@ def small_runs(draw):
 @given(small_runs())
 def test_cli_run_fuzz_exits_cleanly(run):
     """Every small run ends with exit code 0, 2, 3 or 4, never a traceback."""
-    cfg, argv = run
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cfg.json")
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(["run", path, "--out", os.path.join(tmp, "out"), *argv])
-    assert code in (0, 2, 3, 4), err.getvalue()
+    code, err = run_exit_code(*run)
+    assert code in (0, 2, 3, 4), err
+
+
+@st.composite
+def small_ladders(draw):
+    """A ladder config of 1 or 2 blocks (degree <= 3, n <= 16, track_modes
+    <= 8), where degrees, levels and tracked modes may repeat and a tracked
+    mode may exceed a level's mode count."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 2))):
+        block = {"degree": draw(st.integers(1, 3)),
+                 "n": draw(st.lists(st.integers(1, 16), min_size=1, max_size=3))}
+        if draw(st.booleans()):
+            block["track_modes"] = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+        blocks.append(block)
+    return {"name": "fuzz", "eta": draw(st.sampled_from(["default", "galerkin"])),
+            "ladder": blocks}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_ladders())
+def test_cli_ladder_fuzz_exits_cleanly(cfg):
+    """Every small ladder ends with exit code 0, 2, 3 or 4, never a traceback."""
+    code, err = run_exit_code(cfg)
+    assert code in (0, 2, 3, 4), err
 
 
 @pytest.mark.parametrize(
