@@ -119,10 +119,10 @@ def _lowest_modes(A, M, k):
     """The lowest k modes of A U = lambda M U by shift-invert Lanczos at 0,
     or None unless inertia counts certify them.
 
-    The factors of A and of M must show no negative pivot, so the pencil is
+    The factors of M and of A must show no negative pivot, so the pencil is
     positive definite (an indefinite M would hide a negative eigenvalue from
-    the counts of A - tau*M); the factor of A also applies A^-1 in the
-    Lanczos iteration. The factor of
+    the counts of A - tau*M); M is counted and its factor freed first, and
+    the factor of A then applies A^-1 in the Lanczos iteration. The factor of
     A - tau*M, with tau halfway between the k-th and (k+1)-th values found,
     must show exactly k negative pivots, so no eigenvalue below tau was
     missed. A degenerate cluster split at k fails the second count. Runs
@@ -135,8 +135,10 @@ def _lowest_modes(A, M, k):
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     try:
+        if _inertia(M)[1] != 0:  # its factor is freed here, before A's is made
+            return None
         lu, negative = _inertia(A)
-        if negative != 0 or _inertia(M)[1] != 0:
+        if negative != 0:
             return None
         inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
         vals, vecs = eigsh(A, k + 1, M, sigma=0.0, OPinv=inverse, v0=np.ones(n))

@@ -309,6 +309,11 @@ def load_mesh(path):
     return parse_mesh_text(text)
 
 
+# the fields each mesh spec type reads, besides 'type'
+SPEC_FIELDS = {"cartesian": ("breakpoints",), "uniform": ("n", "d"), "unit-square": ("n",),
+               "l-shape": ("n",), "file": ("path",)}
+
+
 def mesh_from_spec(spec):
     """Build a mesh from a declarative spec dict.
 
@@ -319,6 +324,11 @@ def mesh_from_spec(spec):
     if not isinstance(spec, dict):
         raise InvalidMeshError("config field 'mesh' must be an object with a 'type'")
     kind = spec.get("type")
+    if not isinstance(kind, str) or kind not in SPEC_FIELDS:
+        raise InvalidMeshError(f"unknown mesh spec type {kind!r}")
+    for name in spec:
+        if name != "type" and name not in SPEC_FIELDS[kind]:
+            raise InvalidMeshError(f"mesh spec type {kind!r} does not read the field {name!r}")
 
     def field(name):
         if name not in spec:
@@ -350,11 +360,9 @@ def mesh_from_spec(spec):
         return build_cartesian_mesh([pts] * d)
     if kind in ("unit-square", "l-shape"):
         return build_simplicial_mesh(kind, n=count("n", field("n")))
-    if kind == "file":
-        if not isinstance(field("path"), str):
-            raise InvalidMeshError("mesh spec field 'path' must be a string")
-        return load_mesh(spec["path"])
-    raise InvalidMeshError(f"unknown mesh spec type {kind!r}")
+    if not isinstance(field("path"), str):  # a 'file' spec
+        raise InvalidMeshError("mesh spec field 'path' must be a string")
+    return load_mesh(spec["path"])
 
 
 def refine_spec(spec, factor):

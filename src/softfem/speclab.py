@@ -418,7 +418,7 @@ def _is_kronecker_sum(mesh, kappa):
 
 
 def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
-                  face_weight="local", modes=None):
+                  face_weight="local", modes=None, vectors=True):
     """Assemble and solve both the Galerkin and softened pencils.
 
     face_weight='mean' replaces every h_F by the mesh-average element length
@@ -427,7 +427,8 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
     the 1D pencil is assembled and solved; the bundle holds it, and both
     spectra are factored over its full 1D spectra. Otherwise both spectra
     hold the lowest `modes` modes (all if None) and each pencil's certified
-    lambda_max.
+    lambda_max. With `vectors` False, neither spectrum keeps its
+    eigenvectors (see `_solve`).
     """
     kappa = parse_coefficient(kappa_text)
     kronecker = _is_kronecker_sum(mesh, kappa)
@@ -450,12 +451,12 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
     face_length = float(np.mean(mesh.h0)) if face_weight == "mean" else None
     S = assemble_penalty(base, kappa, face_length=face_length)
     eta = resolve_eta(eta_policy, p, mesh.kind, mesh.d)
-    fem = _solve(K, M, None if kronecker else modes)
+    fem = _solve(K, M, None if kronecker else modes, vectors)
     if kronecker:
         fem = _kronecker_spectrum(fem, mesh.d)
     bundle = SolveBundle(mesh, p, ndof, K, M, S, fem=fem, soft=fem, eta=0.0,
                          built_space=space)
-    bundle = _with_eta(bundle, eta, stiffen)
+    bundle = _with_eta(bundle, eta, stiffen, vectors=vectors)
     if eta_policy == "default" and not stiffen and bundle.soft.values[0] <= 0:
         raise CoercivityViolation(
             f"softened pencil indefinite at default eta={eta}"
@@ -463,10 +464,11 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
     return bundle
 
 
-def _with_eta(bundle, eta, stiffen, name="eta"):
+def _with_eta(bundle, eta, stiffen, name="eta", vectors=True):
     """The bundle with its softened pencil solved again at eta, for as many
-    modes as the Galerkin spectrum holds; K, M, S and the Galerkin spectrum
-    are reused. `name` is the config field that gave eta."""
+    modes as the Galerkin spectrum holds, keeping its eigenvectors only if
+    `vectors`; K, M, S and the Galerkin spectrum are reused. `name` is the
+    config field that gave eta."""
     if eta == 0.0:
         return replace(bundle, soft=bundle.fem, eta=eta)
     K, S = bundle.K, bundle.S
@@ -478,17 +480,20 @@ def _with_eta(bundle, eta, stiffen, name="eta"):
             f"config field {name!r}: eta = {eta!r} overflows the softened matrix"
         )
     if bundle.fem.path == "kronecker":
-        soft = _kronecker_spectrum(_solve(A, bundle.M), bundle.mesh.d)
+        soft = _kronecker_spectrum(_solve(A, bundle.M, None, vectors), bundle.mesh.d)
     else:
-        soft = _solve(A, bundle.M, bundle.fem.order)
+        soft = _solve(A, bundle.M, bundle.fem.order, vectors)
     return replace(bundle, soft=soft, eta=eta)
 
 
-def _solve(A, M, k=None):
+def _solve(A, M, k=None, vectors=True):
     """The lowest k modes of the pencil (all if k is None) and its
     lambda_max, certified by `gevp.largest_eigenvalue` after a partial
-    sparse solve."""
+    sparse solve; without `vectors`, the eigenvectors are dropped as soon
+    as the solve returns, so none is held while the next pencil is solved."""
     spectrum = gevp.solve_gmevp(A, M, k)
+    if not vectors:
+        spectrum = replace(spectrum, vectors=None)
     if spectrum.lambda_max is None:
         spectrum = replace(spectrum, lambda_max=gevp.largest_eigenvalue(A, M))
     return spectrum
@@ -693,6 +698,7 @@ def _report(cfg, bundle, reference, exact, out_dir, names):
 def _run_single(cfg, out_dir):
     mesh = mesh_from_spec(cfg.mesh)
     degrees = list(cfg.degrees)
+    vectors = cfg.jump_ratio or bool(cfg.eigenfunction_modes)  # the only readers
     summaries = {}
     exact = None
     if cfg.eigenfunction_modes:
@@ -703,7 +709,7 @@ def _run_single(cfg, out_dir):
     bundles = {
         p: solve_problem(
             mesh, p, cfg.kappa, cfg.eta, cfg.stiffen, face_weight=cfg.face_weight,
-            modes=cfg.modes,
+            modes=cfg.modes, vectors=vectors,
         )
         for p in degrees
     }
@@ -718,8 +724,10 @@ def _run_single(cfg, out_dir):
         summaries[str(p)] = _report(cfg, bundle, reference, exact, out_dir, names)
         if cfg.eta_sweep:
             summaries[str(p)]["eta_sweep"] = {
-                _fmt(eta): _report(cfg, _with_eta(bundle, float(eta), cfg.stiffen, "eta_sweep"),
-                                   reference, exact, out_dir, [f"spectrum_p{p}_eta{i}.csv"])
+                _fmt(eta): _report(
+                    cfg, _with_eta(bundle, float(eta), cfg.stiffen, "eta_sweep", vectors),
+                    reference, exact, out_dir, [f"spectrum_p{p}_eta{i}.csv"],
+                )
                 for i, eta in enumerate(cfg.eta_sweep)
             }
     return summaries, {str(p): bundles[p].solver for p in degrees}

@@ -376,8 +376,9 @@ class LiveFactor:
     ids=["lowest-modes", "extreme-value"],
 )
 def test_shifted_pencil_is_factored_alone(monkeypatch, solve, factors):
-    """The factor that applies A^-1 or M^-1 in Lanczos is freed before the
-    shifted pencil is factored for its inertia count."""
+    """No two SuperLU factors are ever alive together: M's inertia factor is
+    freed before A is factored, and the factor that applies A^-1 or M^-1 in
+    Lanczos before the shifted pencil is factored for its inertia count."""
     live_at_call = []
     splu = scipy.sparse.linalg.splu
 
@@ -389,7 +390,7 @@ def test_shifted_pencil_is_factored_alone(monkeypatch, solve, factors):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     _, K, M = pencil({"type": "unit-square", "n": 8}, 3)
     assert solve(K, M) is not None
-    assert len(live_at_call) == factors and live_at_call[-1] == 0
+    assert live_at_call == [0] * factors
     assert LiveFactor.live == 0
 
 

@@ -344,6 +344,43 @@ def test_kronecker_jump_ratio_matches_assembled_pencil(tmp_path):
     assert np.max(np.abs(written - want)) <= 1e-12 * np.max(want)
 
 
+def test_a_run_holds_only_the_eigenvectors_it_reads(tmp_path, monkeypatch):
+    """Without `jump_ratio` or `eigenfunction_modes` each spectrum drops its
+    eigenvectors as soon as its solve returns, so the Galerkin vectors are
+    not held while the softened pencil is solved; with `jump_ratio` both
+    spectra reach the report with their vectors, and the CSV is the one a
+    bundle with vectors gives."""
+    cfg = {"name": "m", "mesh": {"type": "unit-square", "n": 8}, "degrees": [3]}
+    dense = 8 * 529**2  # bytes of one dense n x n matrix of the p = 3 pencil
+    held, peaks = [], {}
+    report = speclab._report
+
+    def recording_report(cfg, bundle, *args):
+        held.append((bundle.fem.vectors is not None, bundle.soft.vectors is not None))
+        return report(cfg, bundle, *args)
+
+    monkeypatch.setattr(speclab, "_report", recording_report)
+    for tag, extra in (("values", {}), ("vectors", {"jump_ratio": True})):
+        tracemalloc.start()
+        try:
+            speclab.run_experiment({**cfg, **extra}, str(tmp_path / tag))
+            peaks[tag] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert held == [(False, False), (True, True)]
+    assert peaks["values"] <= 4.7 * dense
+
+    bundle = speclab.solve_problem(mesh_from_spec(cfg["mesh"]), 3)
+    jump_cfg = speclab.ExperimentConfig.from_dict({**cfg, "jump_ratio": True})
+    written = (tmp_path / "vectors" / "spectrum.csv").read_text()
+    assert written == speclab._spectrum_rows(jump_cfg, bundle, None)[0]
+    # the same values, with the jump_ratio column empty
+    values = (tmp_path / "values" / "spectrum.csv").read_text()
+    assert [row.rsplit(",", 1) for row in values.splitlines()[1:]] == [
+        [row.rsplit(",", 1)[0], ""] for row in written.splitlines()[1:]
+    ]
+
+
 @pytest.mark.parametrize(
     "spec,kappa",
     [
@@ -989,6 +1026,8 @@ def test_unit_kappa_may_be_written_as_any_constant_one(tmp_path, cfg):
         ({"type": "cartesian", "breakpoints": [[0, "x"]]}, "breakpoints"),
         ({"type": "file", "path": 0}, "path"),
         ("x", "mesh"),
+        ({"type": "uniform", "n": 4, "dim": 2}, "dim"),
+        ({"type": "unit-square", "n": 2, "d": 3}, "d"),
     ],
 )
 def test_cli_mesh_spec_missing_field(tmp_path, capsys, spec, name):
