@@ -12,7 +12,6 @@ from .assembly import (
 from .coefficient import CoefficientField, CoefficientParseError, parse_coefficient
 from .gevp import (
     Spectrum,
-    StiffnessMetrics,
     condition_number,
     solve_gmevp,
     stiffness_reduction,

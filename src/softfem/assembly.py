@@ -82,7 +82,7 @@ def build_space(mesh, p):
 
 def _build_tensor_space(mesh, p):
     d = mesh.d
-    basis = ReferenceBasis("interval" if d == 1 else "cuboid", p, d=d)
+    basis = ReferenceBasis("cuboid", p, d=d)
     ref1 = np.unique(basis.nodes[:, 0])
     axis_nodes = [
         np.append(

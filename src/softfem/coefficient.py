@@ -4,7 +4,9 @@ A small recursive-descent parser over x, y, z with +, -, *, /, ^ (right
 associative, binding tighter than unary minus), sin, cos, exp, and pi that
 compiles while it parses: a subexpression without a variable becomes its
 np.float64 value (so it is constant, however written), and any other one a
-closure evaluated vectorized over numpy arrays.
+closure evaluated vectorized over numpy arrays. A text nests at most
+MAX_DEPTH levels deep, and a sum or product of any length evaluates in one
+closure.
 """
 
 import math
@@ -55,13 +57,23 @@ def _tokens(text):
     yield "end", None, len(text)
 
 
+# the most levels a text may nest: a parenthesis (a function's argument is
+# one), a unary minus or an exponent each opens one. Parsing a level takes up
+# to 8 Python frames, so 100 levels leave room under the default limit of 1000.
+MAX_DEPTH = 100
+
+
+def _value(operand, env):
+    """A compiled operand at the coordinates env."""
+    return operand(env) if callable(operand) else operand
+
+
 def _apply(op, *args):
     """op on compiled operands: its value if they are all constants, else a
     closure over the coordinates that evaluates them in order."""
     if not any(map(callable, args)):
         return op(*args)
-    parts = [a if callable(a) else (lambda env, a=a: a) for a in args]
-    return lambda env: op(*[f(env) for f in parts])
+    return lambda env: op(*[_value(a, env) for a in args])
 
 
 class _Compiler:
@@ -71,6 +83,7 @@ class _Compiler:
     def __init__(self, text):
         self.tokens = _tokens(text)
         self.tok = next(self.tokens)
+        self.depth = 0
         self.compiled = self.expr()
         if self.tok[0] != "end":
             raise CoefficientParseError("unexpected trailing input", self.tok[2])
@@ -84,13 +97,36 @@ class _Compiler:
         if tok[0] != kind:
             raise CoefficientParseError(f"expected {kind!r}", tok[2])
 
-    def chain(self, ops, operand):
-        """operand (op operand)*, left associative, with op in ops."""
-        value = operand()
-        while self.tok[0] in ops:
-            op = _OPERATORS[self.advance()[0]]
-            value = _apply(op, value, operand())
+    def nested(self, rule, pos):
+        """rule() one level deeper, for the parenthesis, unary minus or
+        exponent at pos; an error past MAX_DEPTH levels."""
+        if self.depth == MAX_DEPTH:
+            raise CoefficientParseError(f"nested deeper than {MAX_DEPTH} levels", pos)
+        self.depth += 1
+        value = rule()
+        self.depth -= 1
         return value
+
+    def chain(self, ops, operand):
+        """operand (op operand)*, left associative, with op in ops: leading
+        constants fold, and one closure applies the other operators in order,
+        so a long sum does not nest its evaluation."""
+        value, steps = operand(), []
+        while self.tok[0] in ops:
+            op, right = _OPERATORS[self.advance()[0]], operand()
+            if steps or callable(value) or callable(right):
+                steps.append((op, right))
+            else:
+                value = op(value, right)
+        if not steps:
+            return value
+
+        def run(env):
+            out = _value(value, env)
+            for op, right in steps:
+                out = op(out, _value(right, env))
+            return out
+        return run
 
     def expr(self):
         return self.chain(("+", "-"), self.term)
@@ -101,20 +137,18 @@ class _Compiler:
     def unary(self):
         """-unary | atom [^ unary]: ^ is right associative and binds tighter than -."""
         if self.tok[0] == "-":
-            self.advance()
-            return _apply(operator.neg, self.unary())
+            return _apply(operator.neg, self.nested(self.unary, self.advance()[2]))
         base = self.atom()
         if self.tok[0] != "^":
             return base
-        self.advance()
-        return _apply(operator.pow, base, self.unary())
+        return _apply(operator.pow, base, self.nested(self.unary, self.advance()[2]))
 
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "num":
             return value
         if kind == "(":
-            value = self.expr()
+            value = self.nested(self.expr, pos)
             self.expect(")")
             return value
         if kind == "name":

@@ -62,16 +62,6 @@ class Spectrum:
         return out
 
 
-@dataclass
-class StiffnessMetrics:
-    """Condition numbers and stiffness-reduction quantities."""
-
-    sigma: float
-    sigma_soft: float
-    rho: float
-    rho_percent: float
-
-
 def _fix_signs(vectors, columns):
     """The given columns of `vectors`, in that order, as one C-ordered copy in
     which the first nonzero component of each column is positive.
@@ -252,29 +242,32 @@ def largest_eigenvalue(A, M):
 
 
 def condition_number(spectrum):
-    """lambda_max / lambda_min; raises if the pencil is not positive."""
+    """lambda_max / lambda_min; raises if the pencil is not positive, and
+    ValueError if the spectrum has no lambda_max (a sparse partial solve)."""
     lam_min = float(spectrum.values[0])
-    lam_max = spectrum.lambda_max
     if lam_min <= 0:
         raise IndefinitePencilError(
             f"smallest eigenvalue {lam_min} is not positive"
         )
-    return lam_max / lam_min
+    if spectrum.lambda_max is None:
+        raise ValueError(
+            "lambda_max was not computed by this partial solve; "
+            "set it from largest_eigenvalue(A, M)"
+        )
+    return spectrum.lambda_max / lam_min
 
 
 def stiffness_reduction(fem, soft):
-    """Stiffness-reduction metrics of a softFEM spectrum vs a Galerkin one."""
+    """The condition numbers `sigma` and `sigma_soft` of a Galerkin and a
+    softFEM spectrum, and the reduction `rho` = sigma / sigma_soft, also as
+    `rho_percent` = 100 (1 - 1/rho), as a dict."""
     if fem.order != soft.order:
         raise ValueError("spectra have different orders")
     sigma = condition_number(fem)
     sigma_soft = condition_number(soft)
     rho = sigma / sigma_soft
-    return StiffnessMetrics(
-        sigma=sigma,
-        sigma_soft=sigma_soft,
-        rho=rho,
-        rho_percent=100.0 * (1.0 - 1.0 / rho),
-    )
+    return {"sigma": sigma, "sigma_soft": sigma_soft, "rho": rho,
+            "rho_percent": 100.0 * (1.0 - 1.0 / rho)}
 
 
 # neighbours closer than this, relative to the larger or to 1, form a cluster

@@ -144,7 +144,7 @@ def branch_roots(p, zeta):
 def _element_matrices_1d(p, h):
     """Exact stiffness/mass matrices of one degree-p element of length h."""
     quad = gauss_legendre_rule(p + 2)
-    V, G = ReferenceBasis("interval", p).eval(quad.nodes[:, None])
+    V, G = ReferenceBasis("cuboid", p, d=1).eval(quad.nodes[:, None])
     D = G[:, :, 0]
     wv = quad.weights * (h / 2.0)
     wk = quad.weights * (2.0 / h)

@@ -1,7 +1,7 @@
 """Reference-element polynomials and quadrature.
 
 Gauss-Legendre and Gauss-Lobatto rules, and nodal Lagrange bases on the
-interval [-1,1], the cuboid [-1,1]^d, and the unit simplex
+cuboid [-1,1]^d (d = 1, 2, 3; the interval is d = 1) and the unit simplex
 {x >= 0, sum(x) <= 1}. Every basis is a Legendre-Vandermonde inverse
 (`numpy.polynomial.legendre`), which stays well conditioned at high degree.
 """
@@ -74,8 +74,6 @@ def gauss_lobatto_rule(n):
 def cuboid_rule(d, points_per_axis):
     """Tensor-product Gauss-Legendre rule on [-1,1]^d."""
     line = gauss_legendre_rule(points_per_axis)
-    if d == 1:
-        return QuadratureRule(line.nodes.reshape(-1, 1), line.weights, line.degree)
     grids = np.meshgrid(*([line.nodes] * d), indexing="ij")
     # axis 0 fastest to match the local dof ordering
     pts = np.stack([g.reshape(-1, order="F") for g in grids], axis=1)
@@ -104,16 +102,11 @@ def simplex_rule(degree):
     return QuadratureRule(np.stack([x, y], axis=1), w, degree)
 
 
-def lobatto_points(p):
-    """The p+1 Gauss-Lobatto interpolation points on [-1,1]."""
-    return gauss_lobatto_rule(p + 1).nodes
-
-
 # The largest defect a nodal basis may show: |phi_j(x_i) - delta_ij| at its
 # nodes, and |sum_j grad phi_j| there relative to the largest |grad phi_j|.
 # The simplex basis on the equispaced lattice shows 4.4e-7 at p = 13 and
 # 3.3e-6 at p = 14, where its lambda_1 error on the unit square (n = 2) jumps
-# from 4.2e-8 to 2.3e-6; the interval basis stays below 1.2e-15 up to p = 59.
+# from 4.2e-8 to 2.3e-6; the 1D cuboid basis stays below 1.2e-15 up to p = 59.
 NODAL_TOL = 1e-6
 
 
@@ -137,8 +130,8 @@ def _legendre_tables(x, p):
 class ReferenceBasis:
     """Nodal Lagrange basis on a reference cell.
 
-    kind is one of 'interval', 'cuboid', 'simplex'. The interpolation nodes
-    are Gauss-Lobatto tensor points on intervals/cuboids and the principal
+    kind is 'cuboid' (d = 1, 2 or 3) or 'simplex' (d = 2). The interpolation
+    nodes are Gauss-Lobatto tensor points on cuboids and the principal
     lattice on the simplex. Evaluators are pure and reusable. Construction
     raises BasisError if the basis is not nodal to NODAL_TOL.
     """
@@ -148,21 +141,11 @@ class ReferenceBasis:
             raise ValueError("degree must be >= 1")
         self.kind = kind
         self.p = p
-        if kind == "interval":
-            self.d = 1
-        elif kind == "cuboid":
+        if kind == "cuboid":
             if d not in (1, 2, 3):
                 raise ValueError("cuboid dimension must be 1, 2, or 3")
             self.d = d
-        elif kind == "simplex":
-            if d != 2:
-                raise ValueError("only 2D simplices are supported")
-            self.d = 2
-        else:
-            raise ValueError(f"unknown cell kind {kind!r}")
-
-        if kind in ("interval", "cuboid"):
-            pts1 = lobatto_points(p)
+            pts1 = gauss_lobatto_rule(p + 1).nodes
             # Legendre coefficients of the 1D Lagrange basis
             self._coeff = np.linalg.inv(legendre.legvander(pts1, p))
             # the 1D basis index of each local dof per axis, axis 0 fastest
@@ -171,7 +154,10 @@ class ReferenceBasis:
             # a tensor basis is nodal where its 1D factor is
             V, D = (T @ self._coeff for T in _legendre_tables(pts1, p))
             _check_nodal(kind, p, V, D[:, :, None])
-        else:
+        elif kind == "simplex":
+            if d != 2:
+                raise ValueError("only 2D simplices are supported")
+            self.d = 2
             # the principal lattice (i, j)/p, i + j <= p; the same (a, b)
             # index the products L_a(2x-1) L_b(2y-1), which span P_p
             lattice = [(i, j) for j in range(p + 1) for i in range(p + 1 - j)]
@@ -179,15 +165,17 @@ class ReferenceBasis:
             self._ab = np.array(lattice).T
             self._coeff = np.linalg.inv(self._legendre_products(self.nodes)[0])
             _check_nodal(kind, p, *self._eval_simplex(self.nodes))
+        else:
+            raise ValueError(f"unknown cell kind {kind!r}")
         self.ndof = len(self.nodes)
         self.nodes.setflags(write=False)
 
     def eval(self, points):
         """Values and gradients of all basis functions at reference points.
 
-        points: array (nq, d) (or (nq,) for the interval). Returns
-        (values (nq, ndof), gradients (nq, ndof, d)). Points outside the
-        reference cell (tolerance 1e-12) raise ValueError.
+        points: array (nq, d). Returns (values (nq, ndof), gradients
+        (nq, ndof, d)). Points outside the reference cell (tolerance 1e-12)
+        raise ValueError.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.d:

@@ -63,7 +63,7 @@ def preset_runs(tmp_path_factory):
     runs = {}
     for name in PRESET_NAMES:
         out = tmp_path_factory.mktemp(name.replace("-", "_"))
-        runs[name] = (out, speclab.run_experiment(name, str(out)))
+        runs[name] = (out, speclab.run_experiment(speclab.PRESETS[name], str(out)))
     return runs
 
 
@@ -189,7 +189,7 @@ def tabulated_row(lambda_min, lambda_max, lambda_max_soft, sigma):
 
 def metric_tuple(bundle):
     fem, soft = bundle.fem.values, bundle.soft.values
-    sigma = stiffness_reduction(bundle.fem, bundle.soft).sigma
+    sigma = stiffness_reduction(bundle.fem, bundle.soft)["sigma"]
     return tabulated_row(float(fem[0]), float(fem[-1]), float(soft[-1]), sigma)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softfem.coefficient import CoefficientParseError, parse_coefficient
+from softfem.coefficient import MAX_DEPTH, CoefficientParseError, parse_coefficient
 
 
 def test_constant_one():
@@ -79,6 +79,51 @@ def test_expressions_without_a_variable_compile_to_constants(text, value):
     assert field.is_constant() and isinstance(field.constant, np.float64)
     np.testing.assert_equal(field.constant, value)
     np.testing.assert_equal(field(np.zeros((3, 2))), np.full(3, value))
+
+
+NESTINGS = {  # text nested n levels deep, and its value at x
+    "parentheses": (lambda n: "(" * n + "x" + ")" * n, lambda x, n: x),
+    "calls": (lambda n: "sin(" * n + "x" + ")" * n, None),
+    "minuses": (lambda n: "-" * n + "x", lambda x, n: (-1.0) ** n * x),
+    "exponents": (lambda n: "1^" * n + "x", lambda x, n: np.ones_like(x)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_nesting_is_limited_to_max_depth(kind):
+    """MAX_DEPTH levels parse and evaluate; one more is a parse error at the
+    token that opens it, never a RecursionError."""
+    text, value = NESTINGS[kind]
+    x = np.linspace(0.0, 1.0, 5)
+    want = x.copy()
+    if value is None:
+        for _ in range(MAX_DEPTH):
+            want = np.sin(want)
+    else:
+        want = value(x, MAX_DEPTH)
+    assert parse_coefficient(text(MAX_DEPTH))(x).tobytes() == want.tobytes()
+    for depth in (MAX_DEPTH + 1, 3000):
+        with pytest.raises(CoefficientParseError, match=f"deeper than {MAX_DEPTH}"):
+            parse_coefficient(text(depth))
+
+
+def test_nesting_error_reports_the_position_of_the_deepest_level():
+    with pytest.raises(CoefficientParseError) as err:
+        parse_coefficient("1 + " + "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1))
+    assert err.value.position == 4 + MAX_DEPTH
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_long_chains_evaluate_left_to_right(op):
+    """A chain of 500 operands evaluates in one closure, in the order numpy
+    gives left to right; leading constants fold first."""
+    x = np.linspace(0.9, 1.1, 7)
+    scales = [1.0 + k / 1000 for k in range(1, 499)]  # no product overflows
+    terms = ["2", "3"] + [f"({c!r}*x)" for c in scales]
+    want = BINARY[op](np.float64(2.0), np.float64(3.0))
+    for c in scales:
+        want = BINARY[op](want, c * x)
+    assert parse_coefficient(f" {op} ".join(terms))(x).tobytes() == want.tobytes()
 
 
 def test_a_lexical_error_after_a_syntax_error_reports_the_first():

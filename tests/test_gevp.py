@@ -413,10 +413,10 @@ def test_condition_number_and_reduction():
     soft = solve_gmevp(dense_to_sym(np.diag([1.0, 2.0])), m)
     assert abs(condition_number(fem) - 4.0) < 1e-14
     metrics = stiffness_reduction(fem, soft)
-    assert abs(metrics.sigma - 4.0) < 1e-14
-    assert abs(metrics.sigma_soft - 2.0) < 1e-14
-    assert abs(metrics.rho - 2.0) < 1e-14
-    assert abs(metrics.rho_percent - 50.0) < 1e-12
+    assert abs(metrics["sigma"] - 4.0) < 1e-14
+    assert abs(metrics["sigma_soft"] - 2.0) < 1e-14
+    assert abs(metrics["rho"] - 2.0) < 1e-14
+    assert abs(metrics["rho_percent"] - 50.0) < 1e-12
 
 
 def test_condition_number_rejects_indefinite():
@@ -424,6 +424,16 @@ def test_condition_number_rejects_indefinite():
     m = dense_to_sym(np.eye(2))
     spec = solve_gmevp(a, m)
     with pytest.raises(IndefinitePencilError):
+        condition_number(spec)
+
+
+def test_condition_number_of_a_partial_solve_names_the_missing_lambda_max():
+    """A sparse partial solve leaves lambda_max None: condition_number says
+    so instead of dividing None."""
+    _, K, M = pencil({"type": "uniform", "n": 200, "d": 1}, 2)
+    spec = solve_gmevp(K, M, 5)
+    assert spec.path == "sparse" and spec.lambda_max is None
+    with pytest.raises(ValueError, match="lambda_max was not computed.*largest_eigenvalue"):
         condition_number(spec)
 
 

@@ -96,6 +96,24 @@ def test_embed_preserves_energy(small_bundle):
     assert abs(e_lo - e_hi) < 1e-10 * e_lo
 
 
+@pytest.mark.parametrize("spec", [{"type": "uniform", "n": 3, "d": 2},
+                                  {"type": "unit-square", "n": 2}])
+def test_embed_matches_elementwise_interpolation(spec):
+    """The one scatter of `embed_coefficients` gives what interpolating
+    element by element gives, to rounding."""
+    space_lo = build_space(mesh_from_spec(spec), 2)
+    space_hi = build_space(space_lo.mesh, 4)
+    x = np.random.default_rng(0).standard_normal(space_lo.ndof)
+    full_lo = np.zeros(space_lo.n_full)
+    full_lo[space_lo.reduced_to_full] = x
+    V, _ = space_lo.basis.eval(space_hi.basis.nodes)
+    want = np.zeros(space_hi.n_full)
+    for e in range(space_lo.mesh.n_elements):
+        want[space_hi.element_dofs[e]] = V @ full_lo[space_lo.element_dofs[e]]
+    got = speclab.embed_coefficients(space_lo, x, space_hi)
+    np.testing.assert_allclose(got, want[space_hi.reduced_to_full], rtol=0, atol=1e-13)
+
+
 def test_pythagorean_residual_small(small_bundle):
     exact = oracle.exact_laplace_spectrum(1, 8)
     for j in [0, 2]:
@@ -969,6 +987,33 @@ def test_cli_rejects_nonpositive_or_nonfinite_kappa(tmp_path, capsys, kappa, d):
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "kappa is not" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kappa", ["(" * 200 + "1" + ")" * 200, "-" * 1000 + "1"], ids=["parentheses", "minuses"]
+)
+def test_cli_rejects_a_kappa_nested_too_deeply(tmp_path, capsys, kappa):
+    cfg = {"name": "k", "kappa": kappa, "mesh": {"type": "uniform", "n": 3, "d": 1}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "field 'kappa'" in err and "nested deeper" in err and "Traceback" not in err
+
+
+def test_cli_runs_a_long_kappa_sum(tmp_path):
+    """A 500-term sine series evaluates in one closure per sum, to numpy's
+    left-to-right sum bit for bit."""
+    kappa = "1 + " + " + ".join(f"0.001*sin({k}*pi*x)" for k in range(1, 501))
+    cfg = {"name": "k", "kappa": kappa, "mesh": {"type": "uniform", "n": 8, "d": 1}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    x = np.linspace(0.0, 1.0, 9)
+    want = np.float64(1.0)
+    for k in range(1, 501):
+        want = want + np.float64(0.001) * np.sin(k * np.pi * x)
+    assert parse_coefficient(kappa)(x).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kappa,literal", [("1/2", "0.5"), ("2*pi", repr(2 * math.pi))])
