@@ -55,7 +55,7 @@ class FeSpace:
     def element_tables(self):
         """(quadrature rule, basis values V and gradients G at its nodes,
         ElementMap) of the element integrals, built on first use; K and M
-        share them."""
+        share them, and S its ElementMap."""
         quad = assembly_quadrature(self)
         V, G = self.basis.eval(quad.nodes)
         return quad, V, G, element_map(self)
@@ -64,11 +64,6 @@ class FeSpace:
         """Reduced coefficient vector of the nodal interpolant of f."""
         vals = f(self.node_coords)
         return np.asarray(vals, dtype=float)[self.reduced_to_full]
-
-    def dof_map(self, reduced=True):
-        if reduced:
-            return self.full_to_reduced, self.ndof
-        return np.arange(self.n_full), self.n_full
 
 
 def build_space(mesh, p):
@@ -239,7 +234,7 @@ def _kappa_values(kappa, pts, where="element"):
     return vals
 
 
-def _scatter(space, local, dofs, reduced):
+def _scatter(space, local, dofs):
     """Sum the local matrices (nb, nl, nl) on the full dofs (nb, nl) into a
     canonical CSR matrix, leaving out eliminated dofs.
 
@@ -247,27 +242,26 @@ def _scatter(space, local, dofs, reduced):
     Callers pass `local` as a temporary, so that it is freed before the CSR
     conversion copies the kept entries.
     """
-    dof_map, n = space.dof_map(reduced)
-    g = dof_map[dofs].astype(np.int32)  # scipy keeps int32 indices as given
+    g = space.full_to_reduced[dofs].astype(np.int32)  # scipy keeps int32 indices as given
     rows = np.broadcast_to(g[:, :, None], local.shape)
     cols = np.broadcast_to(g[:, None, :], local.shape)
     keep = (rows >= 0) & (cols >= 0)
     vals = local[keep]
     del local
-    A = sp.csr_matrix((vals, (rows[keep], cols[keep])), shape=(n, n))
+    A = sp.csr_matrix((vals, (rows[keep], cols[keep])), shape=(space.ndof, space.ndof))
     A = 0.5 * (A + A.T)
     A.eliminate_zeros()
     return A
 
 
-def assemble_mass(space, reduced=True):
+def assemble_mass(space):
     """Mass matrix of the L2 inner product."""
     quad, V, _, emap = space.element_tables
     Vw = V * (quad.weights * emap.detj[:, None])[:, :, None]
-    return _scatter(space, Vw.transpose(0, 2, 1) @ V, space.element_dofs, reduced)
+    return _scatter(space, Vw.transpose(0, 2, 1) @ V, space.element_dofs)
 
 
-def assemble_stiffness(space, kappa=UNIT, reduced=True):
+def assemble_stiffness(space, kappa=UNIT):
     """Stiffness matrix of (kappa grad v, grad w)."""
     quad, _, G, emap = space.element_tables
     w = quad.weights * emap.detj[:, None] * _kappa_values(kappa, emap.to_phys(quad.nodes))
@@ -276,7 +270,7 @@ def assemble_stiffness(space, kappa=UNIT, reduced=True):
     ne, nq, nloc, d = len(w), *G.shape
     gp = np.moveaxis(G @ emap.Jinv[:, None], 2, 1).reshape(ne, nloc, nq * d)
     gw = gp * np.repeat(w, d, axis=1)[:, None, :]
-    return _scatter(space, gw @ gp.transpose(0, 2, 1), space.element_dofs, reduced)
+    return _scatter(space, gw @ gp.transpose(0, 2, 1), space.element_dofs)
 
 
 def _face_quadrature(space):
@@ -300,7 +294,7 @@ def _face_quadrature(space):
     return pts, w * (faces.measure / 2 ** (d - 1))[:, None]
 
 
-def assemble_penalty(space, kappa=UNIT, reduced=True, face_length=None):
+def assemble_penalty(space, kappa=UNIT, face_length=None):
     """Gradient-jump penalty matrix over interior interfaces.
 
     Each face contributes h_F * int_F kappa [[grad v . n]] [[grad w . n]],
@@ -317,14 +311,14 @@ def assemble_penalty(space, kappa=UNIT, reduced=True, face_length=None):
     jump = _face_jumps(space, pts, elems, faces.normal)
     jw = jump * w[:, :, None] * kappa_h[:, :, None]
     dofs = space.element_dofs[elems].reshape(len(elems), 2 * space.basis.ndof)
-    return _scatter(space, jw.transpose(0, 2, 1) @ jump, dofs, reduced)
+    return _scatter(space, jw.transpose(0, 2, 1) @ jump, dofs)
 
 
 def _face_jumps(space, pts, elems, normals):
     """Jumps [[grad phi . n]] (nf, nqf, 2 nloc) of the basis functions of
     both elements of every face, at the face points pts (nf, nqf, d)."""
     d, nloc = space.mesh.d, space.basis.ndof
-    emap = element_map(space)
+    emap = space.element_tables[3]
     # the face points seen from both sides: (nf, 2, nqf, d)
     ref = emap.to_ref(pts[:, None], elems)
     G = space.basis.eval(ref.reshape(-1, d))[1].reshape(ref.shape[:3] + (nloc, d))

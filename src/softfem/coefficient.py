@@ -183,9 +183,6 @@ class CoefficientField:
         out = np.broadcast_to(np.asarray(out, dtype=float), (len(cols),)).copy()
         return float(out[0]) if pts.ndim == 0 else out
 
-    def is_constant(self):
-        return self.constant is not None
-
 
 def parse_coefficient(text):
     """Compile an expression string into a CoefficientField."""

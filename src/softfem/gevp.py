@@ -51,6 +51,16 @@ class Spectrum:
     def order(self):
         return len(self.values)
 
+    def checked_lambda_max(self):
+        """lambda_max; ValueError if the solve left it unset (a sparse
+        partial solve)."""
+        if self.lambda_max is None:
+            raise ValueError(
+                "lambda_max was not computed by this partial solve; "
+                "set it from largest_eigenvalue(A, M)"
+            )
+        return self.lambda_max
+
     def vector(self, j):
         """Eigenvector j."""
         if self.factor is None:
@@ -208,10 +218,13 @@ def solve_gmevp(A, M, k=None):
     Otherwise, or when it declines, the dense path runs: Cholesky-reduce
     with M, solve the symmetric problem, and back-transform. Eigenvalues may
     be negative; coercivity violations are observable. The sparse solve
-    leaves `lambda_max` None; the dense one sets it.
+    leaves `lambda_max` None; the dense one sets it. Any k other than None
+    or an integer >= 1 is a ValueError.
     """
     if A.shape != M.shape or A.shape[0] != A.shape[1]:
         raise ValueError("matrix order mismatch")
+    if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1):
+        raise ValueError(f"k must be an integer >= 1 or None, not {k!r}")
     spectrum = None if k is None else _lowest_modes(A, M, k)
     if spectrum is not None:
         return spectrum
@@ -249,12 +262,7 @@ def condition_number(spectrum):
         raise IndefinitePencilError(
             f"smallest eigenvalue {lam_min} is not positive"
         )
-    if spectrum.lambda_max is None:
-        raise ValueError(
-            "lambda_max was not computed by this partial solve; "
-            "set it from largest_eigenvalue(A, M)"
-        )
-    return spectrum.lambda_max / lam_min
+    return spectrum.checked_lambda_max() / lam_min
 
 
 def stiffness_reduction(fem, soft):
@@ -275,7 +283,10 @@ CLUSTER_RTOL = 1e-8
 
 
 def cluster_eigenvalues(values):
-    """Group near-degenerate eigenvalues; returns a list of index lists."""
+    """Group near-degenerate eigenvalues; returns a list of index lists
+    (none for no values)."""
+    if len(values) == 0:
+        return []
     clusters = []
     current = [0]
     for j in range(1, len(values)):

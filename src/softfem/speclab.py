@@ -12,6 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -74,7 +75,7 @@ def _full_coefficients(space, reduced):
     return full
 
 
-def _check_simple(values, j):
+def _require_simple(values, j):
     clusters = gevp.cluster_eigenvalues(values)
     for cluster in clusters:
         if j in cluster and len(cluster) > 1:
@@ -83,15 +84,14 @@ def _check_simple(values, j):
             )
 
 
-def eigenfunction_errors(space, spectrum, exact, j, check_simple=True):
+def eigenfunction_errors(space, spectrum, exact, j):
     """H1-seminorm and L2 errors of discrete mode j against the exact one.
 
     Modes are 0-based here. The discrete eigenfunction is sign-aligned with
     the exact one through their L2 inner product.
     """
-    if check_simple:
-        _check_simple(spectrum.values, j)
-        _check_simple(exact.values, j)
+    _require_simple(spectrum.values, j)
+    _require_simple(exact.values, j)
     return _coefficient_errors(space, spectrum.vector(j), exact, j)[0]
 
 
@@ -152,7 +152,7 @@ def pythagorean_residual(space, spectrum, exact, j, eta, kappa=UNIT):
     the same mesh. Returns {'residual', 'scale'} where scale estimates the
     perturbation introduced by that replacement.
     """
-    _check_simple(spectrum.values, j)
+    _require_simple(spectrum.values, j)
     lam = float(exact.values[j])
     lam_soft = float(spectrum.values[j])
     uval, _ = exact.eigenfunction(j)
@@ -207,53 +207,37 @@ def rounding_floor(spectrum, j):
     A dense symmetric eigensolver has absolute eigenvalue error of about
     eps * lambda_max (Parlett, The Symmetric Eigenvalue Problem, 1998), so a
     relative error of mode j under ROUNDING_MULTIPLE times
-    eps * lambda_max / lambda_j is not resolved.
+    eps * lambda_max / lambda_j is not resolved. ValueError if the spectrum
+    has no lambda_max (a sparse partial solve).
     """
     return ROUNDING_MULTIPLE * np.finfo(float).eps * float(
-        spectrum.lambda_max / spectrum.values[j]
+        spectrum.checked_lambda_max() / spectrum.values[j]
     )
 
 
 # -- experiment runner -----------------------------------------------------
 
 
-@dataclass
-class ExperimentConfig:
-    """Declarative description of a spectral experiment."""
-
-    name: str
-    kappa: str = "1"
-    mesh: dict | None = None
-    degrees: list = field(default_factory=lambda: [1])
-    eta: object = "default"  # 'galerkin' | 'default' | numeric
-    stiffen: bool = False
-    modes: int | None = None
-    reference: str = "none"  # 'exact' | 'high-order' | 'none'
-    reference_degree: int = 7
-    reference_refine: int = 4
-    jump_ratio: bool = False
-    eigenfunction_modes: list = field(default_factory=list)
-    face_weight: str = "local"  # 'local' h_F, or 'mean' element size
-    eta_sweep: list | None = None  # extra explicit eta values to rerun with
-    ladder: list | None = None  # list of {'degree': p, 'n': [...]} blocks
+class ExperimentConfig(SimpleNamespace):
+    """Declarative description of a spectral experiment: one attribute per
+    entry of `_FIELDS`, with `kappa` parsed into a CoefficientField."""
 
     @classmethod
     def from_dict(cls, data):
         if not isinstance(data, dict) or not data:
             raise ConfigError("config: expected a non-empty JSON object")
-        known = set(cls.__dataclass_fields__)
         for key in data:
-            if key not in known:
+            if key not in _FIELDS:
                 raise ConfigError(f"config field {key!r} is not recognized")
         if "name" not in data:
             raise ConfigError("config field 'name' is required")
         for key, value in data.items():
-            valid, expected = _FIELD_RULES[key]
+            _, valid, expected = _FIELDS[key]
             if not valid(value):
                 raise ConfigError(f"config field {key!r} must be {expected}")
-        cfg = cls(**data)
+        cfg = cls(**{key: data.get(key, default) for key, (default, _, _) in _FIELDS.items()})
         try:
-            kappa = parse_coefficient(cfg.kappa)
+            cfg.kappa = parse_coefficient(cfg.kappa)
         except CoefficientParseError as err:
             raise ConfigError(f"config field 'kappa': {err}") from None
         if cfg.ladder is None:
@@ -265,7 +249,7 @@ class ExperimentConfig:
         for key in data:
             if key not in ("name", "kappa", "eta", "stiffen", "ladder"):
                 raise ConfigError(f"config field {key!r} does not apply to a ladder")
-        if kappa.constant != 1.0:
+        if cfg.kappa.constant != 1.0:
             raise ConfigError("config field 'kappa' must be 1 in a ladder")
         return cfg
 
@@ -308,34 +292,31 @@ def _is_ladder(blocks):
     ) and _is_distinct([b["degree"] for b in blocks])
 
 
-# every ExperimentConfig field: (validity test of a given value, what it must be)
-_FIELD_RULES = {
-    "name": (lambda v: isinstance(v, str), "a string"),
-    "kappa": (lambda v: isinstance(v, str), "a string"),
-    "mesh": (lambda v: v is None or isinstance(v, dict), "an object with a 'type'"),
-    "degrees": (
-        lambda v: _is_counts(v, _is_degree) and _is_distinct(v),
-        f"a non-empty list of distinct integers in [1, {MAX_DEGREE}]",
-    ),
-    "eta": (
-        lambda v: v in ("galerkin", "default") or _is_eta(v),
-        "'galerkin', 'default', or a finite number >= 0",
-    ),
-    "stiffen": (lambda v: isinstance(v, bool), "true or false"),
-    "modes": (lambda v: v is None or _is_count(v), "an integer >= 1 or null"),
-    "reference": (lambda v: v in ("exact", "high-order", "none"), "exact, high-order, or none"),
-    "reference_degree": (_is_degree, f"an integer in [1, {MAX_DEGREE}]"),
-    "reference_refine": (_is_count, "an integer >= 1"),
-    "jump_ratio": (lambda v: isinstance(v, bool), "true or false"),
-    "eigenfunction_modes": (lambda v: v == [] or _is_counts(v), "a list of integers >= 1"),
-    "face_weight": (lambda v: v in ("local", "mean"), "'local' or 'mean'"),
-    "eta_sweep": (
-        lambda v: v is None
-        or (isinstance(v, list) and all(_is_eta(e) for e in v) and _is_distinct(v)),
-        "a list of distinct finite numbers >= 0",
-    ),
-    "ladder": (
-        lambda v: v is None or _is_ladder(v),
+# every config field: (default, validity test of a given value, what it must be)
+_FIELDS = {
+    "name": (None, lambda v: isinstance(v, str), "a string"),
+    "kappa": ("1", lambda v: isinstance(v, str), "a string"),
+    "mesh": (None, lambda v: v is None or isinstance(v, dict), "an object with a 'type'"),
+    "degrees": ((1,), lambda v: _is_counts(v, _is_degree) and _is_distinct(v),
+                f"a non-empty list of distinct integers in [1, {MAX_DEGREE}]"),
+    "eta": ("default", lambda v: v in ("galerkin", "default") or _is_eta(v),
+            "'galerkin', 'default', or a finite number >= 0"),
+    "stiffen": (False, lambda v: isinstance(v, bool), "true or false"),
+    "modes": (None, lambda v: v is None or _is_count(v), "an integer >= 1 or null"),
+    "reference": ("none", lambda v: v in ("exact", "high-order", "none"),
+                  "exact, high-order, or none"),
+    "reference_degree": (7, _is_degree, f"an integer in [1, {MAX_DEGREE}]"),
+    "reference_refine": (4, _is_count, "an integer >= 1"),
+    "jump_ratio": (False, lambda v: isinstance(v, bool), "true or false"),
+    "eigenfunction_modes": ((), lambda v: v == [] or _is_counts(v), "a list of integers >= 1"),
+    # 'local' h_F, or 'mean' element size
+    "face_weight": ("local", lambda v: v in ("local", "mean"), "'local' or 'mean'"),
+    # extra explicit eta values to rerun with
+    "eta_sweep": (None, lambda v: v is None or (
+        isinstance(v, list) and all(_is_eta(e) for e in v) and _is_distinct(v)
+    ), "a list of distinct finite numbers >= 0"),
+    "ladder": (  # blocks of a mesh-refinement study
+        None, lambda v: v is None or _is_ladder(v),
         "a list of blocks {'degree': p, 'n': [...], 'track_modes': [...]} "
         f"of integers >= 1, with distinct degrees p <= {MAX_DEGREE} and no entry "
         "repeated in a list ('track_modes' is optional)",
@@ -404,7 +385,7 @@ def _is_kronecker_sum(mesh, kappa):
     eigenvectors: the fast diagonalization of Lynch, Rice & Thomas, Numer.
     Math. 6 (1964).
     """
-    if mesh.kind != "tensor" or mesh.d < 2 or not kappa.is_constant():
+    if mesh.kind != "tensor" or mesh.d < 2 or kappa.constant is None:
         return False
     axis = mesh.axes[0]
     if any(not np.array_equal(b, axis) for b in mesh.axes[1:]):
@@ -413,9 +394,10 @@ def _is_kronecker_sum(mesh, kappa):
     return bool(np.ptp(widths) <= CONGRUENT_RTOL * widths.max())
 
 
-def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
+def solve_problem(mesh, p, kappa=UNIT, eta_policy="default", stiffen=False,
                   face_weight="local", modes=None, vectors=True):
-    """Assemble and solve both the Galerkin and softened pencils.
+    """Assemble and solve both the Galerkin and softened pencils of the
+    coefficient field `kappa`.
 
     face_weight='mean' replaces every h_F by the mesh-average element length
     scale (the convention behind some published 1D non-uniform tables).
@@ -426,7 +408,6 @@ def solve_problem(mesh, p, kappa_text="1", eta_policy="default", stiffen=False,
     lambda_max. With `vectors` False, neither spectrum keeps its
     eigenvectors (see `_solve`).
     """
-    kappa = parse_coefficient(kappa_text)
     kronecker = _is_kronecker_sum(mesh, kappa)
     if kronecker:
         space, base = None, build_space(build_cartesian_mesh(mesh.axes[:1]), p)
@@ -521,16 +502,14 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _reference_values(cfg, mesh, count):
-    if cfg.reference == "none":
-        return None
+def _reference_values(cfg, exact, count):
+    """The lowest `count` reference eigenvalues of the run, or None."""
     if cfg.reference == "exact":
-        d = _exact_dimension(cfg, mesh, "reference")
-        return oracle.exact_laplace_spectrum(d, count).values
+        return exact.values[:count]
     if cfg.reference == "high-order":
         try:
             values = oracle.reference_spectrum(
-                {"kappa": cfg.kappa, "mesh": cfg.mesh},
+                {"kappa": cfg.kappa.text, "mesh": cfg.mesh},
                 count,
                 degree=cfg.reference_degree,
                 refine=cfg.reference_refine,
@@ -551,13 +530,13 @@ def _exact_dimension(cfg, mesh, name):
     """The dimension of the exact kappa = 1 Laplace modes on the unit domain
     that config field `name` compares with; a ConfigError naming the field
     unless kappa is 1 and the mesh covers that domain."""
-    if parse_coefficient(cfg.kappa).constant != 1.0:
+    if cfg.kappa.constant != 1.0:
         raise ConfigError(f"config field {name!r}: exact modes need kappa = 1")
     if not _is_unit_domain(mesh):
         raise ConfigError(
             f"config field {name!r}: exact modes need the unit interval, square or cube"
         )
-    return 2 if mesh.kind == "simplicial" else mesh.d
+    return mesh.d
 
 
 def _is_unit_domain(mesh):
@@ -599,23 +578,17 @@ def _spectrum_rows(cfg, bundle, reference, exact=None):
     ratios = None
     if cfg.jump_ratio and has_soft:
         ratios = jump_energy_ratio(bundle.soft, bundle.eta, bundle.K, bundle.S)
-    efn = {}
-    if cfg.eigenfunction_modes and exact is not None:
+    h1 = l2 = None
+    if cfg.eigenfunction_modes:  # only the rows of the listed simple modes have these
+        h1, l2 = [""] * modes, [""] * modes
         target = bundle.soft if has_soft else bundle.fem
         for mode in cfg.eigenfunction_modes:
             if mode <= modes:
                 try:
-                    efn[mode] = eigenfunction_errors(
-                        bundle.space, target, exact, mode - 1
-                    )
+                    errs = eigenfunction_errors(bundle.space, target, exact, mode - 1)
                 except MultiplicityError:
-                    pass
-    h1 = l2 = None
-    if efn:  # only the rows of the listed simple modes have these
-        h1, l2 = (
-            [_fmt(efn[j][key]) if j in efn else "" for j in range(1, modes + 1)]
-            for key in ("h1", "l2")
-        )
+                    continue
+                h1[mode - 1], l2[mode - 1] = _fmt(errs["h1"]), _fmt(errs["l2"])
     # one "%" per row, with every float column formatted by _format_floats
     number = np.arange(1, modes + 1)
     columns = [
@@ -689,12 +662,10 @@ def _run_single(cfg, out_dir):
     degrees = list(cfg.degrees)
     vectors = cfg.jump_ratio or bool(cfg.eigenfunction_modes)  # the only readers
     summaries = {}
-    exact = None
-    if cfg.eigenfunction_modes:
-        exact = oracle.exact_laplace_spectrum(
-            _exact_dimension(cfg, mesh, "eigenfunction_modes"),
-            max(cfg.eigenfunction_modes) + 4,
-        )
+    exact_d = None  # the dimension of the exact modes the run compares with
+    if cfg.eigenfunction_modes or cfg.reference == "exact":
+        name = "eigenfunction_modes" if cfg.eigenfunction_modes else "reference"
+        exact_d = _exact_dimension(cfg, mesh, name)
     bundles = {
         p: solve_problem(
             mesh, p, cfg.kappa, cfg.eta, cfg.stiffen, face_weight=cfg.face_weight,
@@ -703,7 +674,11 @@ def _run_single(cfg, out_dir):
         for p in degrees
     }
     max_count = max(_reported_modes(cfg, b) for b in bundles.values())
-    full_reference = _reference_values(cfg, mesh, max_count)
+    exact = None
+    if exact_d is not None:  # one spectrum for the reference and the eigenfunction errors
+        count = max_count if cfg.reference == "exact" else max(cfg.eigenfunction_modes)
+        exact = oracle.exact_laplace_spectrum(exact_d, count + 4)
+    full_reference = _reference_values(cfg, exact, max_count)
 
     for p in degrees:
         bundle = bundles[p]
@@ -728,8 +703,8 @@ def _run_ladder(cfg):
     for block in cfg.ladder:
         p, ns, track = block["degree"], block["n"], block.get("track_modes", [1])
         exact = oracle.exact_laplace_spectrum(1, max(track) + 2)
-        rows = {m: {"relerr": [], "h1": [], "l2": []} for m in track}
-        floors = {m: [] for m in track}
+        modes = {str(m): {"relerr": [], "h1": [], "l2": []} for m in track}
+        floors = {key: [] for key in modes}
         for n in ns:
             mesh = mesh_from_spec({"type": "uniform", "n": n, "d": 1})
             bundle = solve_problem(mesh, p, cfg.kappa, cfg.eta, cfg.stiffen)
@@ -739,30 +714,20 @@ def _run_ladder(cfg):
                     f"mode count {bundle.ndof} of degree {p} at n={n}"
                 )
             for m in track:
-                lam = exact.values[m - 1]
-                rows[m]["relerr"].append(
-                    abs(float(bundle.soft.values[m - 1]) - lam) / lam
-                )
-                floors[m].append(rounding_floor(bundle.soft, m - 1))
-                errs = eigenfunction_errors(
-                    bundle.space, bundle.soft, exact, m - 1, check_simple=False
-                )
-                rows[m]["h1"].append(errs["h1"])
-                rows[m]["l2"].append(errs["l2"])
+                out, lam = modes[str(m)], exact.values[m - 1]
+                out["relerr"].append(abs(float(bundle.soft.values[m - 1]) - lam) / lam)
+                floors[str(m)].append(rounding_floor(bundle.soft, m - 1))
+                errs = eigenfunction_errors(bundle.space, bundle.soft, exact, m - 1)
+                out["h1"].append(errs["h1"])
+                out["l2"].append(errs["l2"])
         hs = [1.0 / n for n in ns]
-        block_out = {"n": ns, "modes": {}}
-        for m in track:
-            block_out["modes"][str(m)] = {
-                "relerr": rows[m]["relerr"],
-                "h1": rows[m]["h1"],
-                "l2": rows[m]["l2"],
-                "rates": {
-                    "relerr": convergence_rates(hs, rows[m]["relerr"], floors[m]),
-                    "h1": convergence_rates(hs, rows[m]["h1"]),
-                    "l2": convergence_rates(hs, rows[m]["l2"]),
-                },
+        for key, out in modes.items():
+            out["rates"] = {
+                "relerr": convergence_rates(hs, out["relerr"], floors[key]),
+                "h1": convergence_rates(hs, out["h1"]),
+                "l2": convergence_rates(hs, out["l2"]),
             }
-        results[str(p)] = block_out
+        results[str(p)] = {"n": ns, "modes": modes}
     return results
 
 
@@ -777,7 +742,7 @@ def run_experiment(config, out_dir):
         raise ConfigError(f"--out {out_dir!r}: cannot make the output directory ({err})")
     summary = {
         "name": cfg.name,
-        "kappa": cfg.kappa,
+        "kappa": cfg.kappa.text,
         "eta_policy": cfg.eta if isinstance(cfg.eta, str) else float(cfg.eta),
         "stiffen": cfg.stiffen,
         "degrees": list(cfg.degrees),

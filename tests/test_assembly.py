@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,6 +22,13 @@ from softfem.polyref import ReferenceBasis
 
 def uniform_1d(n):
     return mesh_from_spec({"type": "uniform", "n": n, "d": 1})
+
+
+def unreduced(space):
+    """A copy of the space with no dof eliminated, so that assembly returns
+    the full matrices."""
+    every = np.arange(space.n_full)
+    return replace(space, full_to_reduced=every, reduced_to_full=every)
 
 
 # -- spaces ---------------------------------------------------------------
@@ -137,7 +146,7 @@ def test_golden_single_interior_dof():
 )
 def test_mass_total_is_domain_volume(mesh, p):
     space = build_space(mesh, p)
-    M = assemble_mass(space, reduced=False)
+    M = assemble_mass(unreduced(space))
     assert abs(M.toarray().sum() - 1.0) < 1e-12
 
 
@@ -152,7 +161,7 @@ def test_mass_total_is_domain_volume(mesh, p):
 )
 def test_stiffness_annihilates_constants(mesh, p):
     space = build_space(mesh, p)
-    K = assemble_stiffness(space, reduced=False)
+    K = assemble_stiffness(unreduced(space))
     ones = np.ones(space.n_full)
     assert np.max(np.abs((K @ ones))) < 1e-11
 
@@ -168,7 +177,7 @@ def test_stiffness_annihilates_constants(mesh, p):
 )
 def test_penalty_annihilates_affine_functions(mesh, p):
     space = build_space(mesh, p)
-    S = assemble_penalty(space, reduced=False)
+    S = assemble_penalty(unreduced(space))
     for f in [lambda x: np.ones(len(x)), lambda x: x[:, 0], lambda x: x.sum(axis=1)]:
         vals = f(space.node_coords)
         assert np.max(np.abs((S @ vals))) < 1e-10
@@ -242,11 +251,11 @@ def test_nonpositive_face_kappa_raises_with_face():
 def test_matrices_are_canonical_symmetric_csr(mesh, p):
     space = build_space(mesh, p)
     kappa = parse_coefficient("1 + x*x")
-    for reduced in (True, False):
+    for space in (space, unreduced(space)):
         for A in (
-            assemble_mass(space, reduced),
-            assemble_stiffness(space, kappa, reduced),
-            assemble_penalty(space, kappa, reduced),
+            assemble_mass(space),
+            assemble_stiffness(space, kappa),
+            assemble_penalty(space, kappa),
         ):
             assert isinstance(A, sp.csr_matrix) and A.has_canonical_format
             assert np.all(A.data != 0.0)

@@ -11,7 +11,7 @@ from softfem.coefficient import MAX_DEPTH, CoefficientParseError, parse_coeffici
 
 def test_constant_one():
     field = parse_coefficient("1")
-    assert field.is_constant()
+    assert field.constant is not None
     pts = np.array([[0.1], [0.9]])
     assert np.allclose(field(pts), [1.0, 1.0])
 
@@ -22,7 +22,7 @@ def test_variable_kappa_matches_numpy():
     got = field(x.reshape(-1, 1))
     want = np.exp(x * np.sin(2 * np.pi * x))
     assert np.allclose(got, want, rtol=1e-14)
-    assert not field.is_constant()
+    assert field.constant is None
 
 
 def test_multivariate_and_scalar_promotion():
@@ -76,7 +76,7 @@ def test_expressions_without_a_variable_compile_to_constants(text, value):
     """Constant subexpressions fold with numpy float64 arithmetic: to inf or
     nan where numpy gives them, never to a Python exception."""
     field = parse_coefficient(text)
-    assert field.is_constant() and isinstance(field.constant, np.float64)
+    assert isinstance(field.constant, np.float64)
     np.testing.assert_equal(field.constant, value)
     np.testing.assert_equal(field(np.zeros((3, 2))), np.full(3, value))
 
@@ -209,4 +209,4 @@ def test_compiled_expressions_match_numpy_bit_for_bit(tree, d):
     with np.errstate(all="ignore"):
         want = np.broadcast_to(np.asarray(evaluate(tree, env), dtype=float), (len(pts),))
     assert field(pts).tobytes() == want.tobytes()
-    assert field.is_constant() == (not has_variable(tree))
+    assert (field.constant is not None) == (not has_variable(tree))

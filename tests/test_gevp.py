@@ -441,3 +441,19 @@ def test_cluster_eigenvalues():
     values = np.array([1.0, 1.0 + 1e-12, 2.0, 3.0, 3.0, 3.0])
     clusters = cluster_eigenvalues(values)
     assert clusters == [[0, 1], [2], [3, 4, 5]]
+
+
+def test_cluster_eigenvalues_of_no_values_is_empty():
+    assert cluster_eigenvalues(np.array([])) == []
+    assert cluster_eigenvalues([]) == []
+    assert cluster_eigenvalues([2.0]) == [[0]]
+
+
+@pytest.mark.parametrize("k", [-1, 0, True, False, 2.0])
+def test_solve_rejects_a_mode_count_that_is_not_a_positive_integer(k):
+    """k = -1 returned all modes but one, and k = 0 an empty spectrum, each
+    after a full dense solve."""
+    _, K, M = pencil({"type": "uniform", "n": 200, "d": 1}, 2)
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
+        solve_gmevp(K, M, k)
+    assert solve_gmevp(K, M, np.int64(3)).order == 3

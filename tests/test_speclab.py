@@ -221,7 +221,7 @@ def eigen_defects(spectrum, A, M):
 )
 def test_kronecker_path_matches_dense(d, n, p, eta_policy, stiffen, face_weight):
     mesh = mesh_from_spec({"type": "uniform", "n": n, "d": d})
-    bundle = speclab.solve_problem(mesh, p, "1.7", eta_policy, stiffen, face_weight)
+    bundle = speclab.solve_problem(mesh, p, parse_coefficient("1.7"), eta_policy, stiffen, face_weight)
     assert bundle.solver == "kronecker"
 
     kappa = parse_coefficient("1.7")
@@ -410,7 +410,7 @@ def test_a_run_holds_only_the_eigenvectors_it_reads(tmp_path, monkeypatch):
     ],
 )
 def test_other_inputs_take_the_dense_path(spec, kappa):
-    bundle = speclab.solve_problem(mesh_from_spec(spec), 2, kappa)
+    bundle = speclab.solve_problem(mesh_from_spec(spec), 2, parse_coefficient(kappa))
     assert bundle.solver == "dense"
     assert bundle.fem.order == bundle.K.shape[0]
 
@@ -1287,6 +1287,41 @@ def test_eigenfunction_modes_on_the_unit_domain(tmp_path, mesh):
     errs = speclab.eigenfunction_errors(bundle.space, bundle.soft, exact, 0)
     assert (h1err, l2err) == (errs["h1"], errs["l2"])
     assert l2err < 0.02
+
+
+def test_rounding_floor_of_a_partial_solve_names_the_missing_lambda_max():
+    """A sparse partial solve leaves lambda_max None: rounding_floor raises
+    the ValueError of gevp.condition_number instead of dividing None."""
+    space = build_space(mesh_from_spec({"type": "uniform", "n": 200, "d": 1}), 2)
+    spec = gevp.solve_gmevp(assemble_stiffness(space), assemble_mass(space), 5)
+    assert spec.path == "sparse" and spec.lambda_max is None
+    with pytest.raises(ValueError, match="lambda_max was not computed.*largest_eigenvalue"):
+        speclab.rounding_floor(spec, 0)
+    full = gevp.solve_gmevp(assemble_stiffness(space), assemble_mass(space))
+    assert speclab.rounding_floor(full, 0) == pytest.approx(
+        speclab.ROUNDING_MULTIPLE * np.finfo(float).eps * full.lambda_max / full.values[0]
+    )
+
+
+def test_exact_reference_and_eigenfunction_errors_share_one_exact_spectrum(
+    tmp_path, monkeypatch
+):
+    calls = []
+    original = oracle.exact_laplace_spectrum
+
+    def counting(d, count):
+        calls.append((d, count))
+        return original(d, count)
+
+    monkeypatch.setattr(oracle, "exact_laplace_spectrum", counting)
+    cfg = {"name": "e", "mesh": {"type": "uniform", "n": 12, "d": 1}, "degrees": [1, 2],
+           "reference": "exact", "eigenfunction_modes": [1, 2, 5, 40]}
+    speclab.run_experiment(cfg, str(tmp_path))
+    assert calls == [(1, 23 + 4)]  # the 23 modes of p = 2, and 4 more
+    rows = [row.split(",") for row in
+            (tmp_path / "spectrum_p2.csv").read_text().splitlines()[1:]]
+    assert [j for j, row in enumerate(rows, 1) if row[7]] == [1, 2, 5]
+    assert [float(row[2]) for row in rows] == original(1, 23).values.tolist()
 
 
 def test_degree_bound_fits_the_error_quadrature():
