@@ -280,18 +280,14 @@ def _face_quadrature(space):
     faces = mesh.interfaces
     a, b = mesh.vertices[faces.vertex_ids[:, 0]], mesh.vertices[faces.vertex_ids[:, -1]]
     span = b - a
-    if d == 1:
-        t, w = np.zeros((1, 0)), np.ones(1)
-    else:
-        rule = cuboid_rule(d - 1, space.p + 1)
-        t, w = rule.nodes, rule.weights
+    rule = cuboid_rule(d - 1, space.p + 1)  # in 1D the point rule of weight 1
     if d == 2:  # a segment, axis-aligned or not
         edges = span[:, None, :]
     else:  # a point or an axis-aligned rectangle: one edge per axis it spans
         tangent = np.argsort(span == 0.0, axis=1, kind="stable")[:, : d - 1]
         edges = np.eye(d)[tangent] * span[:, None, :]
-    pts = a[:, None, :] + 0.5 * (t + 1.0) @ edges
-    return pts, w * (faces.measure / 2 ** (d - 1))[:, None]
+    pts = a[:, None, :] + 0.5 * (rule.nodes + 1.0) @ edges
+    return pts, rule.weights * (faces.measure / 2 ** (d - 1))[:, None]
 
 
 def assemble_penalty(space, kappa=UNIT, face_length=None):

@@ -37,22 +37,21 @@ def _load_config(target):
         raise ConfigError(f"config {target!r}: cannot read the file ({err})")
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {target!r}: invalid JSON ({err})")
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {target!r}: expected a JSON object")
     return data
 
 
 def cmd_run(args):
     cfg = _load_config(args.target)
-    if args.modes is not None:
-        cfg["modes"] = args.modes
-    if args.eta is not None:  # a number, or text; the config rule checks either
-        try:
-            cfg["eta"] = float(args.eta)
-        except ValueError:
-            cfg["eta"] = args.eta
-    if args.stiffen:
-        cfg["stiffen"] = True
+    if isinstance(cfg, dict):  # the config rule rejects anything else as it is
+        if args.modes is not None:
+            cfg["modes"] = args.modes
+        if args.eta is not None:  # a number, or text; the config rule checks either
+            try:
+                cfg["eta"] = float(args.eta)
+            except ValueError:
+                cfg["eta"] = args.eta
+        if args.stiffen:
+            cfg["stiffen"] = True
     summary = speclab.run_experiment(cfg, args.out)
     if "by_degree" in summary:
         for p, block in sorted(summary["by_degree"].items(), key=lambda kv: int(kv[0])):

@@ -285,17 +285,10 @@ CLUSTER_RTOL = 1e-8
 def cluster_eigenvalues(values):
     """Group near-degenerate eigenvalues; returns a list of index lists
     (none for no values)."""
+    values = np.asarray(values, dtype=float)
     if len(values) == 0:
         return []
-    clusters = []
-    current = [0]
-    for j in range(1, len(values)):
-        if abs(values[j] - values[j - 1]) <= CLUSTER_RTOL * max(
-            abs(values[j]), abs(values[j - 1]), 1.0
-        ):
-            current.append(j)
-        else:
-            clusters.append(current)
-            current = [j]
-    clusters.append(current)
-    return clusters
+    a, b = values[1:], values[:-1]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, near nothing
+        near = np.abs(a - b) <= CLUSTER_RTOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+    return [c.tolist() for c in np.split(np.arange(len(values)), np.flatnonzero(~near) + 1)]

@@ -373,10 +373,8 @@ def refine_spec(spec, factor):
         new_axes = []
         for axis in spec["breakpoints"]:
             axis = np.asarray(axis, dtype=float)
-            pts = [axis[0]]
-            for a, b in zip(axis[:-1], axis[1:]):
-                pts.extend(a + (b - a) * np.arange(1, factor + 1) / factor)
-            new_axes.append(list(map(float, pts)))
+            cells = axis[:-1, None] + np.diff(axis)[:, None] * np.arange(1, factor + 1) / factor
+            new_axes.append([float(axis[0])] + cells.ravel().tolist())
         return {"type": "cartesian", "breakpoints": new_axes}
     if kind in ("uniform", "unit-square", "l-shape"):
         return {**spec, "n": int(spec["n"]) * factor}

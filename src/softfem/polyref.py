@@ -72,16 +72,12 @@ def gauss_lobatto_rule(n):
 
 
 def cuboid_rule(d, points_per_axis):
-    """Tensor-product Gauss-Legendre rule on [-1,1]^d."""
-    line = gauss_legendre_rule(points_per_axis)
-    grids = np.meshgrid(*([line.nodes] * d), indexing="ij")
-    # axis 0 fastest to match the local dof ordering
-    pts = np.stack([g.reshape(-1, order="F") for g in grids], axis=1)
-    wgrids = np.meshgrid(*([line.weights] * d), indexing="ij")
-    w = np.ones(pts.shape[0])
-    for g in wgrids:
-        w = w * g.reshape(-1, order="F")
-    return QuadratureRule(pts, w, line.degree)
+    """Tensor-product Gauss-Legendre rule on [-1,1]^d; d = 0 is the one-point
+    rule of weight 1."""
+    line, n = gauss_legendre_rule(points_per_axis), points_per_axis
+    # index[i, a]: point i on axis a, axis 0 fastest as the local dofs; C order
+    index = np.indices((n,) * d)[::-1].reshape(d, n**d).T.copy()
+    return QuadratureRule(line.nodes[index], line.weights[index].prod(axis=1), line.degree)
 
 
 def simplex_rule(degree):

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import assembly, gevp, oracle
+from . import gevp, oracle
 from .assembly import (
     assemble_mass,
     assemble_penalty,
@@ -102,7 +102,7 @@ def _coefficient_errors(space, coeffs, exact, j):
     uval, ugrad = exact.eigenfunction(j)
     quad = _error_quadrature(space)
     V, G = space.basis.eval(quad.nodes)
-    emap = assembly.element_map(space)
+    emap = space.element_tables[3]
     pts = emap.to_phys(quad.nodes).reshape(-1, space.mesh.d)
     w = (quad.weights * emap.detj[:, None]).ravel()
     loc = _full_coefficients(space, coeffs)[space.element_dofs]
@@ -428,9 +428,7 @@ def solve_problem(mesh, p, kappa=UNIT, eta_policy="default", stiffen=False,
     face_length = float(np.mean(mesh.h0)) if face_weight == "mean" else None
     S = assemble_penalty(base, kappa, face_length=face_length)
     eta = resolve_eta(eta_policy, p, mesh.kind, mesh.d)
-    fem = _solve(K, M, None if kronecker else modes, vectors)
-    if kronecker:
-        fem = _kronecker_spectrum(fem, mesh.d)
+    fem = _solve(K, M, modes, vectors, mesh.d if kronecker else 1)
     bundle = SolveBundle(mesh, p, ndof, K, M, S, fem=fem, soft=fem, eta=0.0,
                          built_space=space)
     bundle = _with_eta(bundle, eta, stiffen, vectors=vectors)
@@ -456,18 +454,20 @@ def _with_eta(bundle, eta, stiffen, name="eta", vectors=True):
         raise ConfigError(
             f"config field {name!r}: eta = {eta!r} overflows the softened matrix"
         )
-    if bundle.fem.path == "kronecker":
-        soft = _kronecker_spectrum(_solve(A, bundle.M, None, vectors), bundle.mesh.d)
-    else:
-        soft = _solve(A, bundle.M, bundle.fem.order, vectors)
+    factors = bundle.mesh.d if bundle.fem.path == "kronecker" else 1
+    soft = _solve(A, bundle.M, bundle.fem.order, vectors, factors)
     return replace(bundle, soft=soft, eta=eta)
 
 
-def _solve(A, M, k=None, vectors=True):
+def _solve(A, M, k, vectors, factors):
     """The lowest k modes of the pencil (all if k is None) and its
     lambda_max, certified by `gevp.largest_eigenvalue` after a partial
     sparse solve; without `vectors`, the eigenvectors are dropped as soon
-    as the solve returns, so none is held while the next pencil is solved."""
+    as the solve returns, so none is held while the next pencil is solved.
+    With `factors` d > 1, the 1D pencil is solved in full instead, and the
+    result is the factored spectrum of its d-fold Kronecker sum."""
+    if factors > 1:
+        return _kronecker_spectrum(_solve(A, M, None, vectors, 1), factors)
     spectrum = gevp.solve_gmevp(A, M, k)
     if not vectors:
         spectrum = replace(spectrum, vectors=None)
@@ -497,8 +497,6 @@ def _kronecker_spectrum(spectrum, d):
 
 
 def _fmt(x):
-    if x is None:
-        return ""
     return format(float(x), ".17g")
 
 

@@ -52,6 +52,10 @@ def test_diagonal_pencil():
     spec = solve_gmevp(a, m)
     assert np.allclose(spec.values, [1.0, 2.0, 3.0])
     assert spec.order == 3
+    # a mass matrix of another order, and a pencil that is not square
+    for a_bad, m_bad in [(a, dense_to_sym(np.eye(2))), (a[:2], m[:2])]:
+        with pytest.raises(ValueError, match="matrix order mismatch"):
+            solve_gmevp(a_bad, m_bad)
 
 
 def test_m_orthonormal_eigenvectors():
@@ -417,6 +421,8 @@ def test_condition_number_and_reduction():
     assert abs(metrics["sigma_soft"] - 2.0) < 1e-14
     assert abs(metrics["rho"] - 2.0) < 1e-14
     assert abs(metrics["rho_percent"] - 50.0) < 1e-12
+    with pytest.raises(ValueError, match="spectra have different orders"):
+        stiffness_reduction(fem, solve_gmevp(dense_to_sym(np.eye(1)), dense_to_sym(np.eye(1))))
 
 
 def test_condition_number_rejects_indefinite():
@@ -441,12 +447,49 @@ def test_cluster_eigenvalues():
     values = np.array([1.0, 1.0 + 1e-12, 2.0, 3.0, 3.0, 3.0])
     clusters = cluster_eigenvalues(values)
     assert clusters == [[0, 1], [2], [3, 4, 5]]
+    # NaN, +-inf, -0.0 and a run of equal values give the clusters of the
+    # neighbour test taken pair by pair (Python floats: inf - inf is NaN)
+    for case in [
+        [np.nan, np.nan, 1.0, np.nan, 1.0],
+        [-np.inf, -np.inf, 0.0, 1.0, np.inf, np.inf],
+        [-0.0, 0.0, 1e-9, -0.0, 1.0],
+        [7.0] * 5,
+    ]:
+        expected = [[0]]
+        for j in range(1, len(case)):
+            u, v = case[j], case[j - 1]
+            if abs(u - v) <= gevp.CLUSTER_RTOL * max(abs(u), abs(v), 1.0):
+                expected[-1].append(j)
+            else:
+                expected.append([j])
+        assert cluster_eigenvalues(np.array(case)) == expected
 
 
 def test_cluster_eigenvalues_of_no_values_is_empty():
     assert cluster_eigenvalues(np.array([])) == []
     assert cluster_eigenvalues([]) == []
     assert cluster_eigenvalues([2.0]) == [[0]]
+
+
+def test_eigsh_failures_fall_back_to_dense(monkeypatch):
+    """When ARPACK raises, the lowest modes are the dense lowest k and the
+    largest eigenvalue is the one-value dense solve."""
+    _, K, M = pencil({"type": "uniform", "n": 200, "d": 1}, 2)
+    calls = []
+
+    def failing_eigsh(*args, **kwargs):
+        calls.append(1)
+        raise RuntimeError("ARPACK did not converge")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
+    dense = solve_gmevp(K, M)
+    spec = solve_gmevp(K, M, 5)
+    assert len(calls) == 1 and spec.path == "dense"
+    assert np.array_equal(spec.values, dense.values[:5])
+    assert np.array_equal(spec.vectors, dense.vectors[:, :5])
+    n = K.shape[0]
+    top = gevp._dense_eigh(K, M, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0]
+    assert largest_eigenvalue(K, M) == top and len(calls) == 2
 
 
 @pytest.mark.parametrize("k", [-1, 0, True, False, 2.0])

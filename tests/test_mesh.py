@@ -189,6 +189,11 @@ def test_refine_spec_doubles_resolution():
     mesh = mesh_from_spec(spec2)
     assert mesh.n_elements == 4
     assert np.allclose(np.sort(mesh.h), [0.2, 0.2, 0.3, 0.3])
+    # cell by cell: a + (b - a) * k / f for k = 1 .. f
+    axes = [[0.0, 0.1, 0.35, 1.0], [-1.0, 0.3, 2.0]]
+    expected = [[axis[0]] + [a + (b - a) * k / 3 for a, b in zip(axis, axis[1:]) for k in (1, 2, 3)]
+                for axis in axes]
+    assert refine_spec({"type": "cartesian", "breakpoints": axes}, 3)["breakpoints"] == expected
 
 
 def test_refine_spec_by_one_keeps_any_spec():

@@ -75,7 +75,7 @@ def test_rule_bounds_checked():
         gauss_lobatto_rule(1)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_cuboid_rule_weight_sum(d):
     rule = cuboid_rule(d, 3)
     assert rule.nodes.shape == (3**d, d)
@@ -87,6 +87,13 @@ def test_cuboid_rule_axis_zero_fastest():
     # first three points share the axis-1 coordinate while axis 0 sweeps
     assert np.allclose(rule.nodes[:3, 1], rule.nodes[0, 1])
     assert not np.allclose(rule.nodes[:3, 0], rule.nodes[0, 0])
+    # point by point: point i0 + n i1 + n^2 i2, its weight multiplied in axis order
+    n, line = 4, gauss_legendre_rule(4)
+    rule = cuboid_rule(3, n)
+    points = [(i0, i1, i2) for i2 in range(n) for i1 in range(n) for i0 in range(n)]
+    assert np.array_equal(rule.nodes, [[line.nodes[i] for i in ijk] for ijk in points])
+    weights = [line.weights[i0] * line.weights[i1] * line.weights[i2] for i0, i1, i2 in points]
+    assert np.array_equal(rule.weights, weights)
 
 
 def test_simplex_rule_integrates_monomials():

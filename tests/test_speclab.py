@@ -824,6 +824,60 @@ def test_cli_error_exit_codes(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", str(cfg)]) == 4
 
 
+def test_cli_coercivity_violation_exits_4(tmp_path, capsys):
+    """With the mean h_F, the faces of the two small cells are overweighted
+    and the softened pencil is indefinite at the default eta = 1/12."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "name": "c",
+        "mesh": {"type": "cartesian", "breakpoints": [[0, 0.01, 0.02, 0.5, 1.0]]},
+        "degrees": [1, 2],
+        "face_weight": "mean",
+    }))
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("coercivity violation: ") and "Traceback" not in err
+
+
+OVERRIDES = ["--modes", "3", "--eta", "0.1", "--stiffen"]
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("[]", []), ('"x"', []), ("3", []), ("{}", []), ("[]", OVERRIDES), ('"x"', OVERRIDES),
+])
+def test_cli_non_object_config_exits_2(tmp_path, capsys, text, argv):
+    """The config rule is the one check of a config that is not a non-empty
+    JSON object; command-line overrides of its fields do not bypass it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")] + argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config: expected a non-empty JSON object\n"
+
+
+def test_eigenfunction_errors_build_one_element_map_per_space(tmp_path, monkeypatch):
+    """Eigenfunction errors read the element map each space caches: one map
+    per degree, for every listed mode and eta_sweep value."""
+    calls = []
+    element_map = assembly.element_map
+
+    def counted(space):
+        calls.append(space.p)
+        return element_map(space)
+
+    monkeypatch.setattr(assembly, "element_map", counted)
+    speclab.run_experiment({
+        "name": "efn",
+        "mesh": {"type": "uniform", "n": 12, "d": 1},
+        "degrees": [1, 2, 3],
+        "reference": "exact",
+        "eigenfunction_modes": [1, 2, 5],
+        "jump_ratio": True,
+        "eta_sweep": [0.0, 0.01],
+    }, str(tmp_path))
+    assert sorted(calls) == [1, 2, 3]
+
+
 def test_cli_reference_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     """A failed eigensolve of the high-order reference is a solver failure
     like any other, not a traceback."""
