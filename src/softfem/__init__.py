@@ -20,7 +20,6 @@ from .mesh import (
     InvalidMeshError,
     Mesh,
     build_cartesian_mesh,
-    build_simplicial_mesh,
     load_mesh,
     mesh_from_spec,
 )

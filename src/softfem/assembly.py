@@ -60,6 +60,15 @@ class FeSpace:
         V, G = self.basis.eval(quad.nodes)
         return quad, V, G, element_map(self)
 
+    @functools.cached_property
+    def error_tables(self):
+        """(quadrature rule of degree >= 2p+6, basis values V and gradients
+        G at its nodes) of eigenfunction errors, built on first use."""
+        p, mesh = self.p, self.mesh
+        quad = cuboid_rule(mesh.d, p + 5) if mesh.kind == "tensor" else simplex_rule(2 * p + 6)
+        V, G = self.basis.eval(quad.nodes)
+        return quad, V, G
+
     def interpolate(self, f):
         """Reduced coefficient vector of the nodal interpolant of f."""
         vals = f(self.node_coords)

@@ -20,7 +20,7 @@ from . import assembly, oracle, speclab
 from .assembly import AssemblyError
 from .coefficient import CoefficientParseError
 from .gevp import EigensolveError, largest_eigenvalue
-from .mesh import InvalidMeshError, build_cartesian_mesh, build_simplicial_mesh, load_mesh
+from .mesh import InvalidMeshError, load_mesh, mesh_from_spec
 from .polyref import MAX_DEGREE, BasisError
 from .speclab import CoercivityViolation, ConfigError
 
@@ -85,9 +85,9 @@ def cmd_trace_check(args):
         bound = oracle.sharp_trace_constant("interval-k", p) ** 2
     else:
         if args.kind == "cuboid":  # 2x2 cells: an interior dof at every p
-            mesh = build_cartesian_mesh([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
+            mesh = mesh_from_spec({"type": "uniform", "n": 2, "d": 2})
         else:
-            mesh = build_simplicial_mesh("unit-square", n=2)
+            mesh = mesh_from_spec({"type": "unit-square", "n": 2})
         bound = 1.0 / assembly.softness_parameters(p, mesh.kind, d=mesh.d)["eta_max"]
         try:
             space = assembly.build_space(mesh, p)

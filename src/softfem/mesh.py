@@ -36,8 +36,9 @@ class Mesh:
                   of `faces`, with fields `elements` (e1 < e2), `vertex_ids`,
                   `measure`, `normal` (unit, pointing from e1 to e2) and `h_f`.
 
-    Construction checks that there are elements, that their vertex ids are
-    in range, distinct in each element and cover every vertex, and that the
+    Construction checks that there are elements, each a tuple of 2^d (tensor)
+    or d + 1 (simplicial) vertex ids, that the ids are integers in range,
+    distinct in each element and cover every vertex, and that the
     coordinates are finite, and turns clockwise triangles counterclockwise.
     A simplicial mesh builds its topology then too, which checks it. A
     tensor mesh builds it on first read: its breakpoints, checked by
@@ -49,18 +50,23 @@ class Mesh:
         self.d = d
         self.kind = kind
         self.vertices = np.asarray(vertices, dtype=float).reshape(len(vertices), d)
-        ids = np.asarray(elements)
+        expected = 2**d if kind == "tensor" else d + 1
+        try:
+            ids = np.asarray(elements)
+        except ValueError:  # a ragged list
+            ids = None
+        if ids is not None and not ids.size:
+            raise InvalidMeshError("mesh has no element")
+        if ids is None or ids.ndim != 2 or ids.shape[1] != expected:
+            bad = next((i for i, el in enumerate(elements) if np.shape(el) != (expected,)), 0)
+            tuple_name = "triple" if expected == 3 else f"{expected}-tuple"
+            raise InvalidMeshError(f"element {bad} {elements[bad]!r} is not a vertex {tuple_name}")
         if ids.dtype.kind not in "iuf":
             raise InvalidMeshError("vertex ids must be integers")
         with np.errstate(invalid="ignore"):  # nan and inf ids fail the test below
             self.elements = ids.astype(int)  # a copy: triangles may be turned
         self.axes = axes  # per-axis breakpoints for tensor meshes
         nv = len(self.vertices)
-        expected = 2**d if kind == "tensor" else d + 1
-        if not self.elements.size:
-            raise InvalidMeshError("mesh has no element")
-        if self.elements.ndim != 2 or self.elements.shape[1] != expected:
-            raise InvalidMeshError(f"{kind} elements in {d}D need {expected} vertices each")
         bad = np.flatnonzero((self.elements != ids).any(axis=1))
         if len(bad):
             raise InvalidMeshError(f"element {bad[0]} has a vertex id that is not an integer")
@@ -245,31 +251,6 @@ def _split_cells(nodes, keep):
     return Mesh(2, "simplicial", vertices[used], elements.reshape(-1, 3))
 
 
-def build_simplicial_mesh(kind, n=None, nodes=None, elements=None):
-    """Build a deterministic 2D triangulation.
-
-    kind 'unit-square': n x n cells on (0,1)^2, each split along the
-    (low,low)-(high,high) diagonal. kind 'l-shape': the unit square minus
-    the upper-right quadrant [1/2,1)x(1/2,1], with n cells per half-axis
-    (grid 2n x 2n). kind 'explicit': user-provided nodes/elements.
-    """
-    if kind in ("unit-square", "l-shape"):
-        if n is None or n < 1:
-            raise InvalidMeshError(f"{kind} mesh needs n >= 1")
-        m = n if kind == "unit-square" else 2 * n
-        upper = np.arange(m) >= n  # empty for the unit square
-        keep = ~(upper[:, None] & upper[None, :])
-        return _split_cells(np.linspace(0.0, 1.0, m + 1), keep)
-    if kind == "explicit":
-        if nodes is None or elements is None:
-            raise InvalidMeshError("explicit mesh needs nodes and elements")
-        bad = next((i for i, el in enumerate(elements) if np.shape(el) != (3,)), None)
-        if bad is not None:
-            raise InvalidMeshError(f"element {bad} {elements[bad]!r} is not a vertex triple")
-        return Mesh(2, "simplicial", np.asarray(nodes, dtype=float), np.asarray(elements))
-    raise InvalidMeshError(f"unknown simplicial mesh kind {kind!r}")
-
-
 def parse_mesh_text(text):
     """Parse the plain-text simplicial mesh format.
 
@@ -297,7 +278,7 @@ def parse_mesh_text(text):
             raise InvalidMeshError(f"each line of '{name}' needs {what}") from None
     if start < len(rows):
         raise InvalidMeshError("text after the last element")
-    return build_simplicial_mesh("explicit", nodes=arrays[0], elements=arrays[1])
+    return Mesh(2, "simplicial", arrays[0], arrays[1])
 
 
 def load_mesh(path):
@@ -306,6 +287,8 @@ def load_mesh(path):
             text = fh.read()
     except OSError as err:
         raise InvalidMeshError(f"cannot read mesh file {path!r}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise InvalidMeshError(f"cannot read mesh file {path!r}: {err}") from None
     return parse_mesh_text(text)
 
 
@@ -318,8 +301,11 @@ def mesh_from_spec(spec):
     """Build a mesh from a declarative spec dict.
 
     Supported types: 'cartesian' {breakpoints: [[...], ...]},
-    'uniform' {n, d} on the unit cube, 'unit-square' {n} (simplicial),
-    'l-shape' {n} (simplicial), 'file' {path}.
+    'uniform' {n, d} on the unit cube, 'file' {path}, and two
+    triangulations: 'unit-square' {n}, n x n cells on (0,1)^2 each split
+    along the (low,low)-(high,high) diagonal, and 'l-shape' {n}, the same on
+    the unit square minus the upper-right quadrant [1/2,1)x(1/2,1] with n
+    cells per half-axis (grid 2n x 2n).
     """
     if not isinstance(spec, dict):
         raise InvalidMeshError("config field 'mesh' must be an object with a 'type'")
@@ -359,7 +345,10 @@ def mesh_from_spec(spec):
         pts = np.linspace(0.0, 1.0, n + 1)
         return build_cartesian_mesh([pts] * d)
     if kind in ("unit-square", "l-shape"):
-        return build_simplicial_mesh(kind, n=count("n", field("n")))
+        n = count("n", field("n"))
+        m = n if kind == "unit-square" else 2 * n
+        upper = np.arange(m) >= n  # empty for the unit square
+        return _split_cells(np.linspace(0.0, 1.0, m + 1), ~(upper[:, None] & upper[None, :]))
     if not isinstance(field("path"), str):  # a 'file' spec
         raise InvalidMeshError("mesh spec field 'path' must be a string")
     return load_mesh(spec["path"])

@@ -27,7 +27,7 @@ from .assembly import (
 )
 from .coefficient import UNIT, CoefficientParseError, parse_coefficient
 from .mesh import InvalidMeshError, build_cartesian_mesh, mesh_from_spec
-from .polyref import MAX_DEGREE, BasisError, cuboid_rule, simplex_rule
+from .polyref import MAX_DEGREE, BasisError
 
 
 class ConfigError(ValueError):
@@ -61,14 +61,6 @@ def eigenvalue_error_curve(values, reference):
     return np.abs(values - ref) / ref
 
 
-def _error_quadrature(space):
-    """Element quadrature of degree >= 2p+6 for eigenfunction errors."""
-    p = space.p
-    if space.mesh.kind == "tensor":
-        return cuboid_rule(space.mesh.d, p + 5)
-    return simplex_rule(2 * p + 6)
-
-
 def _full_coefficients(space, reduced):
     full = np.zeros(space.n_full)
     full[space.reduced_to_full] = reduced
@@ -100,8 +92,7 @@ def _coefficient_errors(space, coeffs, exact, j):
     coefficients `coeffs` against exact mode j, after multiplying it by the
     sign that makes its L2 inner product with the mode nonnegative."""
     uval, ugrad = exact.eigenfunction(j)
-    quad = _error_quadrature(space)
-    V, G = space.basis.eval(quad.nodes)
+    quad, V, G = space.error_tables
     emap = space.element_tables[3]
     pts = emap.to_phys(quad.nodes).reshape(-1, space.mesh.d)
     w = (quad.weights * emap.detj[:, None]).ravel()
@@ -738,12 +729,13 @@ def run_experiment(config, out_dir):
         os.makedirs(out_dir, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"--out {out_dir!r}: cannot make the output directory ({err})")
+    degrees = cfg.degrees if cfg.ladder is None else [block["degree"] for block in cfg.ladder]
     summary = {
         "name": cfg.name,
         "kappa": cfg.kappa.text,
         "eta_policy": cfg.eta if isinstance(cfg.eta, str) else float(cfg.eta),
         "stiffen": cfg.stiffen,
-        "degrees": list(cfg.degrees),
+        "degrees": list(degrees),
         "mesh": cfg.mesh,
     }
     if cfg.ladder is not None:

@@ -16,7 +16,7 @@ from softfem.assembly import (
 )
 from softfem.coefficient import parse_coefficient
 from softfem.gevp import solve_gmevp
-from softfem.mesh import build_cartesian_mesh, build_simplicial_mesh, mesh_from_spec
+from softfem.mesh import build_cartesian_mesh, mesh_from_spec
 from softfem.polyref import ReferenceBasis
 
 
@@ -48,7 +48,7 @@ def test_tensor_dof_count(n, p, d):
 
 @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (3, 3)])
 def test_simplicial_dof_count(n, p):
-    space = build_space(build_simplicial_mesh("unit-square", n=n), p)
+    space = build_space(mesh_from_spec({"type": "unit-square", "n": n}), p)
     # P_p Lagrange on an n x n criss-cross square, Dirichlet boundary removed
     n_vert_int = (n + 1) ** 2 - 4 * n
     n_edges = 3 * n * n + 2 * n  # interior + boundary edges
@@ -67,7 +67,7 @@ def test_simplicial_dof_count(n, p):
             ),
             3,
         ),
-        (build_simplicial_mesh("l-shape", n=2), 3),
+        (mesh_from_spec({"type": "l-shape", "n": 2}), 3),
     ],
     ids=["graded-3d", "l-shape"],
 )
@@ -140,7 +140,7 @@ def test_golden_single_interior_dof():
     [
         (uniform_1d(5), 3),
         (mesh_from_spec({"type": "uniform", "n": 3, "d": 2}), 2),
-        (build_simplicial_mesh("unit-square", n=3), 2),
+        (mesh_from_spec({"type": "unit-square", "n": 3}), 2),
     ],
     ids=["1d", "2d-tensor", "2d-simplicial"],
 )
@@ -155,7 +155,7 @@ def test_mass_total_is_domain_volume(mesh, p):
     [
         (uniform_1d(4), 2),
         (mesh_from_spec({"type": "uniform", "n": 2, "d": 2}), 3),
-        (build_simplicial_mesh("unit-square", n=2), 3),
+        (mesh_from_spec({"type": "unit-square", "n": 2}), 3),
     ],
     ids=["1d", "2d-tensor", "2d-simplicial"],
 )
@@ -171,7 +171,7 @@ def test_stiffness_annihilates_constants(mesh, p):
     [
         (uniform_1d(4), 2),
         (mesh_from_spec({"type": "uniform", "n": 3, "d": 2}), 2),
-        (build_simplicial_mesh("unit-square", n=3), 2),
+        (mesh_from_spec({"type": "unit-square", "n": 3}), 2),
     ],
     ids=["1d", "2d-tensor", "2d-simplicial"],
 )
@@ -189,8 +189,8 @@ def test_penalty_annihilates_affine_functions(mesh, p):
         (uniform_1d(8), 1, 2 * 1 * 2),
         (uniform_1d(6), 3, 2 * 3 * 4),
         (mesh_from_spec({"type": "uniform", "n": 3, "d": 2}), 2, 2 * 2 * 3),
-        (build_simplicial_mesh("unit-square", n=3), 2, 2 * 2 * 3),
-        (build_simplicial_mesh("l-shape", n=2), 3, 2 * 3 * 4),
+        (mesh_from_spec({"type": "unit-square", "n": 3}), 2, 2 * 2 * 3),
+        (mesh_from_spec({"type": "l-shape", "n": 2}), 3, 2 * 3 * 4),
     ],
     ids=["1d-p1", "1d-p3", "2d-tensor", "2d-simplicial", "l-shape"],
 )
@@ -244,7 +244,7 @@ def test_nonpositive_face_kappa_raises_with_face():
     [
         (uniform_1d(5), 3),
         (mesh_from_spec({"type": "uniform", "n": 2, "d": 3}), 2),
-        (build_simplicial_mesh("l-shape", n=2), 2),
+        (mesh_from_spec({"type": "l-shape", "n": 2}), 2),
     ],
     ids=["1d", "3d-tensor", "l-shape"],
 )
@@ -277,7 +277,7 @@ def test_basis_is_evaluated_once_per_assembly(monkeypatch):
     for n in (2, 4):
         for mesh in (
             mesh_from_spec({"type": "uniform", "n": n, "d": 3}),
-            build_simplicial_mesh("unit-square", n=n),
+            mesh_from_spec({"type": "unit-square", "n": n}),
         ):
             built = []
             for order in ((assemble_mass, assemble_stiffness),
@@ -321,10 +321,10 @@ def test_tensor_spectra_are_kronecker_sums(d, n, p):
 
 
 def test_assembly_is_deterministic():
-    mesh = build_simplicial_mesh("unit-square", n=3)
+    mesh = mesh_from_spec({"type": "unit-square", "n": 3})
     space = build_space(mesh, 3)
     a = assemble_stiffness(space)
-    b = assemble_stiffness(build_space(build_simplicial_mesh("unit-square", n=3), 3))
+    b = assemble_stiffness(build_space(mesh_from_spec({"type": "unit-square", "n": 3}), 3))
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.data, b.data)
@@ -348,7 +348,7 @@ def test_soften_and_parameters():
 def test_mass_is_spd_and_symmetric():
     for mesh, p in [
         (uniform_1d(6), 4),
-        (build_simplicial_mesh("unit-square", n=2), 3),
+        (mesh_from_spec({"type": "unit-square", "n": 2}), 3),
     ]:
         space = build_space(mesh, p)
         M = assemble_mass(space).toarray()

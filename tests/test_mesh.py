@@ -7,7 +7,6 @@ from softfem.mesh import (
     InvalidMeshError,
     Mesh,
     build_cartesian_mesh,
-    build_simplicial_mesh,
     load_mesh,
     mesh_from_spec,
     parse_mesh_text,
@@ -61,7 +60,7 @@ def test_breakpoints_must_increase():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_unit_square_simplicial_counts(n):
-    mesh = build_simplicial_mesh("unit-square", n=n)
+    mesh = mesh_from_spec({"type": "unit-square", "n": n})
     assert mesh.n_elements == 2 * n * n
     assert len(mesh.interfaces) == 3 * n * n - 2 * n
     assert len(mesh.volumes) == mesh.n_elements
@@ -69,7 +68,7 @@ def test_unit_square_simplicial_counts(n):
 
 
 def test_triangles_are_counterclockwise():
-    mesh = build_simplicial_mesh("unit-square", n=3)
+    mesh = mesh_from_spec({"type": "unit-square", "n": 3})
     for el in mesh.elements:
         a, b, c = (mesh.vertices[v] for v in el)
         area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
@@ -78,42 +77,34 @@ def test_triangles_are_counterclockwise():
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_l_shape_counts_and_area(n):
-    mesh = build_simplicial_mesh("l-shape", n=n)
+    mesh = mesh_from_spec({"type": "l-shape", "n": n})
     assert mesh.n_elements == 6 * n * n
     assert len(mesh.volumes) == mesh.n_elements
     assert abs(sum(mesh.volumes) - 0.75) < 1e-13
 
 
 def test_simplex_h0_matches_inradius_formula():
-    mesh = build_simplicial_mesh(
-        "explicit", nodes=[(0, 0), (1, 0), (0, 1)], elements=[(0, 1, 2)]
-    )
+    mesh = Mesh(2, "simplicial", [(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     area = 0.5
     per = 2.0 + np.sqrt(2.0)
     assert abs(mesh.h0[0] - 2 * area / per) < 1e-14
 
 
 def test_explicit_mesh_fixes_orientation_and_rejects_degenerate():
-    mesh = build_simplicial_mesh(
-        "explicit", nodes=[(0, 0), (1, 0), (0, 1)], elements=[(0, 2, 1)]
-    )
+    mesh = Mesh(2, "simplicial", [(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])
     a, b, c = (mesh.vertices[v] for v in mesh.elements[0])
     assert (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) > 0
     with pytest.raises(InvalidMeshError):
-        build_simplicial_mesh(
-            "explicit", nodes=[(0, 0), (1, 0), (2, 0)], elements=[(0, 1, 2)]
-        )
+        Mesh(2, "simplicial", [(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
     with pytest.raises(InvalidMeshError, match="element 0 references"):
-        build_simplicial_mesh(
-            "explicit", nodes=[(0, 0), (1, 0), (0, 1)], elements=[(0, 1, 5)]
-        )
+        Mesh(2, "simplicial", [(0, 0), (1, 0), (0, 1)], [(0, 1, 5)])
 
 
 @pytest.mark.parametrize("bad", [(0, 1), (0, 1, 2, 3), 2])
 def test_explicit_mesh_element_must_be_a_vertex_triple(bad):
     nodes = [(0, 0), (1, 0), (0, 1)]
     with pytest.raises(InvalidMeshError, match=r"element 1 .* not a vertex triple"):
-        build_simplicial_mesh("explicit", nodes=nodes, elements=[(0, 1, 2), bad])
+        Mesh(2, "simplicial", nodes, [(0, 1, 2), bad])
 
 
 def test_interface_normals_point_from_first_to_second_element():
@@ -132,8 +123,8 @@ def test_interface_h_f_is_min_of_adjacent_h0():
 
 
 def test_interfaces_are_deterministic():
-    a = build_simplicial_mesh("unit-square", n=3)
-    b = build_simplicial_mesh("unit-square", n=3)
+    a = mesh_from_spec({"type": "unit-square", "n": 3})
+    b = mesh_from_spec({"type": "unit-square", "n": 3})
     fa, fb = a.interfaces, b.interfaces
     assert len(fa) == len(fb)
     assert np.array_equal(fa.elements, fb.elements)
@@ -213,7 +204,7 @@ def test_refine_spec_by_one_keeps_any_spec():
 )
 def test_overlapping_triangles_are_rejected(nodes, elements):
     with pytest.raises(InvalidMeshError, match=r"elements 0 and 1 lie on the same side .* \(0, 1\)"):
-        build_simplicial_mesh("explicit", nodes=nodes, elements=elements)
+        Mesh(2, "simplicial", nodes, elements)
 
 
 @pytest.mark.parametrize(
@@ -223,9 +214,9 @@ def test_overlapping_triangles_are_rejected(nodes, elements):
 def test_non_integer_vertex_ids_are_rejected(elements, bad):
     nodes = [(0, 0), (1, 0), (0, 1), (1, 1)]
     with pytest.raises(InvalidMeshError, match=f"element {bad} has a vertex id that is not an integer"):
-        build_simplicial_mesh("explicit", nodes=nodes, elements=elements)
+        Mesh(2, "simplicial", nodes, elements)
     # whole numbers of any numeric type are ids
-    mesh = build_simplicial_mesh("explicit", nodes=nodes[:3], elements=[(0.0, 1.0, 2.0)])
+    mesh = Mesh(2, "simplicial", nodes[:3], [(0.0, 1.0, 2.0)])
     assert mesh.elements.tolist() == [[0, 1, 2]]
 
 
@@ -237,7 +228,7 @@ def test_mesh_rejects_mismatched_dimension():
 def test_face_shared_by_three_triangles_is_rejected():
     nodes = [(0, 0), (1, 0), (0, 1), (0.5, -1), (1, 1)]
     with pytest.raises(InvalidMeshError, match="more than two"):
-        build_simplicial_mesh("explicit", nodes=nodes, elements=[(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+        Mesh(2, "simplicial", nodes, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
 
 
 def test_tensor_topology_is_built_on_first_read(monkeypatch):
@@ -265,7 +256,7 @@ def test_tensor_topology_is_built_on_first_read(monkeypatch):
             assert not arr.flags.writeable
         assert built == [mesh]
     built.clear()
-    mesh = build_simplicial_mesh("unit-square", n=2)
+    mesh = mesh_from_spec({"type": "unit-square", "n": 2})
     assert built == [mesh]
     mesh.interfaces
     assert built == [mesh]
@@ -324,14 +315,14 @@ def test_cartesian_face_table(widths, origin):
 @given(st.sampled_from(["unit-square", "l-shape"]), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_jittered_triangulation_face_table(kind, n, seed):
     """Triangulations with jittered vertices and elements listed in random
-    vertex order, which the explicit builder turns counterclockwise."""
-    base = build_simplicial_mesh(kind, n=n)
+    vertex order, which `Mesh` turns counterclockwise."""
+    base = mesh_from_spec({"type": kind, "n": n})
     rng = np.random.default_rng(seed)
     h = 1.0 / (n if kind == "unit-square" else 2 * n)
     nodes = base.vertices + rng.uniform(-0.1 * h, 0.1 * h, base.vertices.shape)
     order = np.argsort(rng.random(base.elements.shape), axis=1)
     elements = np.take_along_axis(base.elements, order, axis=1)
-    mesh = build_simplicial_mesh("explicit", nodes=nodes, elements=elements.tolist())
+    mesh = Mesh(2, "simplicial", nodes, elements.tolist())
     interior = 3 * n * n - 2 * n if kind == "unit-square" else 9 * n * n - 4 * n
     assert len(mesh.interfaces) == interior
     check_face_table(mesh)

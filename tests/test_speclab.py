@@ -25,7 +25,7 @@ from softfem.assembly import (
 )
 from softfem.coefficient import parse_coefficient
 from softfem.mesh import Mesh, mesh_from_spec
-from softfem.polyref import MAX_DEGREE, cuboid_rule, simplex_rule
+from softfem.polyref import MAX_DEGREE, ReferenceBasis, cuboid_rule, simplex_rule
 
 
 @pytest.fixture(scope="module")
@@ -724,6 +724,13 @@ def test_ladder_run(tmp_path):
     assert abs(rates["rate"] - 8.0) < 0.2
 
 
+def test_ladder_summary_names_its_degrees(tmp_path):
+    cfg = {"name": "ladder", "ladder": [{"degree": 3, "n": [4, 8]}, {"degree": 1, "n": [4, 8]}]}
+    summary = speclab.run_experiment(cfg, str(tmp_path))
+    assert summary["degrees"] == [3, 1]
+    assert json.loads((tmp_path / "summary.json").read_text())["degrees"] == [3, 1]
+
+
 def test_presets_exist():
     for name in [
         "table1",
@@ -866,6 +873,30 @@ def test_eigenfunction_errors_build_one_element_map_per_space(tmp_path, monkeypa
         return element_map(space)
 
     monkeypatch.setattr(assembly, "element_map", counted)
+    speclab.run_experiment({
+        "name": "efn",
+        "mesh": {"type": "uniform", "n": 12, "d": 1},
+        "degrees": [1, 2, 3],
+        "reference": "exact",
+        "eigenfunction_modes": [1, 2, 5],
+        "jump_ratio": True,
+        "eta_sweep": [0.0, 0.01],
+    }, str(tmp_path))
+    assert sorted(calls) == [1, 2, 3]
+
+
+def test_eigenfunction_errors_evaluate_the_basis_once_per_space(tmp_path, monkeypatch):
+    """The basis is evaluated at the error quadrature (p + 5 Gauss points on
+    the interval) once per degree, for every listed mode and eta_sweep value."""
+    calls = []
+    evaluate = ReferenceBasis.eval
+
+    def counted(self, xi):
+        if len(xi) == self.p + 5:
+            calls.append(self.p)
+        return evaluate(self, xi)
+
+    monkeypatch.setattr(ReferenceBasis, "eval", counted)
     speclab.run_experiment({
         "name": "efn",
         "mesh": {"type": "uniform", "n": 12, "d": 1},
@@ -1523,6 +1554,7 @@ MALFORMED_MESH_FILES = {
     "line-after-the-last-element": "nodes 4\n0 0\n1 0\n1 1\n0 1\nelements 1\n0 1 2\n0 2 3\n",
     "unused-node": "nodes 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\nelements 2\n0 1 2\n0 2 3\n",
     "no-element": "nodes 0\nelements 0\n",
+    "not-utf-8": b"\xff\xfe\x00bad",
 }
 
 
@@ -1530,10 +1562,11 @@ MALFORMED_MESH_FILES = {
 def test_cli_malformed_mesh_file_exits_2(tmp_path, capsys, text):
     """`mesh-info` and a run on the file both exit 2 with an error line."""
     path = tmp_path / "bad.mesh"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"name": "f", "mesh": {"type": "file", "path": str(path)}}))
     for argv in (["mesh-info", str(path)], ["run", str(cfg), "--out", str(tmp_path / "out")]):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
