@@ -2,9 +2,9 @@
 
 Pencils are scipy sparse matrices, as assembled. Full spectra are dense
 solves. A few lowest modes of a large pencil are a sparse shift-invert
-solve, and the largest eigenvalue a Lanczos Ritz value (the smallest of an
-indefinite A is the largest of -A); an inertia count certifies each, and the
-dense solve is the fallback whenever a count does not.
+solve, and the largest eigenvalue a Lanczos Ritz value; an inertia count
+certifies each, and the dense solve is the fallback whenever a count does
+not.
 """
 
 from __future__ import annotations
@@ -115,18 +115,25 @@ def _pays(k, n):
     return 1 <= k and k + 1 <= n // 10
 
 
+def _start_vector(n):
+    """The fixed Lanczos start vector of both certified solves. A random one:
+    the extreme mode of a symmetric mesh can be M-orthogonal to `ones`."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
 def _lowest_modes(A, M, k):
-    """The lowest k modes of A U = lambda M U by shift-invert Lanczos at 0,
-    or None unless inertia counts certify them.
+    """The lowest k modes of A U = lambda M U by shift-invert Lanczos at 0
+    from `_start_vector`, or None unless inertia counts certify them.
 
     The factors of M and of A must show no negative pivot, so the pencil is
     positive definite (an indefinite M would hide a negative eigenvalue from
     the counts of A - tau*M); M is counted and its factor freed first, and
     the factor of A then applies A^-1 in the Lanczos iteration. The factor of
-    A - tau*M, with tau halfway between the k-th and (k+1)-th values found,
-    must show exactly k negative pivots, so no eigenvalue below tau was
-    missed. A degenerate cluster split at k fails the second count. Runs
-    only when k + 1 <= n // 10, where a partial solve pays.
+    A - tau*M, with tau halfway between the m-th and (m+1)-th values found,
+    must show exactly m negative pivots, so no eigenvalue below tau was
+    missed. m starts at k; a degenerate cluster split at m fails the count,
+    and the solve then runs again for m + 1 modes, whose lowest k are
+    returned. Runs only while m + 1 <= n // 10, where a partial solve pays.
     """
     n = A.shape[0]
     if not _pays(k, n):
@@ -137,26 +144,27 @@ def _lowest_modes(A, M, k):
     try:
         if _inertia(M)[1] != 0:  # its factor is freed here, before A's is made
             return None
-        lu, negative = _inertia(A)
-        if negative != 0:
-            return None
-        inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
-        vals, vecs = eigsh(A, k + 1, M, sigma=0.0, OPinv=inverse, v0=np.ones(n))
-        del lu, inverse  # one factor alive at a time
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order]
-        _, below = _inertia(A - 0.5 * (vals[k - 1] + vals[k]) * M)
+        m = k
+        while _pays(m, n):
+            lu, negative = _inertia(A)
+            if negative != 0:
+                return None
+            inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+            vals, vecs = eigsh(A, m + 1, M, sigma=0.0, OPinv=inverse, v0=_start_vector(n))
+            del lu, inverse  # one factor alive at a time
+            order = np.argsort(vals, kind="stable")
+            vals = vals[order]
+            # [1]: its factor is freed before A is factored again
+            below = _inertia(A - 0.5 * (vals[m - 1] + vals[m]) * M)[1]
+            if below == m:
+                return Spectrum(values=vals[:k], vectors=_fix_signs(vecs, order[:k]),
+                                path="sparse")
+            if vals[m] - vals[m - 1] > CLUSTER_RTOL * vals[m]:
+                break  # a missed eigenvalue, not a split cluster
+            m += 1
     except RuntimeError:  # a singular factor, or ARPACK did not converge
-        return None
-    if below != k:
-        return None
-    return Spectrum(values=vals[:k], vectors=_fix_signs(vecs, order[:k]), path="sparse")
-
-
-def _start_vector(n):
-    """The fixed Lanczos start vector of `_extreme_value`. A random one: the
-    extreme mode of a symmetric mesh can be M-orthogonal to `ones`."""
-    return np.random.default_rng(0).standard_normal(n)
+        pass
+    return None
 
 
 # Relative width of the interval an inertia count certifies an extreme
@@ -232,16 +240,6 @@ def solve_gmevp(A, M, k=None):
     order = np.argsort(vals, kind="stable")[:k]
     lambda_max = float(vals.max(initial=-np.inf))  # -inf for an empty pencil
     return Spectrum(values=vals[order], vectors=_fix_signs(vecs, order), lambda_max=lambda_max)
-
-
-def smallest_eigenvalue(A, M):
-    """The smallest pencil eigenvalue only (cheaper than a full solve): the
-    certified sparse solve with k = 1, else minus `largest_eigenvalue(-A, M)`,
-    which also resolves an indefinite A that shift-invert at 0 cannot."""
-    spectrum = _lowest_modes(A, M, 1)
-    if spectrum is not None:
-        return float(spectrum.values[0])
-    return -largest_eigenvalue(-A, M)
 
 
 def largest_eigenvalue(A, M):

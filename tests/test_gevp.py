@@ -23,10 +23,10 @@ from softfem.gevp import (
     _fix_signs,
     _inertia,
     _lowest_modes,
+    CLUSTER_RTOL,
     cluster_eigenvalues,
     condition_number,
     largest_eigenvalue,
-    smallest_eigenvalue,
     solve_gmevp,
     stiffness_reduction,
 )
@@ -117,22 +117,24 @@ def test_mass_must_be_spd():
         solve_gmevp(a, m)
 
 
-def test_smallest_eigenvalue_matches_full_solve():
+def test_lowest_eigenvalue_matches_full_solve():
     a, m = random_pencil(20, seed=4)
     spec = solve_gmevp(a, m)
-    assert abs(smallest_eigenvalue(a, m) - spec.values[0]) < 1e-10
+    assert abs(solve_gmevp(a, m, 1).values[0] - spec.values[0]) < 1e-10
 
 
 @pytest.mark.parametrize("factor", [0.95, 1.05])
-def test_smallest_eigenvalue_on_a_softened_pencil(factor):
-    """Positive (sparse path) and indefinite (the largest eigenvalue of -A) 1D pencils."""
+def test_lowest_eigenvalue_on_a_softened_pencil(factor):
+    """Positive (the sparse lowest mode) and indefinite (minus the largest
+    eigenvalue of -A) 1D pencils."""
     space = build_space(mesh_from_spec({"type": "uniform", "n": 100}), 2)
     M = assemble_mass(space)
     eta = factor * softness_parameters(2, "tensor")["eta_max"]
     A = soften(assemble_stiffness(space), assemble_penalty(space), eta)
     dense = solve_gmevp(A, M).values[0]
     assert (_lowest_modes(A, M, 1) is None) == (factor > 1)
-    assert abs(smallest_eigenvalue(A, M) - dense) <= 1e-10 * abs(dense)
+    lowest = solve_gmevp(A, M, 1).values[0] if factor < 1 else -largest_eigenvalue(-A, M)
+    assert abs(lowest - dense) <= 1e-10 * abs(dense)
 
 
 def pencil(spec, p, kappa="1"):
@@ -216,16 +218,43 @@ def test_row_pivot_voids_the_inertia_count():
     assert_dense_slice(A, M, 3)
 
 
-def test_split_degenerate_cluster_takes_the_dense_path():
+def assert_sparse_lowest(K, M, values, k):
+    """solve_gmevp(K, M, k) is certified sparse and agrees with the dense
+    lowest k `values` to 1e-12 relative."""
+    got = solve_gmevp(K, M, k)
+    assert got.path == "sparse" and got.order == k
+    assert np.max(np.abs(got.values - values[:k]) / values[:k]) <= 1e-12
+
+
+def test_split_degenerate_cluster_steps_past_the_cluster():
     """lambda_40 = lambda_41 here (the x <-> y symmetry), so no tau separates
-    the lowest 40: the count jumps from 39 to 41."""
+    the lowest 40: the count jumps from 39 to 41. The solve for 41 modes is
+    certified, and its lowest 40 are returned."""
     _, K, M = pencil({"type": "uniform", "n": 12, "d": 2}, 3)
     values = solve_gmevp(K, M).values
     assert values[40] - values[39] <= 1e-12 * values[40]
     assert _inertia(K - values[39] * (1 - 1e-10) * M)[1] == 39
     assert _inertia(K - values[39] * (1 + 1e-10) * M)[1] == 41
-    assert _lowest_modes(K, M, 40) is None
-    assert_dense_slice(K, M, 40)
+    assert_sparse_lowest(K, M, values, 40)
+
+
+# a kappa with the symmetries of the square, whose 2D irreducible
+# representations give pairs of equal eigenvalues
+D4_KAPPA = "1 + x*(1-x)*y*(1-y)"
+
+
+@pytest.fixture(scope="module")
+def d4_pencil():
+    """K, M and the dense eigenvalues of the uniform n=12 p=3 pencil of D4_KAPPA."""
+    _, K, M = pencil({"type": "uniform", "n": 12, "d": 2}, 3, kappa=D4_KAPPA)
+    return K, M, solve_gmevp(K, M).values
+
+
+@pytest.mark.parametrize("k", [2, 7, 14, 40])
+def test_split_pair_of_a_symmetric_kappa_stays_sparse(d4_pencil, k):
+    K, M, values = d4_pencil
+    assert values[k] - values[k - 1] <= CLUSTER_RTOL * values[k]  # the cut splits a pair
+    assert_sparse_lowest(K, M, values, k)
 
 
 def test_lowest_modes_need_a_positive_definite_mass():
@@ -237,7 +266,7 @@ def test_lowest_modes_need_a_positive_definite_mass():
     with pytest.raises(MassNotSpdError):
         solve_gmevp(K, M, 3)
     with pytest.raises(MassNotSpdError):
-        smallest_eigenvalue(K, M)
+        largest_eigenvalue(-K, M)
 
 
 def test_dense_path_slices_small_pencils():
@@ -306,7 +335,7 @@ def test_extreme_value_count_rejects_a_missed_mode(monkeypatch, top):
     A = sp.block_diag([block, sp.diags(rest)], format="csr")
     M = sp.identity(40, format="csr")
     assert _extreme_value(A if top else -A, M) is None
-    extreme = largest_eigenvalue(A, M) if top else smallest_eigenvalue(A, M)
+    extreme = largest_eigenvalue(A, M) if top else -largest_eigenvalue(-A, M)
     assert abs(extreme - sign * 10.0) <= 1e-12
 
 
@@ -325,7 +354,7 @@ def test_extreme_values_need_a_positive_definite_mass(top):
     M = sp.block_diag([Mb, sp.identity(38)], format="csr")
     assert _extreme_value(A if top else -A, M) is None
     with pytest.raises(MassNotSpdError):
-        largest_eigenvalue(A, M) if top else smallest_eigenvalue(A, M)
+        largest_eigenvalue(A, M) if top else -largest_eigenvalue(-A, M)
 
 
 def test_dense_solve_records_lambda_max():
@@ -375,14 +404,20 @@ class LiveFactor:
 
 
 @pytest.mark.parametrize(
-    "solve,factors",
-    [(lambda A, M: _lowest_modes(A, M, 5), 3), (_extreme_value, 2)],
-    ids=["lowest-modes", "extreme-value"],
+    "solve,spec,factors",
+    [
+        (lambda A, M: _lowest_modes(A, M, 5), {"type": "unit-square", "n": 8}, 3),
+        (_extreme_value, {"type": "unit-square", "n": 8}, 2),
+        # lambda_40 = lambda_41: the count at 40 fails, and A is factored again for 41
+        (lambda A, M: _lowest_modes(A, M, 40), {"type": "uniform", "n": 12, "d": 2}, 5),
+    ],
+    ids=["lowest-modes", "extreme-value", "lowest-modes-past-a-split-cluster"],
 )
-def test_shifted_pencil_is_factored_alone(monkeypatch, solve, factors):
+def test_shifted_pencil_is_factored_alone(monkeypatch, solve, spec, factors):
     """No two SuperLU factors are ever alive together: M's inertia factor is
-    freed before A is factored, and the factor that applies A^-1 or M^-1 in
-    Lanczos before the shifted pencil is factored for its inertia count."""
+    freed before A is factored, the factor that applies A^-1 or M^-1 in
+    Lanczos before the shifted pencil is factored for its inertia count, and
+    that count's factor before A is factored again past a split cluster."""
     live_at_call = []
     splu = scipy.sparse.linalg.splu
 
@@ -392,7 +427,7 @@ def test_shifted_pencil_is_factored_alone(monkeypatch, solve, factors):
 
     monkeypatch.setattr(LiveFactor, "live", 0)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
-    _, K, M = pencil({"type": "unit-square", "n": 8}, 3)
+    _, K, M = pencil(spec, 3)
     assert solve(K, M) is not None
     assert live_at_call == [0] * factors
     assert LiveFactor.live == 0

@@ -415,6 +415,14 @@ def test_other_inputs_take_the_dense_path(spec, kappa):
     assert bundle.fem.order == bundle.K.shape[0]
 
 
+def test_split_pairs_of_a_symmetric_kappa_keep_a_partial_run_sparse():
+    """The cut at 40 modes splits a pair of equal eigenvalues of this
+    D4-symmetric kappa; both pencils still take the certified sparse solve."""
+    mesh = mesh_from_spec({"type": "uniform", "n": 12, "d": 2})
+    kappa = parse_coefficient("1 + x*(1-x)*y*(1-y)")
+    assert speclab.solve_problem(mesh, 3, kappa, modes=40, vectors=False).solver == "sparse"
+
+
 def test_kronecker_eta_sweep_matches_standalone_runs(tmp_path, monkeypatch):
     base = {
         "name": "sweep2d",
