@@ -1,11 +1,12 @@
 """Command-line front end.
 
-softfem run <config.json|preset> [--out DIR] [--modes K] [--eta ...] [--stiffen]
+softfem run <config.json|preset> [--out DIR] [--modes K] [--eta ...]
 softfem trace-check --p P --kind {interval,cuboid,simplex}
 softfem mesh-info <meshfile>
 
-Exit codes: 0 success, 2 bad configuration, 3 solver failure, 4 coercivity
-violation under the default softness parameter.
+Exit codes: 0 success, 1 trace-check status=violated, 2 bad configuration,
+3 solver failure, 4 coercivity violation under the default softness
+parameter.
 """
 
 import argparse
@@ -50,8 +51,6 @@ def cmd_run(args):
                 cfg["eta"] = float(args.eta)
             except ValueError:
                 cfg["eta"] = args.eta
-        if args.stiffen:
-            cfg["stiffen"] = True
     summary = speclab.run_experiment(cfg, args.out)
     if "by_degree" in summary:
         for p, block in sorted(summary["by_degree"].items(), key=lambda kv: int(kv[0])):
@@ -127,7 +126,6 @@ def build_parser():
     run.add_argument("--out", default="out", help="output directory")
     run.add_argument("--modes", type=int, default=None, help="limit reported modes")
     run.add_argument("--eta", default=None, help="number, 'default', or 'galerkin'")
-    run.add_argument("--stiffen", action="store_true", help="flip the penalty sign")
     run.set_defaults(func=cmd_run)
 
     tc = sub.add_parser("trace-check", help="verify a discrete trace constant")

@@ -124,51 +124,6 @@ def jump_energy_ratio(spectrum, eta, K, S):
     return eta * sx / kx
 
 
-def embed_coefficients(space_lo, coeffs_lo, space_hi):
-    """Re-express a low-degree FE function in a higher-degree space on the
-    same mesh, by nodal evaluation (exact since the spaces are nested)."""
-    if space_lo.mesh is not space_hi.mesh:
-        raise ValueError("spaces must share a mesh")
-    full_lo = _full_coefficients(space_lo, coeffs_lo)
-    V, _ = space_lo.basis.eval(space_hi.basis.nodes)
-    full_hi = np.zeros(space_hi.n_full)
-    full_hi[space_hi.element_dofs] = full_lo[space_lo.element_dofs] @ V.T
-    return full_hi[space_hi.reduced_to_full]
-
-
-def pythagorean_residual(space, spectrum, exact, j, eta, kappa=UNIT):
-    """Residual of the eigenpair energy identity for softFEM mode j.
-
-    The exact eigenfunction is replaced by its degree-(p+4) interpolant on
-    the same mesh. Returns {'residual', 'scale'} where scale estimates the
-    perturbation introduced by that replacement.
-    """
-    _require_simple(spectrum.values, j)
-    lam = float(exact.values[j])
-    lam_soft = float(spectrum.values[j])
-    uval, _ = exact.eigenfunction(j)
-
-    space_hi = build_space(space.mesh, space.p + 4)
-    K = assemble_stiffness(space_hi, kappa)
-    S = assemble_penalty(space_hi, kappa)
-    M = assemble_mass(space_hi)
-
-    u_interp = space_hi.interpolate(lambda pts: uval(pts))
-    errs, sign = _coefficient_errors(space, spectrum.vector(j), exact, j)
-
-    u_h = sign * embed_coefficients(space, spectrum.vector(j), space_hi)
-    e_vec = u_interp - u_h
-    lhs = float(e_vec @ (K @ e_vec)) - eta * float(e_vec @ (S @ e_vec))
-    rhs = lam * float(e_vec @ (M @ e_vec)) + lam_soft - lam
-
-    # interpolation error of the exact mode in the fine space
-    ierr, _ = _coefficient_errors(space_hi, u_interp, exact, j)
-    e_energy = errs["h1"] + math.sqrt(lam) * errs["l2"]
-    i_energy = ierr["h1"] + math.sqrt(lam) * ierr["l2"]
-    scale = i_energy * (i_energy + 2.0 * e_energy) + 1e-14 * lam
-    return {"residual": abs(lhs - rhs), "scale": scale}
-
-
 def convergence_rates(h_values, errors, floor=1e-13):
     """Least-squares slope of log(error) vs log(h).
 
@@ -238,7 +193,7 @@ class ExperimentConfig(SimpleNamespace):
         # a ladder refines uniform 1D meshes and scores them against the
         # exact kappa = 1 spectrum
         for key in data:
-            if key not in ("name", "kappa", "eta", "stiffen", "ladder"):
+            if key not in ("name", "kappa", "eta", "ladder"):
                 raise ConfigError(f"config field {key!r} does not apply to a ladder")
         if cfg.kappa.constant != 1.0:
             raise ConfigError("config field 'kappa' must be 1 in a ladder")
@@ -292,7 +247,6 @@ _FIELDS = {
                 f"a non-empty list of distinct integers in [1, {MAX_DEGREE}]"),
     "eta": ("default", lambda v: v in ("galerkin", "default") or _is_eta(v),
             "'galerkin', 'default', or a finite number >= 0"),
-    "stiffen": (False, lambda v: isinstance(v, bool), "true or false"),
     "modes": (None, lambda v: v is None or _is_count(v), "an integer >= 1 or null"),
     "reference": ("none", lambda v: v in ("exact", "high-order", "none"),
                   "exact, high-order, or none"),
@@ -385,8 +339,8 @@ def _is_kronecker_sum(mesh, kappa):
     return bool(np.ptp(widths) <= CONGRUENT_RTOL * widths.max())
 
 
-def solve_problem(mesh, p, kappa=UNIT, eta_policy="default", stiffen=False,
-                  face_weight="local", modes=None, vectors=True):
+def solve_problem(mesh, p, kappa=UNIT, *, eta_policy="default", face_weight="local",
+                  modes=None, vectors=True):
     """Assemble and solve both the Galerkin and softened pencils of the
     coefficient field `kappa`.
 
@@ -422,25 +376,23 @@ def solve_problem(mesh, p, kappa=UNIT, eta_policy="default", stiffen=False,
     fem = _solve(K, M, modes, vectors, mesh.d if kronecker else 1)
     bundle = SolveBundle(mesh, p, ndof, K, M, S, fem=fem, soft=fem, eta=0.0,
                          built_space=space)
-    bundle = _with_eta(bundle, eta, stiffen, vectors=vectors)
-    if eta_policy == "default" and not stiffen and bundle.soft.values[0] <= 0:
+    bundle = _with_eta(bundle, eta, vectors=vectors)
+    if eta_policy == "default" and bundle.soft.values[0] <= 0:
         raise CoercivityViolation(
             f"softened pencil indefinite at default eta={eta}"
         )
     return bundle
 
 
-def _with_eta(bundle, eta, stiffen, name="eta", vectors=True):
+def _with_eta(bundle, eta, name="eta", vectors=True):
     """The bundle with its softened pencil solved again at eta, for as many
     modes as the Galerkin spectrum holds, keeping its eigenvectors only if
     `vectors`; K, M, S and the Galerkin spectrum are reused. `name` is the
     config field that gave eta."""
     if eta == 0.0:
         return replace(bundle, soft=bundle.fem, eta=eta)
-    K, S = bundle.K, bundle.S
-    # stiffening flips the sign of the penalty term: K + eta*S
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        A = K + eta * S if stiffen else soften(K, S, eta)
+        A = soften(bundle.K, bundle.S, eta)
     if not np.isfinite(A.data).all():
         raise ConfigError(
             f"config field {name!r}: eta = {eta!r} overflows the softened matrix"
@@ -657,7 +609,7 @@ def _run_single(cfg, out_dir):
         exact_d = _exact_dimension(cfg, mesh, name)
     bundles = {
         p: solve_problem(
-            mesh, p, cfg.kappa, cfg.eta, cfg.stiffen, face_weight=cfg.face_weight,
+            mesh, p, cfg.kappa, eta_policy=cfg.eta, face_weight=cfg.face_weight,
             modes=cfg.modes, vectors=vectors,
         )
         for p in degrees
@@ -678,7 +630,7 @@ def _run_single(cfg, out_dir):
         if cfg.eta_sweep:
             summaries[str(p)]["eta_sweep"] = {
                 _fmt(eta): _report(
-                    cfg, _with_eta(bundle, float(eta), cfg.stiffen, "eta_sweep", vectors),
+                    cfg, _with_eta(bundle, float(eta), "eta_sweep", vectors),
                     reference, exact, out_dir, [f"spectrum_p{p}_eta{i}.csv"],
                 )
                 for i, eta in enumerate(cfg.eta_sweep)
@@ -696,7 +648,7 @@ def _run_ladder(cfg):
         floors = {key: [] for key in modes}
         for n in ns:
             mesh = mesh_from_spec({"type": "uniform", "n": n, "d": 1})
-            bundle = solve_problem(mesh, p, cfg.kappa, cfg.eta, cfg.stiffen)
+            bundle = solve_problem(mesh, p, cfg.kappa, eta_policy=cfg.eta)
             if max(track) > bundle.ndof:
                 raise ConfigError(
                     f"config field 'ladder': track mode {max(track)} is above the "
@@ -734,7 +686,6 @@ def run_experiment(config, out_dir):
         "name": cfg.name,
         "kappa": cfg.kappa.text,
         "eta_policy": cfg.eta if isinstance(cfg.eta, str) else float(cfg.eta),
-        "stiffen": cfg.stiffen,
         "degrees": list(degrees),
         "mesh": cfg.mesh,
     }

@@ -23,7 +23,7 @@ from softfem.assembly import (
     build_space,
     soften,
 )
-from softfem.coefficient import parse_coefficient
+from softfem.coefficient import UNIT, parse_coefficient
 from softfem.mesh import Mesh, mesh_from_spec
 from softfem.polyref import MAX_DEGREE, ReferenceBasis, cuboid_rule, simplex_rule
 
@@ -84,13 +84,59 @@ def test_jump_energy_ratio_bounds(small_bundle):
     assert np.all(ratios <= small_bundle.eta / eta_max + 1e-12)
 
 
-def test_embed_preserves_energy(small_bundle):
-    from softfem.assembly import assemble_stiffness, build_space
+# -- the energy identity of a softened eigenpair --------------------------
 
+
+def embed_coefficients(space_lo, coeffs_lo, space_hi):
+    """Re-express a low-degree FE function in a higher-degree space on the
+    same mesh, by nodal evaluation (exact since the spaces are nested)."""
+    if space_lo.mesh is not space_hi.mesh:
+        raise ValueError("spaces must share a mesh")
+    full_lo = speclab._full_coefficients(space_lo, coeffs_lo)
+    V, _ = space_lo.basis.eval(space_hi.basis.nodes)
+    full_hi = np.zeros(space_hi.n_full)
+    full_hi[space_hi.element_dofs] = full_lo[space_lo.element_dofs] @ V.T
+    return full_hi[space_hi.reduced_to_full]
+
+
+def pythagorean_residual(space, spectrum, exact, j, eta, kappa=UNIT):
+    """Residual of the eigenpair energy identity for softFEM mode j.
+
+    The exact eigenfunction is replaced by its degree-(p+4) interpolant on
+    the same mesh. Returns {'residual', 'scale'} where scale estimates the
+    perturbation introduced by that replacement.
+    """
+    speclab._require_simple(spectrum.values, j)
+    lam = float(exact.values[j])
+    lam_soft = float(spectrum.values[j])
+    uval, _ = exact.eigenfunction(j)
+
+    space_hi = build_space(space.mesh, space.p + 4)
+    K = assemble_stiffness(space_hi, kappa)
+    S = assemble_penalty(space_hi, kappa)
+    M = assemble_mass(space_hi)
+
+    u_interp = space_hi.interpolate(lambda pts: uval(pts))
+    errs, sign = speclab._coefficient_errors(space, spectrum.vector(j), exact, j)
+
+    u_h = sign * embed_coefficients(space, spectrum.vector(j), space_hi)
+    e_vec = u_interp - u_h
+    lhs = float(e_vec @ (K @ e_vec)) - eta * float(e_vec @ (S @ e_vec))
+    rhs = lam * float(e_vec @ (M @ e_vec)) + lam_soft - lam
+
+    # interpolation error of the exact mode in the fine space
+    ierr, _ = speclab._coefficient_errors(space_hi, u_interp, exact, j)
+    e_energy = errs["h1"] + math.sqrt(lam) * errs["l2"]
+    i_energy = ierr["h1"] + math.sqrt(lam) * ierr["l2"]
+    scale = i_energy * (i_energy + 2.0 * e_energy) + 1e-14 * lam
+    return {"residual": abs(lhs - rhs), "scale": scale}
+
+
+def test_embed_preserves_energy(small_bundle):
     space_hi = build_space(small_bundle.space.mesh, small_bundle.space.p + 2)
     K_hi = assemble_stiffness(space_hi)
     x = small_bundle.fem.vectors[:, 2]
-    y = speclab.embed_coefficients(small_bundle.space, x, space_hi)
+    y = embed_coefficients(small_bundle.space, x, space_hi)
     e_lo = float(x @ (small_bundle.K @ x))
     e_hi = float(y @ (K_hi @ y))
     assert abs(e_lo - e_hi) < 1e-10 * e_lo
@@ -110,24 +156,17 @@ def test_embed_matches_elementwise_interpolation(spec):
     want = np.zeros(space_hi.n_full)
     for e in range(space_lo.mesh.n_elements):
         want[space_hi.element_dofs[e]] = V @ full_lo[space_lo.element_dofs[e]]
-    got = speclab.embed_coefficients(space_lo, x, space_hi)
+    got = embed_coefficients(space_lo, x, space_hi)
     np.testing.assert_allclose(got, want[space_hi.reduced_to_full], rtol=0, atol=1e-13)
 
 
 def test_pythagorean_residual_small(small_bundle):
     exact = oracle.exact_laplace_spectrum(1, 8)
     for j in [0, 2]:
-        out = speclab.pythagorean_residual(
+        out = pythagorean_residual(
             small_bundle.space, small_bundle.soft, exact, j, small_bundle.eta
         )
         assert out["residual"] <= 10.0 * out["scale"]
-
-
-def test_stiffen_raises_high_end():
-    mesh = mesh_from_spec({"type": "uniform", "n": 10, "d": 1})
-    soft = speclab.solve_problem(mesh, 2, eta_policy="default")
-    stiff = speclab.solve_problem(mesh, 2, eta_policy="default", stiffen=True)
-    assert stiff.soft.values[-1] > soft.fem.values[-1] > soft.soft.values[-1]
 
 
 def test_config_validation_names_fields():
@@ -147,15 +186,13 @@ def test_config_validation_names_fields():
         speclab.ExperimentConfig.from_dict({"name": "x", "wibble": 1})
 
 
-@pytest.mark.parametrize("stiffen", [False, True])
-def test_eta_sweep_assembles_once_and_matches_standalone_runs(tmp_path, monkeypatch, stiffen):
+def test_eta_sweep_assembles_once_and_matches_standalone_runs(tmp_path, monkeypatch):
     base = {
         "name": "sweep",
         "mesh": {"type": "uniform", "n": 10, "d": 1},
         "degrees": [2],
         "reference": "exact",
         "jump_ratio": True,
-        "stiffen": stiffen,
     }
     etas = [0.0, 1.0 / 48.0, 1.0 / 16.0]
     calls = []
@@ -215,13 +252,13 @@ def eigen_defects(spectrum, A, M):
 
 @pytest.mark.parametrize("d,n,p", [(2, 3, 2), (2, 4, 3), (3, 2, 2), (3, 3, 3)])
 @pytest.mark.parametrize(
-    "eta_policy,stiffen,face_weight",
-    [("default", False, "local"), ("galerkin", False, "local"),
-     ("default", True, "local"), ("default", False, "mean")],
+    "eta_policy,face_weight", [("default", "local"), ("galerkin", "local"), ("default", "mean")]
 )
-def test_kronecker_path_matches_dense(d, n, p, eta_policy, stiffen, face_weight):
+def test_kronecker_path_matches_dense(d, n, p, eta_policy, face_weight):
     mesh = mesh_from_spec({"type": "uniform", "n": n, "d": d})
-    bundle = speclab.solve_problem(mesh, p, parse_coefficient("1.7"), eta_policy, stiffen, face_weight)
+    bundle = speclab.solve_problem(
+        mesh, p, parse_coefficient("1.7"), eta_policy=eta_policy, face_weight=face_weight
+    )
     assert bundle.solver == "kronecker"
 
     kappa = parse_coefficient("1.7")
@@ -231,8 +268,7 @@ def test_kronecker_path_matches_dense(d, n, p, eta_policy, stiffen, face_weight)
     for mine, assembled in zip(kronecker_pencil(bundle), (K, M, S)):
         assert abs(mine - assembled).max() <= 1e-14 * abs(assembled).max()
 
-    eta = bundle.eta
-    A = K + eta * S if stiffen else soften(K, S, eta)
+    A = soften(K, S, bundle.eta)
     for spectrum, pencil in ((bundle.fem, K), (bundle.soft, A)):
         dense = gevp.solve_gmevp(pencil, M)
         assert np.max(np.abs(spectrum.values - dense.values) / np.abs(dense.values)) <= 1e-12
@@ -545,6 +581,31 @@ def test_run_experiment_is_deterministic(tmp_path):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
+def test_blas_thread_count_moves_eigenvalues_only_by_rounding(tmp_path):
+    """Bytes are fixed for one BLAS build and thread count: at
+    OPENBLAS_NUM_THREADS 1 and 2 the 399-dof dense pencils' eigenvalues
+    agree to ROUNDING_MULTIPLE * eps * lambda_max of their pencil, and the
+    sizes and softness parameters of the summary are equal."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "threads", "mesh": {"type": "uniform", "n": 200, "d": 1},
+                               "degrees": [2], "reference": "exact"}))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "softfem.cli", "run", str(cfg), "--out", str(out)],
+                       capture_output=True, env=env, check=True)
+        table = np.genfromtxt(out / "spectrum.csv", delimiter=",", names=True)
+        runs.append((table, json.loads((out / "summary.json").read_text())["by_degree"]["2"]))
+    (one, block), (two, other) = runs
+    for kind in ("fem", "soft"):
+        bound = speclab.ROUNDING_MULTIPLE * np.finfo(float).eps * block[f"lambda_max_{kind}"]
+        assert np.abs(one[f"lambda_{kind}"] - two[f"lambda_{kind}"]).max() <= bound
+    for key in ("n_dofs", "eta", "eta_max", "gamma_p"):
+        assert block[key] == other[key]
+
+
 def test_csv_roundtrip(tmp_path):
     out, _ = run_tiny(tmp_path)
     rows = (out / "spectrum.csv").read_text().strip().split("\n")[1:]
@@ -854,7 +915,7 @@ def test_cli_coercivity_violation_exits_4(tmp_path, capsys):
     assert err.startswith("coercivity violation: ") and "Traceback" not in err
 
 
-OVERRIDES = ["--modes", "3", "--eta", "0.1", "--stiffen"]
+OVERRIDES = ["--modes", "3", "--eta", "0.1"]
 
 
 @pytest.mark.parametrize("text, argv", [
@@ -988,11 +1049,10 @@ NONUNIFORM = {"type": "cartesian", "breakpoints": [[0, 0.3, 0.5, 1], [0, 0.2, 0.
     [
         ("table1", ["--eta", "1e308"], "eta"),
         ({"mesh": {"type": "unit-square", "n": 3}, "eta": 1e308}, [], "eta"),
-        ({"mesh": {"type": "unit-square", "n": 3}, "eta": 1e308}, ["--stiffen"], "eta"),
         ({"mesh": {"type": "unit-square", "n": 3}, "eta": 1e308, "modes": 2}, [], "eta"),
         ({"mesh": NONUNIFORM, "eta_sweep": [1e308]}, [], "eta_sweep"),
     ],
-    ids=["ladder", "unit-square", "stiffen", "modes", "eta_sweep"],
+    ids=["ladder", "unit-square", "modes", "eta_sweep"],
 )
 def test_cli_rejects_an_eta_that_overflows_the_softened_matrix(
     tmp_path, capsys, target, argv, name
@@ -1190,7 +1250,7 @@ LADDER = {"name": "bad", "ladder": [{"degree": 1, "n": [4, 8]}]}
         ({**MESHED, "reference": "exakt"}, "reference"),
         ({**MESHED, "name": 3}, "name"),
         ({**MESHED, "kappa": 4}, "kappa"),
-        ({**MESHED, "stiffen": "yes"}, "stiffen"),
+        ({**MESHED, "stiffen": True}, "stiffen"),
         ({**MESHED, "jump_ratio": 1}, "jump_ratio"),
         ({**MESHED, "eigenfunction_modes": [0]}, "eigenfunction_modes"),
         ({"name": "bad", "ladder": [{"degree": 2}]}, "ladder"),
@@ -1288,7 +1348,6 @@ def small_runs(draw):
         "jump_ratio": draw(st.booleans()),
         "eigenfunction_modes": draw(st.lists(st.integers(1, 6), max_size=2)),
         "eta_sweep": draw(st.none() | st.lists(huge_or_small_eta, max_size=2)),
-        "stiffen": draw(st.booleans()),
         "face_weight": draw(st.sampled_from(["local", "mean"])),
     }
     modes = draw(st.none() | st.integers(-1, 40))
