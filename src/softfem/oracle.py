@@ -4,7 +4,8 @@ Exact Laplace spectra on the unit interval/square/cube, analytical linear
 FEM/softFEM eigenvalues on uniform 1D meshes, branch characteristic
 polynomials of the discrete 1D spectrum, the quartic superconvergence
 bound, eigenvalue-bound constants, sharp discrete trace constants with
-extremal polynomials, and a high-order FEM reference solver.
+extremal polynomials, and high-order FEM reference spectra, solved by the
+Galerkin half of every run.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import assembly, gevp
 from .coefficient import parse_coefficient
 from .mesh import mesh_from_spec, refine_spec
 from .polyref import ReferenceBasis, gauss_legendre_rule
@@ -249,13 +249,13 @@ def reference_spectrum(problem, count, degree, refine, richardson=False):
     """High-order FEM reference eigenvalues for a problem without closed form.
 
     problem: {'kappa': expression string, 'mesh': mesh spec dict}. Solves on
-    the `refine`-times refined mesh with the given degree, for the lowest
-    `count` modes only (all of them, if the space has fewer). `richardson`
-    is ignored: no error estimate is computed, and the flag stays only for
-    callers that still pass it.
+    the `refine`-times refined mesh with the given degree by the Galerkin
+    half of every run, `speclab._galerkin` (so on the Kronecker path where
+    it holds), for the lowest `count` modes only (all of them, if the space
+    has fewer). `richardson` is ignored: no error estimate is computed, and
+    the flag stays only for callers that still pass it.
     """
+    from .speclab import _galerkin  # here: speclab imports this module
     kappa = parse_coefficient(problem.get("kappa", "1"))
-    space = assembly.build_space(mesh_from_spec(refine_spec(problem["mesh"], refine)), degree)
-    K = assembly.assemble_stiffness(space, kappa)
-    M = assembly.assemble_mass(space)
-    return gevp.solve_gmevp(K, M, k=count).values
+    mesh = mesh_from_spec(refine_spec(problem["mesh"], refine))
+    return _galerkin(mesh, degree, kappa, count, vectors=False)[-1].values[:count]

@@ -339,6 +339,21 @@ def _is_kronecker_sum(mesh, kappa):
     return bool(np.ptp(widths) <= CONGRUENT_RTOL * widths.max())
 
 
+def _galerkin(mesh, p, kappa, modes, vectors):
+    """(space, base, K, M, fem): the Galerkin half of `solve_problem`, with
+    `space` None and `base` the 1D space where `_is_kronecker_sum` holds,
+    and lambda_max not certified. A BasisError propagates, so that each
+    caller names its own config field."""
+    kronecker = _is_kronecker_sum(mesh, kappa)
+    if kronecker:
+        space, base = None, build_space(build_cartesian_mesh(mesh.axes[:1]), p)
+    else:
+        space = base = build_space(mesh, p)
+    K = assemble_stiffness(base, kappa)
+    M = assemble_mass(base)
+    return space, base, K, M, _solve(K, M, modes, vectors, mesh.d if kronecker else 1)
+
+
 def solve_problem(mesh, p, kappa=UNIT, *, eta_policy="default", face_weight="local",
                   modes=None, vectors=True):
     """Assemble and solve both the Galerkin and softened pencils of the
@@ -353,27 +368,20 @@ def solve_problem(mesh, p, kappa=UNIT, *, eta_policy="default", face_weight="loc
     lambda_max. With `vectors` False, neither spectrum keeps its
     eigenvectors (see `_solve`).
     """
-    kronecker = _is_kronecker_sum(mesh, kappa)
-    if kronecker:
-        space, base = None, build_space(build_cartesian_mesh(mesh.axes[:1]), p)
-        ndof = base.ndof ** mesh.d
-    else:
-        try:
-            space = base = build_space(mesh, p)
-        except BasisError as err:
-            raise ConfigError(f"config field 'degrees' (or 'ladder'): {err}") from None
-        ndof = space.ndof
+    try:
+        space, base, K, M, fem = _galerkin(mesh, p, kappa, modes, vectors)
+    except BasisError as err:
+        raise ConfigError(f"config field 'degrees' (or 'ladder'): {err}") from None
+    ndof = base.ndof ** mesh.d if space is None else space.ndof
     if ndof == 0:
         raise ConfigError(
             f"config fields 'mesh' and 'degrees' (or 'ladder'): the degree-{p} space "
             "on this mesh has no interior degree of freedom"
         )
-    K = assemble_stiffness(base, kappa)
-    M = assemble_mass(base)
+    fem = _certified(fem, K, M)
     face_length = float(np.mean(mesh.h0)) if face_weight == "mean" else None
     S = assemble_penalty(base, kappa, face_length=face_length)
     eta = resolve_eta(eta_policy, p, mesh.kind, mesh.d)
-    fem = _solve(K, M, modes, vectors, mesh.d if kronecker else 1)
     bundle = SolveBundle(mesh, p, ndof, K, M, S, fem=fem, soft=fem, eta=0.0,
                          built_space=space)
     bundle = _with_eta(bundle, eta, vectors=vectors)
@@ -398,22 +406,24 @@ def _with_eta(bundle, eta, name="eta", vectors=True):
             f"config field {name!r}: eta = {eta!r} overflows the softened matrix"
         )
     factors = bundle.mesh.d if bundle.fem.path == "kronecker" else 1
-    soft = _solve(A, bundle.M, bundle.fem.order, vectors, factors)
+    soft = _certified(_solve(A, bundle.M, bundle.fem.order, vectors, factors), A, bundle.M)
     return replace(bundle, soft=soft, eta=eta)
 
 
 def _solve(A, M, k, vectors, factors):
-    """The lowest k modes of the pencil (all if k is None) and its
-    lambda_max, certified by `gevp.largest_eigenvalue` after a partial
-    sparse solve; without `vectors`, the eigenvectors are dropped as soon
-    as the solve returns, so none is held while the next pencil is solved.
-    With `factors` d > 1, the 1D pencil is solved in full instead, and the
-    result is the factored spectrum of its d-fold Kronecker sum."""
+    """The lowest k modes of the pencil (all if k is None); without
+    `vectors`, the eigenvectors are dropped as soon as the solve returns, so
+    none is held while the next pencil is solved. With `factors` d > 1, the
+    1D pencil is solved in full instead, and the result is the factored
+    spectrum of its d-fold Kronecker sum."""
     if factors > 1:
         return _kronecker_spectrum(_solve(A, M, None, vectors, 1), factors)
     spectrum = gevp.solve_gmevp(A, M, k)
-    if not vectors:
-        spectrum = replace(spectrum, vectors=None)
+    return spectrum if vectors else replace(spectrum, vectors=None)
+
+
+def _certified(spectrum, A, M):
+    """The spectrum of (A, M), with a lambda_max the solve left unset certified."""
     if spectrum.lambda_max is None:
         spectrum = replace(spectrum, lambda_max=gevp.largest_eigenvalue(A, M))
     return spectrum
@@ -432,7 +442,7 @@ def _kronecker_spectrum(spectrum, d):
     return gevp.Spectrum(
         values=values,
         vectors=None,
-        lambda_max=float(values[-1]),
+        lambda_max=float(values.max(initial=-np.inf)),  # -inf for an empty pencil
         path="kronecker",
         indices=np.array(np.unravel_index(order, (len(mu),) * d)),
         factor=spectrum,

@@ -202,11 +202,12 @@ def test_random_polynomials_respect_trace_bound():
 
 
 def test_reference_spectrum_matches_exact_for_unit_kappa():
-    values = oracle.reference_spectrum(
-        {"kappa": "1", "mesh": {"type": "uniform", "n": 4, "d": 1}},
-        5,
-        degree=6,
-        refine=4,
-    )
-    exact = oracle.exact_laplace_spectrum(1, 5).values
-    assert np.max(np.abs(values - exact) / exact) < 1e-10
+    for d, refine in [(1, 4), (3, 1)]:  # in 3D, the Kronecker path
+        values = oracle.reference_spectrum(
+            {"kappa": "1", "mesh": {"type": "uniform", "n": 4, "d": d}},
+            5,
+            degree=6,
+            refine=refine,
+        )
+        exact = oracle.exact_laplace_spectrum(d, 5).values
+        assert np.max(np.abs(values - exact) / exact) < 1e-10

@@ -317,6 +317,46 @@ def test_kronecker_path_forms_no_d_dimensional_matrix(monkeypatch, d, n, p):
     assert calls  # the counter sees the forming
 
 
+def test_kronecker_reference_forms_no_d_dimensional_matrix(tmp_path, monkeypatch):
+    """A high-order reference on a tensor mesh with constant kappa takes the
+    Kronecker path too: no matrix of the refined 2D order is assembled, and
+    its values agree with the dense solve of the assembled refined 2D pencil
+    to ROUNDING_MULTIPLE * eps * lambda_max."""
+    shapes = []
+
+    def shaped(name):
+        original = getattr(assembly, name)
+
+        def wrapper(*args, **kwargs):
+            out = original(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        for module in (assembly, speclab):
+            monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("assemble_stiffness", "assemble_mass", "assemble_penalty"):
+        shaped(name)
+    mesh = {"type": "uniform", "n": 4, "d": 2}
+    cfg = {"name": "k", "mesh": mesh, "kappa": "2", "degrees": [2],
+           "reference": "high-order", "reference_degree": 3, "reference_refine": 2}
+    summary = speclab.run_experiment(cfg, str(tmp_path))
+    monkeypatch.undo()
+    assert summary["solver"] == {"2": "kronecker"}
+    # the problem's 1D pencil (7 dofs), then the reference's (8 cells, p = 3)
+    assert shapes == [(7, 7)] * 3 + [(23, 23)] * 2
+
+    space = build_space(mesh_from_spec({**mesh, "n": 8}), 3)
+    assert space.ndof == 23**2
+    kappa = parse_coefficient("2")
+    dense = gevp.solve_gmevp(assemble_stiffness(space, kappa), assemble_mass(space))
+    rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
+    lambda_ref = np.array([float(row.split(",")[2]) for row in rows])
+    assert len(lambda_ref) == 7**2
+    error = np.abs(lambda_ref - dense.values[: len(lambda_ref)]).max()
+    assert error <= speclab.ROUNDING_MULTIPLE * np.finfo(float).eps * dense.lambda_max
+
+
 @pytest.mark.parametrize("d,efn_modes", [(2, []), (3, []), (2, [1, 2]), (3, [1, 2])])
 def test_kronecker_run_builds_the_d_dimensional_space_on_demand(
     tmp_path, monkeypatch, d, efn_modes
@@ -1292,6 +1332,10 @@ def test_cli_rejects_bad_config_fields(tmp_path, capsys, cfg, name):
         ({"name": "bad", "ladder": [{"degree": 1, "n": [1, 2]}]}, ("ladder",)),
         # 1 interior dof at n = 2 for track mode 5
         ({"name": "bad", "ladder": [{"degree": 1, "n": [2, 4], "track_modes": [5]}]}, ("ladder",)),
+        # a Kronecker reference space with no dof (one cell at p = 1)
+        ({"name": "bad", "mesh": {"type": "uniform", "n": 1, "d": 2}, "degrees": [2],
+          "reference": "high-order", "reference_degree": 1, "reference_refine": 1},
+         ("reference_degree", "reference_refine")),
     ],
 )
 def test_cli_rejects_configs_without_enough_modes(tmp_path, capsys, cfg, names):
