@@ -62,30 +62,26 @@ class Spectrum:
         return self.lambda_max
 
     def vector(self, j):
-        """Eigenvector j."""
+        """Eigenvector j; a factored one with its sign fixed as `_fix_signs`
+        fixes a column."""
         if self.factor is None:
             return self.vectors[:, j]
         X = self.factor.vectors
         out = X[:, self.indices[0, j]]
         for i in self.indices[1:, j]:
             out = np.multiply.outer(out, X[:, i]).ravel()
-        return out
+        return _fix_signs(out[:, None], [0])[:, 0]
 
 
 def _fix_signs(vectors, columns):
     """The given columns of `vectors`, in that order, as one C-ordered copy in
-    which the first nonzero component of each column is positive.
-
-    Components of at most 1e-12 times the largest magnitude in their column
-    count as zero; a zero column is left as it is.
+    which each column has a nonnegative inner product with `_start_vector`,
+    so no rounding-level entry decides a sign; a zero column stays as it is.
     """
     # C order: later dot products over a column round by its stride
     out = np.empty((vectors.shape[0], len(columns)), dtype=vectors.dtype)
     np.take(vectors, columns, axis=1, out=out, mode="clip")  # "raise" would buffer out
-    if out.size:
-        cut = 1e-12 * np.maximum(out.max(axis=0), -out.min(axis=0))
-        lead = np.argmax((out > cut) | (out < -cut), axis=0)
-        np.negative(out, out=out, where=out[lead, np.arange(out.shape[1])] < 0)
+    np.negative(out, out=out, where=_start_vector(len(out)) @ out < 0)
     return out
 
 
@@ -116,8 +112,9 @@ def _pays(k, n):
 
 
 def _start_vector(n):
-    """The fixed Lanczos start vector of both certified solves. A random one:
-    the extreme mode of a symmetric mesh can be M-orthogonal to `ones`."""
+    """The fixed Lanczos start vector of both certified solves, and the sign
+    reference of `_fix_signs`. A random one: the extreme mode of a symmetric
+    mesh can be M-orthogonal to `ones`."""
     return np.random.default_rng(0).standard_normal(n)
 
 

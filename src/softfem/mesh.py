@@ -120,16 +120,17 @@ class Mesh:
 
     def _build_geometry(self):
         verts = self.vertices[self.elements]
-        diffs = verts[:, :, None, :] - verts[:, None, :, :]
-        self.h = np.sqrt((diffs**2).sum(axis=3)).max(axis=(1, 2))
         if self.kind == "tensor":
             edges = verts.max(axis=1) - verts.min(axis=1)
             bad = np.flatnonzero((edges <= 0).any(axis=1))
             if len(bad):
                 raise InvalidMeshError(f"degenerate cuboid element {bad[0]}")
+            self.h = np.sqrt((edges**2).sum(axis=1))  # the diagonal
             self.volumes = edges.prod(axis=1)
             self.h0 = edges.min(axis=1)
         else:
+            diffs = verts[:, :, None, :] - verts[:, None, :, :]
+            self.h = np.sqrt((diffs**2).sum(axis=3)).max(axis=(1, 2))
             area2 = _area2(verts)
             bad = np.flatnonzero((area2 == 0) | ~np.isfinite(area2))
             if len(bad):

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from softfem import gevp
+from softfem import gevp, speclab
 from softfem.assembly import (
     assemble_mass,
     assemble_penalty,
@@ -23,6 +23,7 @@ from softfem.gevp import (
     _fix_signs,
     _inertia,
     _lowest_modes,
+    _start_vector,
     CLUSTER_RTOL,
     cluster_eigenvalues,
     condition_number,
@@ -71,35 +72,35 @@ def test_m_orthonormal_eigenvectors():
 
 
 def fix_signs_loop(vectors):
-    """Column-by-column reference of the sign convention."""
-    out = vectors.copy()
+    """Column-by-column reference of the sign rule: a column whose inner
+    product with the start vector is negative is negated."""
+    out = np.array(vectors, order="C")
+    start = _start_vector(len(out))
     for j in range(out.shape[1]):
-        col = out[:, j]
-        big = np.abs(col).max()
-        if big == 0:
-            continue
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * big)
-        if len(nz) and col[nz[0]] < 0:
-            out[:, j] = -col
+        if start @ out[:, j] < 0:
+            out[:, j] = -out[:, j]
     return out
 
 
-def test_sign_convention_first_nonzero_positive():
+def test_sign_rule_projects_on_the_start_vector():
     a, m = random_pencil(9, seed=2)
     spec = solve_gmevp(a, m)
-    for j in range(9):
-        v = spec.vectors[:, j]
-        nz = np.flatnonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))
-        assert v[nz[0]] > 0
+    assert np.all(_start_vector(9) @ spec.vectors > 0)
     raw = np.asfortranarray(np.random.default_rng(5).standard_normal((9, 9)))
     raw[:, 2] = 0.0  # a zero column stays as it is
-    raw[:3, 4] = [-1e-13, 0.0, 0.7]  # led by a negative entry under the cut
-    raw[:2, 6] = [2e-13, -0.9]  # led by a positive entry under the cut
     for vectors in (spec.vectors, raw, -raw):
         fixed = _fix_signs(vectors, np.arange(9))
         expected = fix_signs_loop(vectors)
         assert fixed.tobytes() == expected.tobytes()
         assert fixed.flags.c_contiguous
+    assert not _fix_signs(raw, np.arange(9))[:, 2].any()
+    assert _fix_signs(raw, [4, 1]).tobytes() == fix_signs_loop(raw[:, [4, 1]]).tobytes()
+    assert _fix_signs(np.zeros((0, 3)), [0, 2]).shape == (0, 2)  # an empty pencil
+    # a leading entry at rounding level does not decide the sign
+    noisy = np.repeat(raw[:, [4]], 2, axis=1)
+    noisy[0] = [1e-11, -1e-11]
+    fixed = _fix_signs(noisy, [0, 1])
+    assert np.array_equal(fixed[1:, 0], fixed[1:, 1])
 
 
 def test_solve_is_reproducible():
@@ -163,6 +164,21 @@ def graded_2d_kappa_reference():
     return pencil(refine_spec(graded_2d_kappa_mesh(), 1), 4, kappa=GRADED_KAPPA)
 
 
+def assert_simple_vectors_agree(dense, vector, count=None):
+    """vector(j) is the dense solve's sign-fixed eigenvector j for every
+    simple mode (more than 1e-6 relative from both neighbours) among the
+    lowest `count` (all if None); returns how many modes that is.
+    Eigenvector rounding grows as 1/gap: 1e-11/gap is 60 times the largest
+    difference seen on the tested pencils, and a flipped sign would differ
+    by twice the largest entry."""
+    gaps = np.diff(dense.values) / dense.values[1:]
+    gaps = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])[:count]
+    modes = np.flatnonzero(gaps > 1e-6)
+    for j in modes:
+        assert np.max(np.abs(vector(j) - dense.vectors[:, j])) <= 1e-11 / gaps[j], j
+    return len(modes)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -184,11 +200,24 @@ def test_lowest_modes_match_dense(make):
     residual = np.linalg.norm(K @ sparse.vectors - MU * sparse.values, axis=0)
     assert np.max(residual / (sparse.values * np.linalg.norm(MU, axis=0))) <= 1e-10
     assert np.max(np.abs(sparse.vectors.T @ MU - np.eye(k))) <= 1e-12
-    # sign-fixed vectors of simple modes agree with the dense ones
-    assert np.max(np.abs(sparse.vectors[:, :3] - dense.vectors[:, :3])) <= 1e-8
+    assert_simple_vectors_agree(dense, sparse.vector, k)
     again = solve_gmevp(K, M, k)
     assert again.values.tobytes() == sparse.values.tobytes()
     assert again.vectors.tobytes() == sparse.vectors.tobytes()
+
+
+def test_kronecker_vectors_match_dense():
+    """Both factored spectra of a 2D Kronecker-path run give the dense
+    solve's vector for each of their 23 simple modes (the others are the
+    x <-> y pairs)."""
+    spec = {"type": "uniform", "n": 8, "d": 2}
+    bundle = speclab.solve_problem(mesh_from_spec(spec), 3)
+    assert bundle.solver == "kronecker"
+    space, K, M = pencil(spec, 3)
+    A = soften(K, assemble_penalty(space), bundle.eta)
+    for spectrum, pencil_matrix in ((bundle.fem, K), (bundle.soft, A)):
+        dense = solve_gmevp(pencil_matrix, M)
+        assert assert_simple_vectors_agree(dense, spectrum.vector) == 23
 
 
 def assert_dense_slice(A, M, k):

@@ -24,6 +24,18 @@ def test_cartesian_1d_counts_and_lengths():
     assert faces.normal.shape == (2, 1)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tensor_cell_h_is_the_largest_vertex_distance(d):
+    """A cuboid's h, its diagonal, is bit for bit the largest distance
+    between two of its vertices."""
+    rng = np.random.default_rng(d)
+    axes = [np.sort(np.r_[0.0, rng.uniform(0.0, 3.0, 5), 3.0]) for _ in range(d)]
+    mesh = build_cartesian_mesh(axes)
+    verts = mesh.vertices[mesh.elements]
+    diffs = verts[:, :, None, :] - verts[:, None, :, :]
+    assert mesh.h.tobytes() == np.sqrt((diffs**2).sum(axis=3)).max(axis=(1, 2)).tobytes()
+
+
 def test_cartesian_2d_interface_count_and_normals():
     n = 4
     pts = np.linspace(0.0, 1.0, n + 1)

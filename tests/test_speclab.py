@@ -356,6 +356,50 @@ def test_kronecker_reference_forms_no_d_dimensional_matrix(tmp_path, monkeypatch
     error = np.abs(lambda_ref - dense.values[: len(lambda_ref)]).max()
     assert error <= speclab.ROUNDING_MULTIPLE * np.finfo(float).eps * dense.lambda_max
 
+    # the default reference of a 3D n=4 run (p = 7 on 16^3 cells: 111^3 sums)
+    # forms only the sums it reports, and its refined mesh no pairwise array
+    cfg = {"name": "k3", "mesh": {"type": "uniform", "n": 4, "d": 3}, "kappa": "2",
+           "degrees": [2], "reference": "high-order"}
+    tracemalloc.start()
+    try:
+        summary = speclab.run_experiment(cfg, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["solver"] == {"2": "kronecker"}
+    assert peak <= 16 * 2**20
+    space = build_space(mesh_from_spec({"type": "uniform", "n": 16, "d": 1}), 7)
+    mu = gevp.solve_gmevp(assemble_stiffness(space, kappa), assemble_mass(space)).values
+    assert len(mu) == 111
+    sums = np.sort(np.add.outer(mu, np.add.outer(mu, mu)).ravel(), kind="stable")
+    rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
+    lambda_ref = np.array([float(row.split(",")[2]) for row in rows])
+    assert lambda_ref.tobytes() == sums[: 7**3].tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kronecker_lowest_k_is_the_full_sorts_first_k(d):
+    """The lowest k modes of a factored spectrum are, bit for bit, the first
+    k of the stable sort of all n^d sums, with the same index tuples and
+    ties, and lambda_max is the largest sum: for every k, including each
+    that splits a cluster of equal sums, and for k above n^d. The integer
+    values tie exactly, also with a sum just outside the block."""
+    fem = speclab.solve_problem(mesh_from_spec({"type": "uniform", "n": 4, "d": 1}), 2,
+                                eta_policy="galerkin").fem
+    for spectrum in (fem, gevp.Spectrum(values=np.arange(6.0), vectors=None)):
+        mu, n = spectrum.values, spectrum.order
+        values = mu
+        for _ in range(d - 1):
+            values = np.add.outer(mu, values).ravel()
+        order = np.argsort(values, kind="stable")
+        indices = np.array(np.unravel_index(order, (n,) * d))
+        for k in [*range(1, n**d + 1), n**d + 5, None]:
+            got = speclab._kronecker_spectrum(spectrum, d, k)
+            want = slice(None) if k is None else slice(k)
+            assert got.values.tobytes() == values[order][want].tobytes()
+            assert np.array_equal(got.indices, indices[:, want])
+            assert got.lambda_max == values.max()
+
 
 @pytest.mark.parametrize("d,efn_modes", [(2, []), (3, []), (2, [1, 2]), (3, [1, 2])])
 def test_kronecker_run_builds_the_d_dimensional_space_on_demand(
@@ -388,8 +432,9 @@ def test_kronecker_run_builds_the_d_dimensional_space_on_demand(
 
 def test_kronecker_spectrum_is_factored_bit_for_bit():
     """Value j is mu[i0] + (mu[i1] + mu[i2]) over the index tuple of mode j,
-    and vector(j) is column j of the full Kronecker product matrix, formed as
-    the path once formed it (slowest axis first)."""
+    and vector(j) is column j of the full Kronecker product matrix (slowest
+    axis first), negated where its inner product with the start vector is
+    negative."""
     bundle = speclab.solve_problem(mesh_from_spec({"type": "uniform", "n": 3, "d": 3}), 2)
     spectrum = bundle.soft
     mu, X, idx = spectrum.factor.values, spectrum.factor.vectors, spectrum.indices
@@ -398,6 +443,7 @@ def test_kronecker_spectrum_is_factored_bit_for_bit():
     full = X[:, idx[0]]
     for j in idx[1:]:
         full = (full[:, None, :] * X[:, j][None, :, :]).reshape(-1, spectrum.order)
+    full *= np.where(gevp._start_vector(len(full)) @ full < 0, -1.0, 1.0)
     for j in range(spectrum.order):
         assert spectrum.vector(j).tobytes() == full[:, j].tobytes()
 
