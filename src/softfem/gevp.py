@@ -37,7 +37,8 @@ class Spectrum:
     sparse partial solve leaves it None (see `largest_eigenvalue`). A
     factored spectrum (the Kronecker path) has no `vectors`: eigenvector j
     is the Kronecker product of the columns `indices[:, j]` of its 1D
-    spectrum `factor`, slowest axis first, formed by `vector(j)`.
+    spectrum `factor`, slowest axis first, formed by `vector(j)`. A spectrum
+    solved without eigenvectors holds neither, and reading one raises.
     """
 
     values: np.ndarray
@@ -61,12 +62,20 @@ class Spectrum:
             )
         return self.lambda_max
 
+    def checked_vectors(self):
+        """The eigenvector matrix the spectrum holds: its own `vectors`, or
+        its factor's; ValueError if the solve dropped them (vectors=False)."""
+        X = self.vectors if self.factor is None else self.factor.vectors
+        if X is None:
+            raise ValueError("this spectrum was solved without eigenvectors (vectors=False)")
+        return X
+
     def vector(self, j):
         """Eigenvector j; a factored one with its sign fixed as `_fix_signs`
         fixes a column."""
+        X = self.checked_vectors()
         if self.factor is None:
-            return self.vectors[:, j]
-        X = self.factor.vectors
+            return X[:, j]
         out = X[:, self.indices[0, j]]
         for i in self.indices[1:, j]:
             out = np.multiply.outer(out, X[:, i]).ravel()

@@ -113,10 +113,9 @@ def jump_energy_ratio(spectrum, eta, K, S):
     with M1-orthonormal 1D vectors x_a, x'Kx = sum_a x_a'K1x_a, and likewise
     for S, so each mode costs O(d n1).
     """
-    factored = spectrum.factor is not None
-    X = spectrum.factor.vectors if factored else spectrum.vectors
+    X = spectrum.checked_vectors()
     energy = np.array([[x @ (A @ x) for x in X.T] for A in (K, S)])
-    if factored:
+    if spectrum.factor is not None:
         energy = energy[:, spectrum.indices].sum(axis=1)
     kx, sx = energy
     if np.any(kx <= 0):

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,6 @@ from softfem.assembly import (
     softness_parameters,
 )
 from softfem.coefficient import parse_coefficient
-from softfem.gevp import solve_gmevp
 from softfem.mesh import build_cartesian_mesh, mesh_from_spec
 from softfem.polyref import ReferenceBasis
 
@@ -295,29 +295,29 @@ def test_basis_is_evaluated_once_per_assembly(monkeypatch):
                     assert getattr(first, part).tobytes() == getattr(second, part).tobytes()
 
 
-@pytest.mark.parametrize("d,n,p", [(2, 3, 2), (3, 2, 2)])
+@pytest.mark.parametrize("d,n,p", [(2, 3, 2), (2, 4, 3), (3, 2, 2), (3, 3, 3)])
 def test_tensor_spectra_are_kronecker_sums(d, n, p):
     """On congruent cells with constant kappa, K = sum_a K1 x M1 (x M1),
-    S = sum_a S1 x M1 (x M1) and M = M1 x M1 (x M1), so every eigenvalue of
-    either pencil is a sum of d eigenvalues of the 1D pencil. This checks the
-    face quadrature, normals and h_F of the 2D and 3D penalty."""
+    S = sum_a S1 x M1 (x M1) and M = M1 x M1 (x M1) to 1e-14 of the largest
+    entry, with the local or the mean face length, so every eigenvalue of
+    either pencil is a sum of d eigenvalues of the 1D pencil (the Kronecker
+    row of tests/test_paths.py compares the sums with the dense solve). This
+    checks the face quadrature, normals and h_F of the 2D and 3D penalty."""
     kappa = parse_coefficient("1.7")
-    eta = softness_parameters(p, "tensor")["eta_default"]
 
-    def spectra(mesh):
+    def pencil(mesh, face_length):
         space = build_space(mesh, p)
-        K = assemble_stiffness(space, kappa)
-        S = assemble_penalty(space, kappa)
-        M = assemble_mass(space)
-        return [solve_gmevp(A, M).values for A in (K, soften(K, S, eta))]
+        return (assemble_stiffness(space, kappa), assemble_mass(space),
+                assemble_penalty(space, kappa, face_length=face_length))
 
-    for mu, lam in zip(
-        spectra(uniform_1d(n)), spectra(mesh_from_spec({"type": "uniform", "n": n, "d": d}))
-    ):
-        sums = mu
-        for _ in range(d - 1):
-            sums = np.add.outer(sums, mu).ravel()
-        assert np.max(np.abs(lam - np.sort(sums)) / np.abs(lam)) <= 1e-12
+    kron = functools.partial(functools.reduce, sp.kron)
+    for face_length in (None, 1.0 / n):
+        K1, M1, S1 = pencil(uniform_1d(n), face_length)
+        sums = [sum(kron([A if b == a else M1 for b in range(d)]) for a in range(d))
+                for A in (K1, S1)]
+        assembled = pencil(mesh_from_spec({"type": "uniform", "n": n, "d": d}), face_length)
+        for mine, want in zip((sums[0], kron([M1] * d), sums[1]), assembled):
+            assert abs(mine - want).max() <= 1e-14 * abs(want).max()
 
 
 def test_assembly_is_deterministic():
