@@ -90,6 +90,14 @@ def test_sign_rule_projects_on_the_start_vector():
     assert np.array_equal(fixed[1:, 0], fixed[1:, 1])
 
 
+def test_solve_is_reproducible():
+    a, m = random_pencil(10, seed=3)
+    s1 = solve_gmevp(a, m)
+    s2 = solve_gmevp(a, m)
+    assert np.array_equal(s1.values, s2.values)
+    assert np.array_equal(s1.vectors, s2.vectors)
+
+
 def test_mass_must_be_spd():
     a = dense_to_sym(np.eye(3))
     m = dense_to_sym(np.diag([1.0, -1.0, 1.0]))

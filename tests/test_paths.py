@@ -3,7 +3,7 @@ a function of (pencil, k), which returns a `gevp.Spectrum` or None where it
 declines, and to its bound, c eps lambda_max of the dense solve capped at
 `rtol` relative. `PENCILS` lists the cases, each a Galerkin pencil and its
 softened pencil at the default eta. `check` runs every check once per
-(path, case, k); a new path is one `PATHS` row, a new pencil one case."""
+(path, case, k, pencil); a new path is one `PATHS` row, a new pencil one case."""
 
 import functools
 import pickle
@@ -132,8 +132,10 @@ PENCILS = [
     Case("d4-kappa-n12-p3", lambda: fe({"type": "uniform", "n": 12, "d": 2}, 3, D4_KAPPA),
          ks=(None, 2, 7, 14, 40), paths=LARGE, rtol=1e-12),
 ]
-GRID = [(name, case, k) for case in PENCILS for name, path in PATHS.items() if name in case.paths
-        for k in (case.ks if path.modes == "lowest" else (None,))]
+SIDES = ("galerkin", "softened")
+GRID = [(name, case, k, side) for case in PENCILS for name, path in PATHS.items()
+        if name in case.paths for k in (case.ks if path.modes == "lowest" else (None,))
+        for side in SIDES]
 
 
 @functools.lru_cache(maxsize=1)  # the grid runs case by case: hold one case's dense vectors
@@ -145,54 +147,61 @@ def pencils(case):
     return pair
 
 
-def check(path, case, k):
-    """Every check of a path on a case's two pencils at k."""
-    pair = pencils(case)
-    spectra = [path.solve(pencil, k) for pencil in pair]
+@functools.lru_cache(maxsize=1)  # the two pencils of a (path, case, k) are adjacent in the grid
+def first_calls(path, case, k):
+    """The path's first call on each of the case's two pencils."""
+    return [path.solve(pencil, k) for pencil in pencils(case)]
+
+
+def check(path, case, k, side):
+    """Every check of a path on one of a case's two pencils at k."""
+    pair, spectra = pencils(case), first_calls(path, case, k)
+    pencil, got = pair[SIDES.index(side)], spectra[SIDES.index(side)]
     if not path.accepts(case, pair[0].A.shape[0], k):
-        assert spectra == [None, None]
+        assert got is None
         return
-    for pencil, got in zip(pair, spectra):
-        dense, n = pencil.dense, pencil.A.shape[0]
-        modes = np.array([n - 1]) if path.modes == "top" else np.arange(n)[:k]
-        assert got.order == len(modes)
-        want, rtol, top = dense.values[modes], min(path.rtol, case.rtol), dense.lambda_max
-        assert np.all(np.abs(got.values - want) <= np.minimum(path.c * EPS * top, rtol * want))
-        if got.lambda_max is not None:
-            assert abs(got.lambda_max - top) <= min(path.c * EPS, rtol) * top
-            assert modes[-1] < n - 1 or got.lambda_max == got.values[-1]
-        if path.residual is not None:
-            X = np.column_stack([got.vector(j) for j in range(got.order)])
-            MX = pencil.M @ X
-            assert np.abs(X.T @ MX - np.eye(got.order)).max() <= 1e-12
-            residual = np.linalg.norm(pencil.A @ X - MX * got.values, axis=0)
-            assert np.all(residual <= path.residual * got.values * np.linalg.norm(MX, axis=0))
-            # simple modes, more than 1e-6 relative from both neighbours
-            gaps = np.diff(dense.values) / dense.values[1:]
-            gaps = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])[modes]
-            simple = gaps > 1e-6
-            error = np.abs(X[:, simple] - dense.vectors[:, modes[simple]]).max(axis=0, initial=0)
-            assert np.all(error <= 1e-11 / gaps[simple])
-        # tau across the widest relative gap between dense values within two
-        # modes of the returned ones: never inside a pair that k splits
-        lo = max(modes[0] - 2, 0)
-        window = dense.values[lo:modes[-1] + 3]
-        i = lo + np.argmax(np.diff(window) / window[1:])
-        tau = 0.5 * (dense.values[i] + dense.values[i + 1])
-        below = i + 1 - np.count_nonzero(modes <= i) + np.count_nonzero(got.values < tau)
-        assert gevp._inertia(pencil.A - tau * pencil.M)[1] == below
-    fem, soft = spectra
-    # a second call on the Galerkin pencil; the dense path's first is `dense`
-    again = pair[0].dense if path is PATHS["dense"] else path.solve(pair[0], k)
-    assert pickle.dumps(again) == pickle.dumps(fem)
-    assert np.all(soft.values <= fem.values + path.c * EPS * pair[0].dense.lambda_max)
-    assert soft.values[0] > 0
+    dense, n = pencil.dense, pencil.A.shape[0]
+    modes = np.array([n - 1]) if path.modes == "top" else np.arange(n)[:k]
+    assert got.order == len(modes)
+    want, rtol, top = dense.values[modes], min(path.rtol, case.rtol), dense.lambda_max
+    assert np.all(np.abs(got.values - want) <= np.minimum(path.c * EPS * top, rtol * want))
+    if got.lambda_max is not None:
+        assert abs(got.lambda_max - top) <= min(path.c * EPS, rtol) * top
+        assert modes[-1] < n - 1 or got.lambda_max == got.values[-1]
+    if path.residual is not None:
+        X = np.column_stack([got.vector(j) for j in range(got.order)])
+        MX = pencil.M @ X
+        assert np.abs(X.T @ MX - np.eye(got.order)).max() <= 1e-12
+        residual = np.linalg.norm(pencil.A @ X - MX * got.values, axis=0)
+        assert np.all(residual <= path.residual * got.values * np.linalg.norm(MX, axis=0))
+        # simple modes, more than 1e-6 relative from both neighbours
+        gaps = np.diff(dense.values) / dense.values[1:]
+        gaps = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])[modes]
+        simple = gaps > 1e-6
+        error = np.abs(X[:, simple] - dense.vectors[:, modes[simple]]).max(axis=0, initial=0)
+        assert np.all(error <= 1e-11 / gaps[simple])
+    # tau across the widest relative gap between dense values within two
+    # modes of the returned ones: never inside a pair that k splits
+    lo = max(modes[0] - 2, 0)
+    window = dense.values[lo:modes[-1] + 3]
+    i = lo + np.argmax(np.diff(window) / window[1:])
+    tau = 0.5 * (dense.values[i] + dense.values[i + 1])
+    below = i + 1 - np.count_nonzero(modes <= i) + np.count_nonzero(got.values < tau)
+    assert gevp._inertia(pencil.A - tau * pencil.M)[1] == below
+    # a second call; the dense path's first is `dense`
+    again = pencil.dense if path is PATHS["dense"] else path.solve(pencil, k)
+    assert pickle.dumps(again) == pickle.dumps(got)
+    if side == "softened":
+        fem = spectra[0]
+        assert np.all(got.values <= fem.values + path.c * EPS * pair[0].dense.lambda_max)
+        assert got.values[0] > 0
 
 
-@pytest.mark.parametrize("name,case,k", [
-    pytest.param(name, case, k, id=f"{name}-{case.name}-k{k or 'all'}") for name, case, k in GRID])
-def test_path_agrees_with_dense(name, case, k):
-    check(PATHS[name], case, k)
+@pytest.mark.parametrize("name,case,k,side", [
+    pytest.param(name, case, k, side, id=f"{name}-{case.name}-k{k or 'all'}-{side}")
+    for name, case, k, side in GRID])
+def test_path_agrees_with_dense(name, case, k, side):
+    check(PATHS[name], case, k, side)
 
 
 def test_the_d4_cuts_split_pairs():  # the last case of the grid: still in the cache
@@ -208,9 +217,11 @@ def test_the_d4_cuts_split_pairs():  # the last case of the grid: still in the c
 @pytest.mark.parametrize("name", PATHS)
 def test_checks_catch_a_wrong_path(name, wrong):
     """A path shifted by 100 eps lambda_max, or with a mode dropped, fails on
-    the first case and k of the grid that it accepts."""
+    both pencils of the first case and k of the grid that it accepts."""
     path = PATHS[name]
-    case, k = next((case, k) for row, case, k in GRID
+    case, k = next((case, k) for row, case, k, _ in GRID
                    if row == name and path.accepts(case, pencils(case)[0].A.shape[0], k))
-    with pytest.raises(AssertionError):
-        check(path._replace(solve=lambda pencil, k: wrong(path.solve(pencil, k), pencil)), case, k)
+    path = path._replace(solve=lambda pencil, k: wrong(PATHS[name].solve(pencil, k), pencil))
+    for side in SIDES:
+        with pytest.raises(AssertionError):
+            check(path, case, k, side)
