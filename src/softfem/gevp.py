@@ -9,6 +9,7 @@ not.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,11 +121,14 @@ def _pays(k, n):
     return 1 <= k and k + 1 <= n // 10
 
 
+@functools.lru_cache(maxsize=8)
 def _start_vector(n):
     """The fixed Lanczos start vector of both certified solves, and the sign
-    reference of `_fix_signs`. A random one: the extreme mode of a symmetric
-    mesh can be M-orthogonal to `ones`."""
-    return np.random.default_rng(0).standard_normal(n)
+    reference of `_fix_signs`, drawn once per length and read-only. A random
+    one: the extreme mode of a symmetric mesh can be M-orthogonal to `ones`."""
+    v = np.random.default_rng(0).standard_normal(n)
+    v.setflags(write=False)
+    return v
 
 
 def _lowest_modes(A, M, k):

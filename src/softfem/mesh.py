@@ -12,7 +12,9 @@ elements' h_tau^0.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,9 +224,7 @@ def build_cartesian_mesh(breakpoints_per_axis):
     d = len(axes)
     if not 1 <= d <= 3:
         raise InvalidMeshError("dimension must be between 1 and 3")
-    for b in axes:
-        if b.ndim != 1 or len(b) < 2 or not (np.isfinite(b).all() and np.all(np.diff(b) > 0)):
-            raise InvalidMeshError("breakpoints must be finite and strictly ascending")
+    _check_axes(axes)
     counts = tuple(len(b) for b in axes)
     grid = np.unravel_index(np.arange(np.prod(counts)), counts, order="F")
     vertices = np.stack([b[i] for b, i in zip(axes, grid)], axis=1)
@@ -235,6 +235,14 @@ def build_cartesian_mesh(breakpoints_per_axis):
     corner = tuple(c[:, None] + bits[:, ax] for ax, c in enumerate(cell))
     elements = np.ravel_multi_index(corner, counts, order="F")
     return Mesh(d, "tensor", vertices, elements, axes=axes)
+
+
+def _check_axes(axes):
+    """InvalidMeshError unless each array of `axes` is a list of at least two
+    finite, strictly ascending breakpoints."""
+    for b in axes:
+        if b.ndim != 1 or len(b) < 2 or not (np.isfinite(b).all() and np.all(np.diff(b) > 0)):
+            raise InvalidMeshError("breakpoints must be finite and strictly ascending")
 
 
 def _split_cells(nodes, keep):
@@ -297,16 +305,39 @@ def load_mesh(path):
 SPEC_FIELDS = {"cartesian": ("breakpoints",), "uniform": ("n", "d"), "unit-square": ("n",),
                "l-shape": ("n",), "file": ("path",)}
 
+# The size rule: no mesh or space is built whose element matrices would hold
+# more than this many entries (128 MiB of float64); a mesh counts as its
+# degree-1 space.
+MAX_ENTRIES = 2**24
 
-def mesh_from_spec(spec):
-    """Build a mesh from a declarative spec dict.
 
-    Supported types: 'cartesian' {breakpoints: [[...], ...]},
-    'uniform' {n, d} on the unit cube, 'file' {path}, and two
-    triangulations: 'unit-square' {n}, n x n cells on (0,1)^2 each split
-    along the (low,low)-(high,high) diagonal, and 'l-shape' {n}, the same on
-    the unit square minus the upper-right quadrant [1/2,1)x(1/2,1] with n
-    cells per half-axis (grid 2n x 2n).
+def _element_entries(kind, d, cells, p):
+    """cells * m^2, the entries of the element matrices of the degree-p
+    space on `cells` cells of a kind: m = (p + 1)^d local dofs on a tensor
+    cell in d dimensions, (p + 1)(p + 2)/2 on a triangle."""
+    m = (p + 1) ** d if kind == "tensor" else (p + 1) * (p + 2) // 2
+    return cells * m * m
+
+
+class MeshOutline(NamedTuple):
+    """A mesh as its spec gives it, before it is built: the attributes of a
+    Mesh that the size rule and the Kronecker test read (`axes` None on a
+    triangulation)."""
+
+    kind: str
+    d: int
+    n_elements: int
+    axes: list | None
+
+
+def _spec_outline(spec, refine=None):
+    """The outline of the mesh that `spec` builds, or with `refine` of the
+    mesh of refine_spec(spec, refine); None for a 'file' spec, whose mesh is
+    known once read.
+
+    The spec is checked first, and then the size rule (MAX_ENTRIES) on the
+    cell count alone, so no array of the mesh's size is formed unless it
+    passes. InvalidMeshError names the spec field at fault.
     """
     if not isinstance(spec, dict):
         raise InvalidMeshError("config field 'mesh' must be an object with a 'type'")
@@ -333,26 +364,72 @@ def mesh_from_spec(spec):
             raise InvalidMeshError(f"mesh spec field {name!r} must be an integer {bound}")
         return int(value)
 
+    if kind == "file":
+        if not isinstance(field("path"), str):
+            raise InvalidMeshError("mesh spec field 'path' must be a string")
+        if refine is not None:
+            refine_spec(spec, refine)  # raises unless by 1
+        return None
     if kind == "cartesian":
+        name = "breakpoints"
         try:
-            axes = [np.asarray(b, dtype=float) for b in field("breakpoints")]
+            axes = [np.asarray(b, dtype=float) for b in field(name)]
         except (TypeError, ValueError):
+            axes = None
+        if axes is None or not 1 <= len(axes) <= 3:
             raise InvalidMeshError(
-                "mesh spec field 'breakpoints' must hold one list of numbers per axis"
-            ) from None
-        return build_cartesian_mesh(axes)
-    if kind == "uniform":
+                "mesh spec field 'breakpoints' must hold one list of numbers per axis, "
+                "for 1 to 3 axes"
+            )
+        _check_axes(axes)
+        cell_kind, d, cells = "tensor", len(axes), math.prod(len(b) - 1 for b in axes)
+    elif kind == "uniform":
+        name = "n"
         n, d = count("n", field("n")), count("d", spec.get("d", 1), top=3)
-        pts = np.linspace(0.0, 1.0, n + 1)
-        return build_cartesian_mesh([pts] * d)
-    if kind in ("unit-square", "l-shape"):
+        cell_kind, cells = "tensor", n**d
+    else:  # two triangles per grid cell: n x n cells, or three quadrants of 2n x 2n
+        name = "n"
         n = count("n", field("n"))
-        m = n if kind == "unit-square" else 2 * n
-        upper = np.arange(m) >= n  # empty for the unit square
-        return _split_cells(np.linspace(0.0, 1.0, m + 1), ~(upper[:, None] & upper[None, :]))
-    if not isinstance(field("path"), str):  # a 'file' spec
-        raise InvalidMeshError("mesh spec field 'path' must be a string")
-    return load_mesh(spec["path"])
+        cell_kind, d, cells = "simplicial", 2, 2 * n * n * (1 if kind == "unit-square" else 3)
+    cells *= (refine or 1) ** d
+    entries = _element_entries(cell_kind, d, cells, 1)
+    if entries > MAX_ENTRIES:
+        raise InvalidMeshError(
+            f"mesh spec field {name!r}: a mesh of {cells} cells is over the size limit "
+            f"({entries} > {MAX_ENTRIES} element-matrix entries at degree 1)"
+        )
+    if refine is not None:
+        spec = refine_spec(spec, refine)
+    if kind == "cartesian":
+        axes = [np.asarray(b, dtype=float) for b in spec["breakpoints"]]
+        _check_axes(axes)  # a refined cell can round to nothing
+    elif kind == "uniform":
+        axes = [np.linspace(0.0, 1.0, int(spec["n"]) + 1)] * d
+    else:
+        axes = None
+    return MeshOutline(cell_kind, d, cells, axes)
+
+
+def mesh_from_spec(spec):
+    """Build a mesh from a declarative spec dict.
+
+    Supported types: 'cartesian' {breakpoints: [[...], ...]},
+    'uniform' {n, d} on the unit cube, 'file' {path}, and two
+    triangulations: 'unit-square' {n}, n x n cells on (0,1)^2 each split
+    along the (low,low)-(high,high) diagonal, and 'l-shape' {n}, the same on
+    the unit square minus the upper-right quadrant [1/2,1)x(1/2,1] with n
+    cells per half-axis (grid 2n x 2n). The spec is checked by
+    `_spec_outline` before anything is built.
+    """
+    outline = _spec_outline(spec)
+    if outline is None:
+        return load_mesh(spec["path"])
+    if outline.kind == "tensor":
+        return build_cartesian_mesh(outline.axes)
+    n = int(spec["n"])
+    m = n if spec["type"] == "unit-square" else 2 * n
+    upper = np.arange(m) >= n  # empty for the unit square
+    return _split_cells(np.linspace(0.0, 1.0, m + 1), ~(upper[:, None] & upper[None, :]))
 
 
 def refine_spec(spec, factor):

@@ -26,7 +26,15 @@ from .assembly import (
     softness_parameters,
 )
 from .coefficient import UNIT, CoefficientParseError, parse_coefficient
-from .mesh import InvalidMeshError, build_cartesian_mesh, mesh_from_spec
+from .mesh import (
+    MAX_ENTRIES,
+    InvalidMeshError,
+    MeshOutline,
+    _element_entries,
+    _spec_outline,
+    build_cartesian_mesh,
+    mesh_from_spec,
+)
 from .polyref import MAX_DEGREE, BasisError
 
 
@@ -338,6 +346,62 @@ def _is_kronecker_sum(mesh, kappa):
     return bool(np.ptp(widths) <= CONGRUENT_RTOL * widths.max())
 
 
+def _check_space(mesh, p, kappa, fields, dimensional=False):
+    """ConfigError naming `fields` unless the degree-p space that a solve on
+    `mesh` (a Mesh or a MeshOutline) builds passes the size rule: the 1D
+    space of axis 0 where `_is_kronecker_sum` holds, unless `dimensional`
+    (the d-dimensional space is read), and the d-dimensional space
+    otherwise."""
+    if _is_kronecker_sum(mesh, kappa) and not dimensional:
+        entries = _element_entries("tensor", 1, len(mesh.axes[0]) - 1, p)
+    else:
+        entries = _element_entries(mesh.kind, mesh.d, mesh.n_elements, p)
+    if entries > MAX_ENTRIES:
+        raise ConfigError(
+            f"{fields}: the degree-{p} space is over the size limit "
+            f"({entries} > {MAX_ENTRIES} element-matrix entries)"
+        )
+
+
+def _check_spaces(cfg, mesh, reference):
+    """The size rule on the space of each degree on `mesh` and on the
+    high-order reference space on `reference` (None without one)."""
+    for p in cfg.degrees:
+        _check_space(mesh, p, cfg.kappa, "config fields 'mesh' and 'degrees'",
+                     dimensional=bool(cfg.eigenfunction_modes))
+    if reference is not None:
+        _check_space(reference, cfg.reference_degree, cfg.kappa,
+                     "config fields 'reference_degree' and 'reference_refine'")
+
+
+def _check_sizes(cfg):
+    """Check, from the config alone and so before anything is built, every
+    mesh and space of the run against the size rule (see mesh.MAX_ENTRIES),
+    and that each ladder level has its track modes. A file mesh's spaces are
+    checked once it is read."""
+    if cfg.ladder is not None:
+        for block in cfg.ladder:
+            p, track = block["degree"], max(block.get("track_modes", [1]))
+            for n in block["n"]:  # a uniform 1D mesh of n cells: n p - 1 dofs
+                _check_space(MeshOutline("tensor", 1, n, None), p, cfg.kappa,
+                             "config field 'ladder'")
+                if track > n * p - 1:
+                    raise ConfigError(
+                        f"config field 'ladder': track mode {track} is above the "
+                        f"mode count {n * p - 1} of degree {p} at n={n}"
+                    )
+        return
+    mesh = _spec_outline(cfg.mesh)
+    reference = None
+    if cfg.reference == "high-order":
+        try:
+            reference = _spec_outline(cfg.mesh, cfg.reference_refine)
+        except InvalidMeshError as err:
+            raise ConfigError(f"config field 'reference_refine': {err}") from None
+    if mesh is not None:
+        _check_spaces(cfg, mesh, reference)
+
+
 def _galerkin(mesh, p, kappa, modes, vectors):
     """(space, base, K, M, fem): the Galerkin half of `solve_problem`, with
     `space` None and `base` the 1D space where `_is_kronecker_sum` holds,
@@ -489,8 +553,6 @@ def _reference_values(cfg, exact, count):
             )
         except BasisError as err:
             raise ConfigError(f"config field 'reference_degree': {err}") from None
-        except InvalidMeshError as err:  # the problem mesh was built: its refinement failed
-            raise ConfigError(f"config field 'reference_refine': {err}") from None
         if len(values) < count:
             raise ConfigError(
                 "config fields 'reference_degree' and 'reference_refine': the "
@@ -632,6 +694,8 @@ def _report(cfg, bundle, reference, exact, out_dir, names):
 
 def _run_single(cfg, out_dir):
     mesh = mesh_from_spec(cfg.mesh)
+    if cfg.mesh["type"] == "file":  # a file spec refines only to itself
+        _check_spaces(cfg, mesh, mesh if cfg.reference == "high-order" else None)
     degrees = list(cfg.degrees)
     vectors = cfg.jump_ratio or bool(cfg.eigenfunction_modes)  # the only readers
     summaries = {}
@@ -681,11 +745,6 @@ def _run_ladder(cfg):
         for n in ns:
             mesh = mesh_from_spec({"type": "uniform", "n": n, "d": 1})
             bundle = solve_problem(mesh, p, cfg.kappa, eta_policy=cfg.eta)
-            if max(track) > bundle.ndof:
-                raise ConfigError(
-                    f"config field 'ladder': track mode {max(track)} is above the "
-                    f"mode count {bundle.ndof} of degree {p} at n={n}"
-                )
             for m in track:
                 out, lam = modes[str(m)], exact.values[m - 1]
                 out["relerr"].append(abs(float(bundle.soft.values[m - 1]) - lam) / lam)
@@ -709,6 +768,7 @@ def run_experiment(config, out_dir):
     and summary.json into out_dir. Returns the summary dict, which also names
     the solver path of each degree under 'solver' (not written to the file)."""
     cfg = ExperimentConfig.from_dict(config)
+    _check_sizes(cfg)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as err:

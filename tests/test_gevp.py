@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from softfem import gevp
+from softfem import gevp, speclab
 from softfem.assembly import (
     assemble_mass,
     assemble_penalty,
@@ -88,6 +88,22 @@ def test_sign_rule_projects_on_the_start_vector():
     noisy[0] = [1e-11, -1e-11]
     fixed = _fix_signs(noisy, [0, 1])
     assert np.array_equal(fixed[1:, 0], fixed[1:, 1])
+
+
+def test_factored_vectors_draw_the_start_vector_once(monkeypatch):
+    """The 512 vectors of a 3D n=3 p=3 Kronecker spectrum fix their signs
+    against one read-only start vector, to the bytes of a fresh draw each."""
+    draws = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: draws.append(seed) or default_rng(seed))
+    _start_vector.cache_clear()
+    spectrum = speclab.solve_problem(mesh_from_spec({"type": "uniform", "n": 3, "d": 3}), 3).soft
+    vectors = [spectrum.vector(j).tobytes() for j in range(spectrum.order)]
+    assert draws == [0, 0]  # one per length: the 1D order 8 and the 3D order 512
+    assert not _start_vector(512).flags.writeable
+    monkeypatch.setattr(gevp, "_start_vector", lambda n: default_rng(0).standard_normal(n))
+    assert [spectrum.vector(j).tobytes() for j in range(spectrum.order)] == vectors
 
 
 def test_solve_is_reproducible():

@@ -873,33 +873,6 @@ def test_cli_run_tiny_config(tmp_path, capsys):
     assert "p=1" in text
 
 
-def test_cli_bad_config_exits_2(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text('{"name": "x", "mesh": {"type": "uniform", "n": 4, "d": 1}, "degrees": [0]}')
-    assert cli.main(["run", str(path)]) == 2
-    assert "degrees" in capsys.readouterr().err
-    assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
-    path.write_text("not json")
-    assert cli.main(["run", str(path)]) == 2
-
-
-@pytest.mark.parametrize("case", ["directory", "utf-16 bom", "out is a file", "out under a file"])
-def test_cli_unreadable_paths_exit_2(tmp_path, capsys, case):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"name": "x", "mesh": {"type": "uniform", "n": 2, "d": 1}}))
-    (tmp_path / "file").write_text("")
-    target, out, name = {
-        "directory": (tmp_path, tmp_path / "out", "config"),
-        "utf-16 bom": (tmp_path / "bom.json", tmp_path / "out", "config"),
-        "out is a file": (config, tmp_path / "file", "--out"),
-        "out under a file": (config, tmp_path / "file" / "sub", "--out"),
-    }[case]
-    (tmp_path / "bom.json").write_bytes(b"\xff\xfe")
-    assert cli.main(["run", str(target), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {name} ") and "Traceback" not in err
-
-
 def test_cli_eta_override(tmp_path):
     cfg = {
         "name": "over",
@@ -914,7 +887,6 @@ def test_cli_eta_override(tmp_path):
     rows = (out / "spectrum.csv").read_text().strip().split("\n")[1:]
     for row in rows:
         assert row.split(",")[4] == ""  # no softened column
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "x"), "--eta", "soon"]) == 2
 
 
 def test_cli_error_exit_codes(tmp_path, monkeypatch, capsys):
@@ -932,37 +904,6 @@ def test_cli_error_exit_codes(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(speclab, "run_experiment", boom_coercivity)
     assert cli.main(["run", str(cfg)]) == 4
-
-
-def test_cli_coercivity_violation_exits_4(tmp_path, capsys):
-    """With the mean h_F, the faces of the two small cells are overweighted
-    and the softened pencil is indefinite at the default eta = 1/12."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "name": "c",
-        "mesh": {"type": "cartesian", "breakpoints": [[0, 0.01, 0.02, 0.5, 1.0]]},
-        "degrees": [1, 2],
-        "face_weight": "mean",
-    }))
-    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("coercivity violation: ") and "Traceback" not in err
-
-
-OVERRIDES = ["--modes", "3", "--eta", "0.1"]
-
-
-@pytest.mark.parametrize("text, argv", [
-    ("[]", []), ('"x"', []), ("3", []), ("{}", []), ("[]", OVERRIDES), ('"x"', OVERRIDES),
-])
-def test_cli_non_object_config_exits_2(tmp_path, capsys, text, argv):
-    """The config rule is the one check of a config that is not a non-empty
-    JSON object; command-line overrides of its fields do not bypass it."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(text)
-    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")] + argv) == 2
-    err = capsys.readouterr().err
-    assert err == "error: config: expected a non-empty JSON object\n"
 
 
 def test_eigenfunction_errors_build_one_element_map_per_space(tmp_path, monkeypatch):
@@ -1028,90 +969,6 @@ def test_cli_reference_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert err == "solver failure: dense eigensolve failed\n"
 
 
-@pytest.mark.parametrize(
-    "fields,name",
-    [
-        ({"degrees": [2, 2]}, "degrees"),
-        ({"degrees": [1, 3, 1]}, "degrees"),
-        ({"eta_sweep": [0.01, 0.01]}, "eta_sweep"),
-        ({"eta_sweep": [0.0, -0.0]}, "eta_sweep"),
-        ({"eta_sweep": [1, 1.0]}, "eta_sweep"),
-    ],
-)
-def test_cli_rejects_repeated_degrees_and_etas(tmp_path, capsys, fields, name):
-    """A repeated degree or eta would be solved twice and reported once."""
-    cfg = {"name": "rep", "mesh": {"type": "uniform", "n": 4, "d": 1}, **fields}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert f"field '{name}'" in err and "distinct" in err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize(
-    "fields,argv,name",
-    [
-        ({}, ["--eta", "-1"], "eta"),
-        ({}, ["--eta", "nan"], "eta"),
-        ({}, ["--eta", "inf"], "eta"),
-        ({"eta": True}, [], "eta"),
-        ({"eta": -0.5}, [], "eta"),
-        ({"eta_sweep": [0.01, -1.0]}, [], "eta_sweep"),
-        ({"eta_sweep": 0.01}, [], "eta_sweep"),
-        ({"modes": -3}, [], "modes"),
-        ({"modes": 0}, [], "modes"),
-        ({"modes": 2.5}, [], "modes"),
-        ({"modes": True}, [], "modes"),
-        ({}, ["--modes", "-3"], "modes"),
-    ],
-)
-def test_cli_rejects_bad_eta_and_modes(tmp_path, capsys, fields, argv, name):
-    cfg = {"name": "bad", "mesh": {"type": "uniform", "n": 4, "d": 1}, **fields}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")] + argv) == 2
-    assert f"field '{name}'" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-NONUNIFORM = {"type": "cartesian", "breakpoints": [[0, 0.3, 0.5, 1], [0, 0.2, 0.7, 1]]}
-
-
-@pytest.mark.parametrize(
-    "target,argv,name",
-    [
-        ("table1", ["--eta", "1e308"], "eta"),
-        ({"mesh": {"type": "unit-square", "n": 3}, "eta": 1e308}, [], "eta"),
-        ({"mesh": {"type": "unit-square", "n": 3}, "eta": 1e308, "modes": 2}, [], "eta"),
-        ({"mesh": NONUNIFORM, "eta_sweep": [1e308]}, [], "eta_sweep"),
-    ],
-    ids=["ladder", "unit-square", "modes", "eta_sweep"],
-)
-def test_cli_rejects_an_eta_that_overflows_the_softened_matrix(
-    tmp_path, capsys, target, argv, name
-):
-    if isinstance(target, dict):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"name": "huge", **target}))
-        target = str(path)
-    assert cli.main(["run", target, "--out", str(tmp_path / "out")] + argv) == 2
-    err = capsys.readouterr().err
-    assert f"field '{name}'" in err and "1e+308" in err and "Traceback" not in err
-
-
-def test_cli_failed_dense_eigensolve_is_not_a_mass_matrix_failure(tmp_path, capsys):
-    # M is SPD here; the huge eta makes the dense eigensolve itself fail
-    cfg = {"name": "huge", "mesh": {"type": "uniform", "n": 3, "d": 3}, "degrees": [2],
-           "eta": 1e306}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
-    err = capsys.readouterr().err
-    assert "dense eigensolve failed" in err
-    assert "not SPD" not in err and "Traceback" not in err
-
-
 def test_cli_runs_the_highest_degree(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"name": "top", "mesh": {"type": "uniform", "n": 1, "d": 1},
@@ -1162,30 +1019,6 @@ def test_cli_run_prints_the_path_each_pencil_took(tmp_path, capsys, eta, printed
     out = capsys.readouterr().out
     assert all(line in out for line in printed)
     assert "solver" not in (tmp_path / "out" / "summary.json").read_text()
-
-
-@pytest.mark.parametrize(
-    "kappa", ["-1", "exp(1000*x)", "1/0", "0^-1", "(-2)^0.5", "10^400"]
-)
-@pytest.mark.parametrize("d", [1, 2])
-def test_cli_rejects_nonpositive_or_nonfinite_kappa(tmp_path, capsys, kappa, d):
-    cfg = {"name": "k", "kappa": kappa, "mesh": {"type": "uniform", "n": 3, "d": d}}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "kappa is not" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "kappa", ["(" * 200 + "1" + ")" * 200, "-" * 1000 + "1"], ids=["parentheses", "minuses"]
-)
-def test_cli_rejects_a_kappa_nested_too_deeply(tmp_path, capsys, kappa):
-    cfg = {"name": "k", "kappa": kappa, "mesh": {"type": "uniform", "n": 3, "d": 1}}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "field 'kappa'" in err and "nested deeper" in err and "Traceback" not in err
 
 
 def test_cli_runs_a_long_kappa_sum(tmp_path):
@@ -1241,103 +1074,6 @@ def test_unit_kappa_may_be_written_as_any_constant_one(tmp_path, cfg):
         csvs = sorted((f.name, f.read_bytes()) for f in (tmp_path / tag).glob("*.csv"))
         outputs.append((summary, csvs))
     assert outputs[0] == outputs[1] == outputs[2]
-
-
-@pytest.mark.parametrize(
-    "spec,name",
-    [
-        ({"type": "uniform", "d": 1}, "n"),
-        ({"type": "l-shape"}, "n"),
-        ({"type": "cartesian"}, "breakpoints"),
-        ({"type": "file"}, "path"),
-        ({"type": "uniform", "n": "x"}, "n"),
-        ({"type": "uniform", "n": 0}, "n"),
-        ({"type": "unit-square", "n": 2.5}, "n"),
-        ({"type": "uniform", "n": 4, "d": 1.5}, "d"),
-        ({"type": "uniform", "n": 4, "d": 4}, "d"),
-        ({"type": "cartesian", "breakpoints": [[0, "x"]]}, "breakpoints"),
-        ({"type": "file", "path": 0}, "path"),
-        ("x", "mesh"),
-        ({"type": "uniform", "n": 4, "dim": 2}, "dim"),
-        ({"type": "unit-square", "n": 2, "d": 3}, "d"),
-    ],
-)
-def test_cli_mesh_spec_missing_field(tmp_path, capsys, spec, name):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"name": "m", "mesh": spec}))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"field {name!r}" in capsys.readouterr().err
-
-
-MESHED = {"name": "bad", "mesh": {"type": "uniform", "n": 4, "d": 1}}
-LADDER = {"name": "bad", "ladder": [{"degree": 1, "n": [4, 8]}]}
-
-
-@pytest.mark.parametrize(
-    "cfg,name",
-    [
-        ({**MESHED, "degrees": 2}, "degrees"),
-        ({**MESHED, "degrees": [True]}, "degrees"),
-        ({**MESHED, "degrees": []}, "degrees"),
-        ({**MESHED, "reference_degree": 0}, "reference_degree"),
-        ({**MESHED, "reference_refine": 1.5}, "reference_refine"),
-        ({**MESHED, "reference": "exakt"}, "reference"),
-        ({**MESHED, "name": 3}, "name"),
-        ({**MESHED, "kappa": 4}, "kappa"),
-        ({**MESHED, "stiffen": True}, "stiffen"),
-        ({**MESHED, "jump_ratio": 1}, "jump_ratio"),
-        ({**MESHED, "eigenfunction_modes": [0]}, "eigenfunction_modes"),
-        ({"name": "bad", "ladder": [{"degree": 2}]}, "ladder"),
-        ({"name": "bad", "ladder": [{"degree": "x", "n": [4]}]}, "ladder"),
-        ({"name": "bad", "ladder": [{"degree": 1, "n": [4], "modes": 2}]}, "ladder"),
-        ({"name": "bad", "ladder": []}, "ladder"),
-        ({**LADDER, "kappa": "4"}, "kappa"),
-        ({**LADDER, "mesh": {"type": "uniform", "n": 4}}, "mesh"),
-        ({**LADDER, "face_weight": "mean"}, "face_weight"),
-        ({**LADDER, "modes": 3}, "modes"),
-        ({**MESHED, "degrees": [70]}, "degrees"),
-        ({**MESHED, "degrees": [2, MAX_DEGREE + 1]}, "degrees"),
-        ({**MESHED, "reference_degree": 70}, "reference_degree"),
-        ({"name": "bad", "ladder": [{"degree": 70, "n": [4]}]}, "ladder"),
-        ({**MESHED, "kappa": "1 +"}, "kappa"),
-        ({**LADDER, "kappa": "(1"}, "kappa"),
-        ({"name": "bad", "ladder": [{"degree": 1, "n": [8, 16], "track_modes": [1, 1]}]}, "ladder"),
-        ({"name": "bad", "ladder": [{"degree": 1, "n": [8, 8, 16]}]}, "ladder"),
-        ({"name": "bad", "ladder": [{"degree": 1, "n": [8, 16]}, {"degree": 1, "n": [32, 64]}]},
-         "ladder"),
-    ],
-)
-def test_cli_rejects_bad_config_fields(tmp_path, capsys, cfg, name):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"field '{name}'" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize(
-    "cfg,names",
-    [
-        # a reference space of 3 modes for 11 reported ones
-        ({**MESHED, "degrees": [3], "reference": "high-order", "reference_degree": 1,
-          "reference_refine": 1}, ("reference_degree", "reference_refine")),
-        # one cell at p = 1 has no interior dof
-        ({"name": "bad", "mesh": {"type": "uniform", "n": 1, "d": 1}}, ("mesh", "degrees")),
-        ({"name": "bad", "ladder": [{"degree": 1, "n": [1, 2]}]}, ("ladder",)),
-        # 1 interior dof at n = 2 for track mode 5
-        ({"name": "bad", "ladder": [{"degree": 1, "n": [2, 4], "track_modes": [5]}]}, ("ladder",)),
-        # a Kronecker reference space with no dof (one cell at p = 1)
-        ({"name": "bad", "mesh": {"type": "uniform", "n": 1, "d": 2}, "degrees": [2],
-          "reference": "high-order", "reference_degree": 1, "reference_refine": 1},
-         ("reference_degree", "reference_refine")),
-    ],
-)
-def test_cli_rejects_configs_without_enough_modes(tmp_path, capsys, cfg, names):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert all(f"'{name}'" in err for name in names)
 
 
 def run_exit_code(cfg, argv=()):
@@ -1430,40 +1166,6 @@ def test_cli_ladder_fuzz_exits_cleanly(cfg):
 
 
 @pytest.mark.parametrize(
-    "mesh",
-    [
-        {"type": "l-shape", "n": 2},
-        {"type": "cartesian", "breakpoints": [[0, 1, 2, 3]]},
-    ],
-)
-def test_cli_exact_reference_needs_unit_domain(tmp_path, capsys, mesh):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"name": "r", "mesh": mesh, "reference": "exact"}))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "field 'reference'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "kappa,mesh",
-    [
-        ("1 + 0.9*sin(3*x)", {"type": "l-shape", "n": 3}),
-        ("1", {"type": "l-shape", "n": 3}),
-        ("1 + x", {"type": "uniform", "n": 3, "d": 2}),
-        ("1 + x", {"type": "unit-square", "n": 2}),
-    ],
-)
-def test_cli_eigenfunction_modes_need_the_exact_modes(tmp_path, capsys, kappa, mesh):
-    cfg = {"name": "e", "kappa": kappa, "mesh": mesh, "degrees": [2],
-           "eigenfunction_modes": [1, 2]}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "field 'eigenfunction_modes'" in err and "Traceback" not in err
-    assert not (tmp_path / "out" / "spectrum.csv").exists()
-
-
-@pytest.mark.parametrize(
     "mesh", [{"type": "uniform", "n": 4, "d": 2}, {"type": "unit-square", "n": 3}]
 )
 def test_eigenfunction_modes_on_the_unit_domain(tmp_path, mesh):
@@ -1525,17 +1227,6 @@ def test_degree_bound_fits_the_error_quadrature():
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["--p", "0", "--kind", "interval"], ["--p", "70", "--kind", "interval"],
-     ["--p", str(MAX_DEGREE + 1), "--kind", "cuboid"], ["--p", "-1", "--kind", "simplex"]],
-)
-def test_cli_trace_check_rejects_degrees_out_of_range(capsys, argv):
-    assert cli.main(["trace-check", *argv]) == 2
-    err = capsys.readouterr().err
-    assert "--p" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize(
     "p,kind",
     [(p, kind) for p in (1, 2, 3, 4) for kind in ("cuboid", "simplex")]
     + [(p, "interval") for p in (30, 40, MAX_DEGREE)],
@@ -1582,46 +1273,10 @@ def test_cli_trace_check_catches_a_too_large_eta_max(capsys, monkeypatch, kind, 
     assert "status=violated" in capsys.readouterr().out
 
 
-FOLDED_MESH = "nodes 3\n0 0\n1 0\n0 1\nelements 2\n0 1 2\n0 2 1\n"
 SQUARE_MESH = "nodes 4\n0 0\n1 0\n1 1\n0 1\nelements 2\n0 1 2\n0 2 3\n"
 
 
-def test_cli_rejects_a_folded_mesh_file(tmp_path, capsys):
-    """Two copies of one triangle would count the area 0.5 twice and give
-    three interior faces; both commands exit 2 instead."""
-    path = tmp_path / "folded.mesh"
-    path.write_text(FOLDED_MESH)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"name": "f", "mesh": {"type": "file", "path": str(path)}}))
-    assert cli.main(["mesh-info", str(path)]) == 2
-    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.count("lie on the same side of their shared face") == 2
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "fields,name",
-    [
-        ({"mesh": {"type": "unit-square", "n": 2}, "degrees": [20], "reference": "exact"},
-         "degrees"),
-        ({"mesh": {"type": "unit-square", "n": 2}, "degrees": [2], "reference": "high-order",
-          "reference_degree": 16, "reference_refine": 1}, "reference_degree"),
-    ],
-)
-def test_cli_rejects_a_degree_whose_basis_is_not_nodal(tmp_path, capsys, fields, name):
-    """At p = 20 the simplex basis is far from nodal (its lambda_1 on this
-    mesh would be 13.85, below 2 pi^2 = 19.74), so each command exits 2."""
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"name": "b", **fields}))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert f"config field '{name}'" in err and "is not nodal" in err
-    assert cli.main(["trace-check", "--p", "20", "--kind", "simplex"]) == 2
-    assert "--p 20" in capsys.readouterr().err
-
-
-def test_high_order_reference_on_a_mesh_file(tmp_path, capsys):
+def test_high_order_reference_on_a_mesh_file(tmp_path):
     mesh_path = tmp_path / "square.mesh"
     mesh_path.write_text(SQUARE_MESH)
     spec = {"type": "file", "path": str(mesh_path)}
@@ -1633,9 +1288,6 @@ def test_high_order_reference_on_a_mesh_file(tmp_path, capsys):
     rows = (tmp_path / "out" / "spectrum.csv").read_text().strip().split("\n")[1:]
     expected = oracle.reference_spectrum({"kappa": "1", "mesh": spec}, 3, degree=4, refine=1)
     assert [float(r.split(",")[2]) for r in rows] == expected.tolist()
-    path.write_text(json.dumps({**cfg, "reference_refine": 2}))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "out2")]) == 2
-    assert "config field 'reference_refine'" in capsys.readouterr().err
 
 
 def test_cli_mesh_info(tmp_path, capsys):
@@ -1644,34 +1296,4 @@ def test_cli_mesh_info(tmp_path, capsys):
     assert cli.main(["mesh-info", str(path)]) == 0
     out = capsys.readouterr().out
     assert "elements=2" in out and "interfaces=1" in out
-    path.write_text("nodes 1\n0 0\n")
-    assert cli.main(["mesh-info", str(path)]) == 2
-    assert cli.main(["mesh-info", str(tmp_path / "missing.mesh")]) == 2
-    assert "cannot read mesh file" in capsys.readouterr().err
-
-
-MALFORMED_MESH_FILES = {
-    "count-not-a-number": "nodes x\n0 0\n",
-    "no-count": "nodes\n0 0\n",
-    "node-not-a-number": "nodes 3\n0 a\n1 0\n0 1\nelements 1\n0 1 2\n",
-    "element-not-an-integer": "nodes 3\n0 0\n1 0\n0 1\nelements 1\n0 1 2.5\n",
-    "node-not-finite": "nodes 3\nnan 1\n1 0\n0 1\nelements 1\n0 1 2\n",
-    "line-after-the-last-element": "nodes 4\n0 0\n1 0\n1 1\n0 1\nelements 1\n0 1 2\n0 2 3\n",
-    "unused-node": "nodes 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\nelements 2\n0 1 2\n0 2 3\n",
-    "no-element": "nodes 0\nelements 0\n",
-    "not-utf-8": b"\xff\xfe\x00bad",
-}
-
-
-@pytest.mark.parametrize("text", MALFORMED_MESH_FILES.values(), ids=MALFORMED_MESH_FILES.keys())
-def test_cli_malformed_mesh_file_exits_2(tmp_path, capsys, text):
-    """`mesh-info` and a run on the file both exit 2 with an error line."""
-    path = tmp_path / "bad.mesh"
-    path.write_bytes(text if isinstance(text, bytes) else text.encode())
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"name": "f", "mesh": {"type": "file", "path": str(path)}}))
-    for argv in (["mesh-info", str(path)], ["run", str(cfg), "--out", str(tmp_path / "out")]):
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
 
