@@ -5,7 +5,8 @@ softfem trace-check --p P --kind {interval,cuboid,simplex}
 softfem mesh-info <meshfile>
 
 Exit codes: 0 success, 1 trace-check status=violated, 2 bad configuration,
-3 solver failure, 4 coercivity violation under the default softness
+3 solver failure (a failed eigensolve, or a dense one over
+gevp.MAX_DENSE_ORDER), 4 coercivity violation under the default softness
 parameter.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import legvander
 from scipy.sparse import csr_matrix, diags
 
-from . import assembly, oracle, speclab
+from . import assembly, speclab
 from .assembly import AssemblyError
 from .coefficient import CoefficientParseError
 from .gevp import EigensolveError, largest_eigenvalue
@@ -81,7 +82,7 @@ def cmd_trace_check(args):
     if args.kind == "interval":  # h = 2: the pencil (2 E'E, diag 2/(2k+1))
         E = legvander(np.array([-1.0, 1.0]), p)
         A, B = csr_matrix(2.0 * E.T @ E), diags(2.0 / (2 * np.arange(p + 1) + 1)).tocsr()
-        bound = oracle.sharp_trace_constant("interval-k", p) ** 2
+        bound = (p + 1) * (p + 2)  # C1(0,p)^2
     else:
         if args.kind == "cuboid":  # 2x2 cells: an interior dof at every p
             mesh = mesh_from_spec({"type": "uniform", "n": 2, "d": 2})

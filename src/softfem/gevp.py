@@ -214,9 +214,21 @@ def _extreme_value(A, M):
     return theta if below == n else None
 
 
+# A dense solve of order n takes about 36 n^2 bytes and O(n^3) time: at
+# this order, about 2.4 GB and 2 minutes.
+MAX_DENSE_ORDER = 2**13
+
+
 def _dense_eigh(A, M, **kwargs):
     """scipy.linalg.eigh on Fortran-ordered dense copies of A and M, which
-    LAPACK overwrites in place (the eigenvectors, if asked for, replace A)."""
+    LAPACK overwrites in place (the eigenvectors, if asked for, replace A).
+    An order over MAX_DENSE_ORDER raises EigensolveError before any copy."""
+    n = A.shape[0]
+    if n > MAX_DENSE_ORDER:
+        raise EigensolveError(
+            f"a dense eigensolve of order {n} is over the limit {MAX_DENSE_ORDER}; "
+            "set 'modes' to solve for the lowest modes only"
+        )
     try:
         return scipy.linalg.eigh(A.toarray(order="F"), M.toarray(order="F"),
                                  overwrite_a=True, overwrite_b=True, **kwargs)

@@ -23,6 +23,15 @@ from softfem.assembly import (
 from softfem.gevp import largest_eigenvalue, solve_gmevp, stiffness_reduction
 from softfem.mesh import mesh_from_spec
 
+from oracles import (
+    closed_form_linear_eigenvalue,
+    extremal_trace_polynomial,
+    full_branch_spectrum,
+    sharp_trace_constant,
+    superconvergence_bound,
+    trace_ratio_interval,
+)
+
 
 def report(num, ok, detail=""):
     line = f"[criterion {num}] {'PASS' if ok else 'FAIL'} {detail}".rstrip()
@@ -130,7 +139,7 @@ def test_criterion_2_closed_form_equivalence():
         for eta in [0.0, 1.0 / 12.0]:
             spec = solve_gmevp(soften(K, S, eta), M)
             for j in range(1, n):
-                want = oracle.closed_form_linear_eigenvalue(n, j, eta)
+                want = closed_form_linear_eigenvalue(n, j, eta)
                 want = want["fem"] if eta == 0.0 else want["soft"]
                 worst = max(worst, abs(spec.values[j - 1] - want) / want)
     report(2, worst < 1e-10, f"max relative deviation {worst:.2e}")
@@ -330,10 +339,10 @@ def test_criterion_5_superconvergence():
     for n in [8, 16, 32, 64]:
         h = 1.0 / n
         for j in range(1, n):
-            vals = oracle.closed_form_linear_eigenvalue(n, j, 1.0 / 12.0)
+            vals = closed_form_linear_eigenvalue(n, j, 1.0 / 12.0)
             lam = (j * math.pi) ** 2
             rel = abs(vals["soft"] - lam) / lam
-            if not rel < oracle.superconvergence_bound(j, h):
+            if not rel < superconvergence_bound(j, h):
                 violations += 1
         # and the assembled spectrum agrees with the closed form (criterion 2),
         # so checking the closed form checks the assembled softened pencil too
@@ -341,7 +350,7 @@ def test_criterion_5_superconvergence():
         for j in range(1, n):
             lam = (j * math.pi) ** 2
             rel = abs(bundle.soft.values[j - 1] - lam) / lam
-            if not rel < oracle.superconvergence_bound(j, h):
+            if not rel < superconvergence_bound(j, h):
                 violations += 1
     report(5, violations == 0, f"{violations} violations")
 
@@ -409,7 +418,7 @@ def sample_interval(rng, p, k, samples=1000):
     bound = (p - k + 1) * (p - k + 2)
     worst = -np.inf
     for _ in range(samples):
-        ratio = oracle.trace_ratio_interval(rng.standard_normal(p + 1), k=k)
+        ratio = trace_ratio_interval(rng.standard_normal(p + 1), k=k)
         worst = max(worst, ratio - bound)
     return worst / bound
 
@@ -528,7 +537,7 @@ def test_criterion_8_trace_constants():
         ratio = grad_boundary_ratio_cuboid(rng, p, edges, 1000)
         bound = p * (p + 1) / min(edges)
         ok = ok and (ratio - bound) / bound <= 1e-10
-        c2 = oracle.sharp_trace_constant(
+        c2 = sharp_trace_constant(
             "cuboid-partial", p, k=[0, 0], geometry=list(edges)
         ) ** 2
         ratio_v = boundary_value_ratio_cuboid(rng, p, edges, 1000)
@@ -552,12 +561,12 @@ def test_criterion_8_trace_constants():
     worst_attain = 0.0
     for p in range(1, 6):
         want = (p + 1) * (p + 2)
-        got = oracle.trace_ratio_interval(oracle.extremal_trace_polynomial(p))
+        got = trace_ratio_interval(extremal_trace_polynomial(p))
         worst_attain = max(worst_attain, abs(got - want) / want)
     # cuboid gradient: a polynomial varying along the smallest edge whose
     # derivative is the degree p-1 extremal attains p(p+1)/h0 exactly
     for p in [2, 3, 4]:
-        got = oracle.trace_ratio_interval(oracle.extremal_trace_polynomial(p - 1))
+        got = trace_ratio_interval(extremal_trace_polynomial(p - 1))
         want = p * (p + 1)
         worst_attain = max(worst_attain, abs(got / min(edges) - want / min(edges)) / (want / min(edges)))
     details.append(f"extremal attainment deviation {worst_attain:.1e}")
@@ -575,7 +584,7 @@ def test_criterion_9_branch_polynomials():
     for p in [1, 2, 3]:
         space = build_space(mesh, p)
         fem = solve_gmevp(assemble_stiffness(space), assemble_mass(space))
-        pred = np.sort(oracle.full_branch_spectrum(p, n))
+        pred = np.sort(full_branch_spectrum(p, n))
         assert len(pred) == fem.order
         worst = max(worst, float(np.max(np.abs(pred - fem.values) / fem.values)))
     report(9, worst < 1e-9, f"max multiset deviation {worst:.2e}")

@@ -269,6 +269,22 @@ def test_dense_solves_overwrite_their_dense_copies(monkeypatch):
     assert traced_peak(lambda: largest_eigenvalue(K, M)) <= 2.5 * dense
 
 
+def test_dense_order_over_the_limit_is_refused_before_the_copies(monkeypatch):
+    """A full solve and the dense lambda_max fallback of an order over
+    MAX_DENSE_ORDER raise, naming the order and `modes`, before any dense
+    copy is made."""
+    n = gevp.MAX_DENSE_ORDER + 1
+    eye = sp.identity(n, format="csr")
+    monkeypatch.setattr(gevp, "_extreme_value", lambda A, M: None)
+
+    def refused(solve):
+        with pytest.raises(gevp.EigensolveError, match=f"order {n} .*'modes'"):
+            solve(eye, eye)
+
+    for solve in (solve_gmevp, largest_eigenvalue):
+        assert traced_peak(lambda: refused(solve)) < 2**20
+
+
 class LiveFactor:
     """A SuperLU factor that counts the live ones."""
 

@@ -262,6 +262,10 @@ BAD_INPUTS = {
     "dense-eigensolve-failure": mesh({"type": "uniform", "n": 3, "d": 3},
                                      "dense eigensolve failed", code=3, degrees=[2], eta=1e306,
                                      leaves=()),
+    # 9,801 dofs without `modes`: a full dense solve over gevp.MAX_DENSE_ORDER,
+    # refused before the dense copies are made
+    "dense-order-over-limit": mesh({"type": "unit-square", "n": 100}, "order 9801", "'modes'",
+                                   code=3, degrees=[1], leaves=()),
     # the other commands
     **{f"mesh-info-{name}": Row(["mesh-info", "$TMP/bad.mesh"], 2, (says,), {"bad.mesh": text})
        for name, (text, says) in MESH_FILES.items()},

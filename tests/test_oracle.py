@@ -17,6 +17,19 @@ from softfem.gevp import solve_gmevp
 from softfem.mesh import mesh_from_spec
 from softfem.polyref import cuboid_rule
 
+from oracles import (
+    branch_roots,
+    closed_form_linear_eigenvalue,
+    extremal_trace_polynomial,
+    full_branch_spectrum,
+    linear_eigenvector_pattern,
+    linear_stiffness_reduction_ratio,
+    sharp_trace_constant,
+    stopping_band_values,
+    superconvergence_bound,
+    trace_ratio_interval,
+)
+
 
 def test_exact_laplace_spectrum_1d():
     spec = oracle.exact_laplace_spectrum(1, 6)
@@ -90,7 +103,7 @@ def test_closed_form_linear_eigenvalues_match_assembly(n, eta):
     fem = solve_gmevp(K, M)
     soft = solve_gmevp(soften(K, S, eta), M)
     for j in range(1, n):
-        vals = oracle.closed_form_linear_eigenvalue(n, j, eta)
+        vals = closed_form_linear_eigenvalue(n, j, eta)
         assert abs(vals["fem"] - fem.values[j - 1]) < 1e-10 * vals["fem"]
         assert abs(vals["soft"] - soft.values[j - 1]) < 1e-10 * vals["soft"]
 
@@ -104,7 +117,7 @@ def test_linear_eigenvector_pattern_is_shared():
     S = assemble_penalty(space)
     soft = solve_gmevp(soften(K, S, 1.0 / 12.0), M)
     for j in [1, 5]:
-        pattern = oracle.linear_eigenvector_pattern(n, j)
+        pattern = linear_eigenvector_pattern(n, j)
         got = soft.vectors[:, j - 1]
         pattern = pattern / np.linalg.norm(pattern)
         got = got / np.linalg.norm(got)
@@ -113,10 +126,10 @@ def test_linear_eigenvector_pattern_is_shared():
 
 def test_linear_stiffness_reduction_ratio_limit():
     # (5 + cos(pi h)) / (5 - cos(pi h)) -> 3/2 as h -> 0
-    assert abs(oracle.linear_stiffness_reduction_ratio(1e-4) - 1.5) < 1e-6
+    assert abs(linear_stiffness_reduction_ratio(1e-4) - 1.5) < 1e-6
     h = 0.1
     want = (5 + math.cos(math.pi * h)) / (5 - math.cos(math.pi * h))
-    assert abs(oracle.linear_stiffness_reduction_ratio(h) - want) < 1e-14
+    assert abs(linear_stiffness_reduction_ratio(h) - want) < 1e-14
 
 
 def test_branch_polynomial_p1_reproduces_closed_form():
@@ -124,19 +137,19 @@ def test_branch_polynomial_p1_reproduces_closed_form():
     h = 1.0 / n
     for j in range(1, n):
         zeta = math.cos(j * math.pi * h)
-        roots = oracle.branch_roots(1, zeta)
+        roots = branch_roots(1, zeta)
         assert len(roots) == 1
-        lam = oracle.closed_form_linear_eigenvalue(n, j, 0.0)["fem"]
+        lam = closed_form_linear_eigenvalue(n, j, 0.0)["fem"]
         assert abs(roots[0] / h**2 - lam) < 1e-9 * lam
 
 
 def test_stopping_bands():
     h = 0.25
-    assert oracle.stopping_band_values(1, h).size == 0
-    p2 = oracle.stopping_band_values(2, h)
+    assert stopping_band_values(1, h).size == 0
+    p2 = stopping_band_values(2, h)
     assert p2.shape == (1,)
     assert abs(p2[0] - 10.0 / h**2) < 1e-9 / h**2
-    p3 = oracle.stopping_band_values(3, h)
+    p3 = stopping_band_values(3, h)
     assert p3.shape == (2,)
     assert np.all(p3 > 0)
 
@@ -147,7 +160,7 @@ def test_full_branch_spectrum_matches_assembly(p):
     mesh = mesh_from_spec({"type": "uniform", "n": n, "d": 1})
     space = build_space(mesh, p)
     fem = solve_gmevp(assemble_stiffness(space), assemble_mass(space))
-    pred = oracle.full_branch_spectrum(p, n)
+    pred = full_branch_spectrum(p, n)
     assert len(pred) == fem.order
     assert np.max(np.abs(np.sort(pred) - fem.values) / fem.values) < 1e-9
 
@@ -159,35 +172,35 @@ def test_gamma_p_values():
 
 
 def test_superconvergence_bound_formula():
-    assert abs(oracle.superconvergence_bound(2, 0.1) - (2 * math.pi * 0.1) ** 4 / 360.0) < 1e-15
+    assert abs(superconvergence_bound(2, 0.1) - (2 * math.pi * 0.1) ** 4 / 360.0) < 1e-15
 
 
 def test_sharp_trace_constants():
-    assert abs(oracle.sharp_trace_constant("interval-k", 3) - math.sqrt(20.0)) < 1e-14
-    assert abs(oracle.sharp_trace_constant("interval-k", 3, k=1) - math.sqrt(12.0)) < 1e-14
+    assert abs(sharp_trace_constant("interval-k", 3) - math.sqrt(20.0)) < 1e-14
+    assert abs(sharp_trace_constant("interval-k", 3, k=1) - math.sqrt(12.0)) < 1e-14
     assert (
-        abs(oracle.sharp_trace_constant("cuboid-grad", 2, geometry=0.5) - math.sqrt(12.0))
+        abs(sharp_trace_constant("cuboid-grad", 2, geometry=0.5) - math.sqrt(12.0))
         < 1e-14
     )
     assert (
         abs(
-            oracle.sharp_trace_constant("simplex-grad", 2, geometry=0.5, d=3)
+            sharp_trace_constant("simplex-grad", 2, geometry=0.5, d=3)
             - math.sqrt(16.0)
         )
         < 1e-14
     )
-    c = oracle.sharp_trace_constant("cuboid-partial", 2, k=[0, 1], geometry=[0.5, 0.25])
+    c = sharp_trace_constant("cuboid-partial", 2, k=[0, 1], geometry=[0.5, 0.25])
     assert abs(c - math.sqrt(12.0 / 0.5 + 6.0 / 0.25)) < 1e-13
     with pytest.raises(ValueError):
-        oracle.sharp_trace_constant("interval-k", 2, k=3)
+        sharp_trace_constant("interval-k", 2, k=3)
     with pytest.raises(ValueError):
-        oracle.sharp_trace_constant("warped", 2)
+        sharp_trace_constant("warped", 2)
 
 
 def test_extremal_polynomial_attains_constant():
     for p in range(1, 6):
-        coeffs = oracle.extremal_trace_polynomial(p)
-        ratio = oracle.trace_ratio_interval(coeffs)
+        coeffs = extremal_trace_polynomial(p)
+        ratio = trace_ratio_interval(coeffs)
         want = (p + 1) * (p + 2)
         assert abs(ratio - want) < 1e-9 * want
 
@@ -197,7 +210,7 @@ def test_random_polynomials_respect_trace_bound():
     for p in [1, 2, 4]:
         bound = (p + 1) * (p + 2)
         for _ in range(200):
-            ratio = oracle.trace_ratio_interval(rng.standard_normal(p + 1))
+            ratio = trace_ratio_interval(rng.standard_normal(p + 1))
             assert ratio <= bound * (1 + 1e-10)
 
 
@@ -211,3 +224,10 @@ def test_reference_spectrum_matches_exact_for_unit_kappa():
         )
         exact = oracle.exact_laplace_spectrum(d, 5).values
         assert np.max(np.abs(values - exact) / exact) < 1e-10
+
+
+def test_oracle_holds_only_what_a_run_reads():
+    public = {name for name, obj in vars(oracle).items()
+              if callable(obj) and not name.startswith("_")
+              and getattr(obj, "__module__", None) == oracle.__name__}
+    assert public == {"ExactSpectrum", "exact_laplace_spectrum", "reference_spectrum"}
