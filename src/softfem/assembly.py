@@ -69,11 +69,6 @@ class FeSpace:
         V, G = self.basis.eval(quad.nodes)
         return quad, V, G
 
-    def interpolate(self, f):
-        """Reduced coefficient vector of the nodal interpolant of f."""
-        vals = f(self.node_coords)
-        return np.asarray(vals, dtype=float)[self.reduced_to_full]
-
 
 def build_space(mesh, p):
     """Build the C0 nodal space of degree p on a mesh."""

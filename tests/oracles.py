@@ -3,9 +3,9 @@
 Analytical linear FEM/softFEM eigenvalues on uniform 1D meshes, branch
 characteristic polynomials of the discrete 1D spectrum with its stopping
 bands, the quartic superconvergence bound, and sharp discrete trace
-constants with extremal polynomials. No run reads them; the run-time
-references (exact Laplace spectra and high-order reference spectra) are in
-`softfem.oracle`.
+constants with extremal polynomials, and the nodal interpolant of a function
+in a finite element space. No run reads them; the run-time references (exact
+Laplace spectra and high-order reference spectra) are in `softfem.oracle`.
 """
 
 from __future__ import annotations
@@ -181,3 +181,9 @@ def trace_ratio_interval(coeffs, k=0, a=-1.0, b=1.0):
     vol = float(np.sum(quad.weights * (b - a) / 2.0 * poly(x) ** 2))
     bnd = float(poly(a) ** 2 + poly(b) ** 2)
     return (b - a) * bnd / vol
+
+
+def interpolate(space, f):
+    """Reduced coefficient vector of the nodal interpolant of f in space."""
+    vals = f(space.node_coords)
+    return np.asarray(vals, dtype=float)[space.reduced_to_full]

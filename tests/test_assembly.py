@@ -1,5 +1,5 @@
 import functools
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from softfem.assembly import (
     AssemblyError,
+    FeSpace,
     assemble_mass,
     assemble_penalty,
     assemble_stiffness,
@@ -18,6 +19,8 @@ from softfem.assembly import (
 from softfem.coefficient import parse_coefficient
 from softfem.mesh import build_cartesian_mesh, mesh_from_spec
 from softfem.polyref import ReferenceBasis
+
+from oracles import interpolate
 
 
 def uniform_1d(n):
@@ -83,11 +86,17 @@ def test_interpolation_reproduces_polynomials():
     space = build_space(mesh, 2)
     # x(1-x)*y(1-y) is in Q_2 and vanishes on the boundary
     f = lambda pts: pts[:, 0] * (1 - pts[:, 0]) * pts[:, 1] * (1 - pts[:, 1])
-    coeffs = space.interpolate(f)
+    coeffs = interpolate(space, f)
     M = assemble_mass(space)
     # compare in the L2 sense against the straightforward quadrature value
     exact_sq = (1.0 / 30.0) ** 2
     assert abs(coeffs @ (M @ coeffs) - exact_sq) < 1e-14
+
+
+def test_fe_space_holds_only_what_a_run_reads():
+    public = {name for name in dir(build_space(uniform_1d(4), 2)) if not name.startswith("_")}
+    derived = {"ndof", "element_tables", "error_tables"}
+    assert public == {f.name for f in fields(FeSpace)} | derived
 
 
 # -- golden 1D p=1 matrices ----------------------------------------------
