@@ -27,6 +27,7 @@ from softfem.mesh import Mesh, mesh_from_spec
 from softfem.polyref import MAX_DEGREE, ReferenceBasis, cuboid_rule, simplex_rule
 
 from oracles import interpolate
+from test_inputs import BAD_INPUTS, check
 
 
 @pytest.fixture(scope="module")
@@ -1076,6 +1077,59 @@ def test_unit_kappa_may_be_written_as_any_constant_one(tmp_path, cfg):
         csvs = sorted((f.name, f.read_bytes()) for f in (tmp_path / tag).glob("*.csv"))
         outputs.append((summary, csvs))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# The cases of three rejection tests that predate `BAD_INPUTS` keep their
+# ids; each runs the `BAD_INPUTS` row with its config, flags and field.
+ETA_AND_MODES_CASES = {
+    "fields0-argv0-eta": "eta-flag-negative", "fields1-argv1-eta": "eta-flag-nan",
+    "fields2-argv2-eta": "eta-flag-inf", "fields3-argv3-eta": "eta-bool",
+    "fields4-argv4-eta": "eta-negative", "fields5-argv5-eta_sweep": "eta-sweep-negative",
+    "fields6-argv6-eta_sweep": "eta-sweep-not-a-list", "fields7-argv7-modes": "modes-negative",
+    "fields8-argv8-modes": "modes-zero", "fields9-argv9-modes": "modes-fraction",
+    "fields10-argv10-modes": "modes-bool", "fields11-argv11-modes": "modes-flag-negative",
+}
+MESH_SPEC_CASES = {
+    "spec0-n": "uniform-without-n", "spec1-n": "l-shape-without-n",
+    "spec2-breakpoints": "cartesian-without-breakpoints", "spec3-path": "file-without-path",
+    "spec4-n": "uniform-n-not-an-integer", "spec5-n": "uniform-n-zero",
+    "spec6-n": "unit-square-n-fraction", "spec7-d": "uniform-d-fraction", "spec8-d": "uniform-d-4",
+    "spec9-breakpoints": "cartesian-breakpoint-not-a-number",
+    "spec10-path": "file-path-not-a-string", "x-mesh": "mesh-not-an-object",
+    "spec12-dim": "uniform-unknown-field-dim", "spec13-d": "unit-square-unknown-field-d",
+}
+CONFIG_FIELD_CASES = {
+    "cfg0-degrees": "degrees-not-a-list", "cfg1-degrees": "degrees-bool",
+    "cfg2-degrees": "degrees-empty", "cfg3-reference_degree": "reference-degree-zero",
+    "cfg4-reference_refine": "reference-refine-fraction", "cfg5-reference": "reference-misspelt",
+    "cfg6-name": "name-not-a-string", "cfg7-kappa": "kappa-not-a-string",
+    "cfg8-stiffen": "stiffen-not-recognized", "cfg9-jump_ratio": "jump-ratio-not-a-bool",
+    "cfg10-eigenfunction_modes": "eigenfunction-modes-zero",
+    "cfg11-ladder": "ladder-block-without-n", "cfg12-ladder": "ladder-degree-not-an-integer",
+    "cfg13-ladder": "ladder-block-unknown-key", "cfg14-ladder": "ladder-empty",
+    "cfg15-kappa": "ladder-kappa-not-one", "cfg16-mesh": "ladder-with-mesh",
+    "cfg17-face_weight": "ladder-with-face-weight", "cfg18-modes": "ladder-with-modes",
+    "cfg19-degrees": "degree-70", "cfg20-degrees": "degree-above-max",
+    "cfg21-reference_degree": "reference-degree-70", "cfg22-ladder": "ladder-degree-70",
+    "cfg23-kappa": "kappa-syntax", "cfg24-kappa": "ladder-kappa-syntax",
+    "cfg25-ladder": "ladder-repeated-track-mode", "cfg26-ladder": "ladder-repeated-n",
+    "cfg27-ladder": "ladder-repeated-degree",
+}
+
+
+@pytest.mark.parametrize("row", ETA_AND_MODES_CASES.values(), ids=ETA_AND_MODES_CASES.keys())
+def test_cli_rejects_bad_eta_and_modes(tmp_path, capsys, row):
+    check(BAD_INPUTS[row], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("row", MESH_SPEC_CASES.values(), ids=MESH_SPEC_CASES.keys())
+def test_cli_mesh_spec_missing_field(tmp_path, capsys, row):
+    check(BAD_INPUTS[row], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("row", CONFIG_FIELD_CASES.values(), ids=CONFIG_FIELD_CASES.keys())
+def test_cli_rejects_bad_config_fields(tmp_path, capsys, row):
+    check(BAD_INPUTS[row], tmp_path, capsys)
 
 
 def run_exit_code(cfg, argv=()):
