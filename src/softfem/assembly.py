@@ -56,7 +56,8 @@ class FeSpace:
         """(quadrature rule, basis values V and gradients G at its nodes,
         ElementMap) of the element integrals, built on first use; K and M
         share them, and S its ElementMap."""
-        quad = assembly_quadrature(self)
+        p, mesh = self.p, self.mesh
+        quad = cuboid_rule(mesh.d, p + 2) if mesh.kind == "tensor" else simplex_rule(2 * p + 2)
         V, G = self.basis.eval(quad.nodes)
         return quad, V, G, element_map(self)
 
@@ -214,14 +215,6 @@ def element_map(space):
     v0 = verts[:, 0]
     B = np.stack([verts[:, 1] - v0, verts[:, 2] - v0], axis=2)
     return ElementMap(v0, np.zeros(2), B, np.linalg.inv(B), np.linalg.det(B))
-
-
-def assembly_quadrature(space):
-    """The reference quadrature used for element integrals."""
-    p, mesh = space.p, space.mesh
-    if mesh.kind == "tensor":
-        return cuboid_rule(mesh.d, p + 2)
-    return simplex_rule(2 * p + 2)
 
 
 def _kappa_values(kappa, pts, where="element"):

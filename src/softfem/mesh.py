@@ -76,8 +76,9 @@ class Mesh:
         if len(bad):
             raise InvalidMeshError(f"element {bad[0]} references an invalid vertex")
         ids = np.sort(self.elements, axis=1)
-        if np.any(ids[:, 1:] == ids[:, :-1]):
-            raise InvalidMeshError("repeated vertex in element")
+        bad = np.flatnonzero((ids[:, 1:] == ids[:, :-1]).any(axis=1))
+        if len(bad):
+            raise InvalidMeshError(f"element {bad[0]} repeats a vertex")
         if not np.isfinite(self.vertices).all():
             raise InvalidMeshError("vertex coordinates must be finite")
         unused = np.flatnonzero(np.bincount(self.elements.ravel(), minlength=nv) == 0)
@@ -311,12 +312,17 @@ SPEC_FIELDS = {"cartesian": ("breakpoints",), "uniform": ("n", "d"), "unit-squar
 MAX_ENTRIES = 2**24
 
 
-def _element_entries(kind, d, cells, p):
-    """cells * m^2, the entries of the element matrices of the degree-p
-    space on `cells` cells of a kind: m = (p + 1)^d local dofs on a tensor
-    cell in d dimensions, (p + 1)(p + 2)/2 on a triangle."""
+def _check_entries(kind, d, cells, p, what):
+    """InvalidMeshError naming `what` unless the degree-p space on `cells`
+    cells of a kind passes the size rule. Its element matrices hold
+    cells * m^2 entries: m = (p + 1)^d local dofs on a tensor cell in d
+    dimensions, (p + 1)(p + 2)/2 on a triangle."""
     m = (p + 1) ** d if kind == "tensor" else (p + 1) * (p + 2) // 2
-    return cells * m * m
+    if cells * m * m > MAX_ENTRIES:
+        raise InvalidMeshError(
+            f"{what}: the degree-{p} space on {cells} cells is over the size limit "
+            f"({cells * m * m} > {MAX_ENTRIES} element-matrix entries)"
+        )
 
 
 class MeshOutline(NamedTuple):
@@ -392,12 +398,7 @@ def _spec_outline(spec, refine=None):
         n = count("n", field("n"))
         cell_kind, d, cells = "simplicial", 2, 2 * n * n * (1 if kind == "unit-square" else 3)
     cells *= (refine or 1) ** d
-    entries = _element_entries(cell_kind, d, cells, 1)
-    if entries > MAX_ENTRIES:
-        raise InvalidMeshError(
-            f"mesh spec field {name!r}: a mesh of {cells} cells is over the size limit "
-            f"({entries} > {MAX_ENTRIES} element-matrix entries at degree 1)"
-        )
+    _check_entries(cell_kind, d, cells, 1, f"mesh spec field {name!r}")
     if refine is not None:
         spec = refine_spec(spec, refine)
     if kind == "cartesian":

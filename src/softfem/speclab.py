@@ -27,10 +27,9 @@ from .assembly import (
 )
 from .coefficient import UNIT, CoefficientParseError, parse_coefficient
 from .mesh import (
-    MAX_ENTRIES,
     InvalidMeshError,
     MeshOutline,
-    _element_entries,
+    _check_entries,
     _spec_outline,
     build_cartesian_mesh,
     mesh_from_spec,
@@ -287,17 +286,19 @@ def resolve_eta(policy, p, mesh_kind, d):
 
 @dataclass
 class SolveBundle:
-    """Both spectra of a problem on the degree-`p` space of `mesh`, which has
-    `ndof` degrees of freedom, and the pencil K, M, S as assembled.
+    """Both spectra of a problem on the degree-`p` space of `mesh`, and the
+    pencil K, M, S as assembled on the space `base`.
 
-    On the Kronecker path K, M and S are the 1D pencil on `mesh.axes[0]`,
-    both spectra are factored over its spectra, and the d-dimensional space
-    is built when `space` is first read.
+    `factors` is d on the Kronecker path: `base` is the 1D space on
+    `mesh.axes[0]`, both spectra are factored over its spectra, and the
+    d-dimensional space is built when `space` is first read. Otherwise
+    `factors` is 1 and `base` is the space.
     """
 
     mesh: object
     p: int
-    ndof: int
+    base: object
+    factors: int
     K: object
     M: object
     S: object
@@ -307,8 +308,14 @@ class SolveBundle:
     built_space: object = field(default=None, repr=False)
 
     @property
+    def ndof(self):
+        return self.base.ndof ** self.factors
+
+    @property
     def space(self):
         """The degree-p FE space on the mesh."""
+        if self.factors == 1:
+            return self.base
         if self.built_space is None:
             self.built_space = build_space(self.mesh, self.p)
         return self.built_space
@@ -346,75 +353,56 @@ def _is_kronecker_sum(mesh, kappa):
     return bool(np.ptp(widths) <= CONGRUENT_RTOL * widths.max())
 
 
-def _check_space(mesh, p, kappa, fields, dimensional=False):
-    """ConfigError naming `fields` unless the degree-p space that a solve on
-    `mesh` (a Mesh or a MeshOutline) builds passes the size rule: the 1D
-    space of axis 0 where `_is_kronecker_sum` holds, unless `dimensional`
-    (the d-dimensional space is read), and the d-dimensional space
-    otherwise."""
-    if _is_kronecker_sum(mesh, kappa) and not dimensional:
-        entries = _element_entries("tensor", 1, len(mesh.axes[0]) - 1, p)
-    else:
-        entries = _element_entries(mesh.kind, mesh.d, mesh.n_elements, p)
-    if entries > MAX_ENTRIES:
-        raise ConfigError(
-            f"{fields}: the degree-{p} space is over the size limit "
-            f"({entries} > {MAX_ENTRIES} element-matrix entries)"
-        )
-
-
-def _check_spaces(cfg, mesh, reference):
-    """The size rule on the space of each degree on `mesh` and on the
-    high-order reference space on `reference` (None without one)."""
-    for p in cfg.degrees:
-        _check_space(mesh, p, cfg.kappa, "config fields 'mesh' and 'degrees'",
-                     dimensional=bool(cfg.eigenfunction_modes))
-    if reference is not None:
-        _check_space(reference, cfg.reference_degree, cfg.kappa,
-                     "config fields 'reference_degree' and 'reference_refine'")
-
-
-def _check_sizes(cfg):
-    """Check, from the config alone and so before anything is built, every
-    mesh and space of the run against the size rule (see mesh.MAX_ENTRIES),
-    and that each ladder level has its track modes. A file mesh's spaces are
-    checked once it is read."""
+def _check_sizes(cfg, mesh=None):
+    """Check every space of the run against the size rule (see
+    mesh.MAX_ENTRIES), and that each ladder level has its track modes. From
+    the config alone, so before anything is built, unless `mesh` is given:
+    a file mesh, whose spaces are known once it is read."""
+    spaces = []  # (outline, degree, the fields it names, whether the d-dimensional space is read)
     if cfg.ladder is not None:
         for block in cfg.ladder:
             p, track = block["degree"], max(block.get("track_modes", [1]))
             for n in block["n"]:  # a uniform 1D mesh of n cells: n p - 1 dofs
-                _check_space(MeshOutline("tensor", 1, n, None), p, cfg.kappa,
-                             "config field 'ladder'")
                 if track > n * p - 1:
                     raise ConfigError(
                         f"config field 'ladder': track mode {track} is above the "
                         f"mode count {n * p - 1} of degree {p} at n={n}"
                     )
-        return
-    mesh = _spec_outline(cfg.mesh)
-    reference = None
-    if cfg.reference == "high-order":
+                spaces.append((MeshOutline("tensor", 1, n, None), p, "config field 'ladder'",
+                               False))
+    else:
+        outline = _spec_outline(cfg.mesh) if mesh is None else mesh
+        spaces = [(outline, p, "config fields 'mesh' and 'degrees'", bool(cfg.eigenfunction_modes))
+                  for p in cfg.degrees]
+        if cfg.reference == "high-order":
+            try:
+                reference = _spec_outline(cfg.mesh, cfg.reference_refine) if mesh is None else mesh
+            except InvalidMeshError as err:
+                raise ConfigError(f"config field 'reference_refine': {err}") from None
+            spaces.append((reference, cfg.reference_degree,
+                           "config fields 'reference_degree' and 'reference_refine'", False))
+    for outline, p, fields, dimensional in spaces:
+        if outline is None:  # a file spec, checked once read
+            continue
+        # a solve on the Kronecker path builds the 1D space of axis 0
+        if _is_kronecker_sum(outline, cfg.kappa) and not dimensional:
+            outline = MeshOutline("tensor", 1, len(outline.axes[0]) - 1, None)
         try:
-            reference = _spec_outline(cfg.mesh, cfg.reference_refine)
+            _check_entries(outline.kind, outline.d, outline.n_elements, p, fields)
         except InvalidMeshError as err:
-            raise ConfigError(f"config field 'reference_refine': {err}") from None
-    if mesh is not None:
-        _check_spaces(cfg, mesh, reference)
+            raise ConfigError(str(err)) from None
 
 
 def _galerkin(mesh, p, kappa, modes, vectors):
-    """(space, base, K, M, fem): the Galerkin half of `solve_problem`, with
-    `space` None and `base` the 1D space where `_is_kronecker_sum` holds,
-    and lambda_max not certified. A BasisError propagates, so that each
-    caller names its own config field."""
-    kronecker = _is_kronecker_sum(mesh, kappa)
-    if kronecker:
-        space, base = None, build_space(build_cartesian_mesh(mesh.axes[:1]), p)
-    else:
-        space = base = build_space(mesh, p)
+    """(base, factors, K, M, fem): the Galerkin half of `solve_problem`, with
+    `base` the 1D space and `factors` d where `_is_kronecker_sum` holds (else
+    the space and 1), and lambda_max not certified. A BasisError
+    propagates, so that each caller names its own config field."""
+    factors = mesh.d if _is_kronecker_sum(mesh, kappa) else 1
+    base = build_space(build_cartesian_mesh(mesh.axes[:1]) if factors > 1 else mesh, p)
     K = assemble_stiffness(base, kappa)
     M = assemble_mass(base)
-    return space, base, K, M, _solve(K, M, modes, vectors, mesh.d if kronecker else 1)
+    return base, factors, K, M, _solve(K, M, modes, vectors, factors)
 
 
 def solve_problem(mesh, p, kappa=UNIT, *, eta_policy="default", face_weight="local",
@@ -432,11 +420,10 @@ def solve_problem(mesh, p, kappa=UNIT, *, eta_policy="default", face_weight="loc
     eigenvectors (see `_solve`).
     """
     try:
-        space, base, K, M, fem = _galerkin(mesh, p, kappa, modes, vectors)
+        base, factors, K, M, fem = _galerkin(mesh, p, kappa, modes, vectors)
     except BasisError as err:
         raise ConfigError(f"config field 'degrees' (or 'ladder'): {err}") from None
-    ndof = base.ndof ** mesh.d if space is None else space.ndof
-    if ndof == 0:
+    if base.ndof == 0:
         raise ConfigError(
             f"config fields 'mesh' and 'degrees' (or 'ladder'): the degree-{p} space "
             "on this mesh has no interior degree of freedom"
@@ -445,8 +432,7 @@ def solve_problem(mesh, p, kappa=UNIT, *, eta_policy="default", face_weight="loc
     face_length = float(np.mean(mesh.h0)) if face_weight == "mean" else None
     S = assemble_penalty(base, kappa, face_length=face_length)
     eta = resolve_eta(eta_policy, p, mesh.kind, mesh.d)
-    bundle = SolveBundle(mesh, p, ndof, K, M, S, fem=fem, soft=fem, eta=0.0,
-                         built_space=space)
+    bundle = SolveBundle(mesh, p, base, factors, K, M, S, fem=fem, soft=fem, eta=0.0)
     bundle = _with_eta(bundle, eta, vectors=vectors)
     if eta_policy == "default" and bundle.soft.values[0] <= 0:
         raise CoercivityViolation(
@@ -468,8 +454,7 @@ def _with_eta(bundle, eta, name="eta", vectors=True):
         raise ConfigError(
             f"config field {name!r}: eta = {eta!r} overflows the softened matrix"
         )
-    factors = bundle.mesh.d if bundle.fem.path == "kronecker" else 1
-    soft = _certified(_solve(A, bundle.M, bundle.fem.order, vectors, factors), A, bundle.M)
+    soft = _certified(_solve(A, bundle.M, bundle.fem.order, vectors, bundle.factors), A, bundle.M)
     return replace(bundle, soft=soft, eta=eta)
 
 
@@ -695,7 +680,7 @@ def _report(cfg, bundle, reference, exact, out_dir, names):
 def _run_single(cfg, out_dir):
     mesh = mesh_from_spec(cfg.mesh)
     if cfg.mesh["type"] == "file":  # a file spec refines only to itself
-        _check_spaces(cfg, mesh, mesh if cfg.reference == "high-order" else None)
+        _check_sizes(cfg, mesh)
     degrees = list(cfg.degrees)
     vectors = cfg.jump_ratio or bool(cfg.eigenfunction_modes)  # the only readers
     summaries = {}

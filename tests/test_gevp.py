@@ -428,6 +428,29 @@ def test_eigsh_failures_fall_back_to_dense(monkeypatch):
     assert largest_eigenvalue(K, M) == top and len(calls) == 2
 
 
+def test_lowest_modes_count_rejects_a_missed_mode(monkeypatch):
+    """A Lanczos run that misses the lowest mode returns the modes above it;
+    the inertia count at the midpoint of its top gap then shows one more
+    eigenvalue than it found, and the gap is no split cluster, so the
+    certified solve gives up after one eigsh call and the dense path runs."""
+    _, K, M = pencil({"type": "uniform", "n": 200, "d": 1}, 2)
+    real_eigsh, calls = scipy.sparse.linalg.eigsh, []
+
+    def missing_eigsh(A, k, *args, **kwargs):
+        calls.append(k)
+        vals, vecs = real_eigsh(A, k + 1, *args, **kwargs)
+        order = np.argsort(vals, kind="stable")[1:]
+        return vals[order], vecs[:, order]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", missing_eigsh)
+    assert _lowest_modes(K, M, 5) is None and calls == [6]
+    dense = solve_gmevp(K, M)
+    spec = solve_gmevp(K, M, 5)
+    assert spec.path == "dense" and len(calls) == 2
+    assert np.array_equal(spec.values, dense.values[:5])
+    assert np.array_equal(spec.vectors, dense.vectors[:, :5])
+
+
 @pytest.mark.parametrize("k", [-1, 0, True, False, 2.0])
 def test_solve_rejects_a_mode_count_that_is_not_a_positive_integer(k):
     """k = -1 returned all modes but one, and k = 0 an empty spectrum, each

@@ -79,6 +79,8 @@ MESH_FILES = {
     # two copies of one triangle: area 0.5 counted twice, three interior faces
     "folded": ("nodes 3\n0 0\n1 0\n0 1\nelements 2\n0 1 2\n0 2 1\n",
                "lie on the same side of their shared face"),
+    "repeated-vertex": ("nodes 3\n0 0\n1 0\n0 1\nelements 1\n0 0 1\n",
+                        "element 0 repeats a vertex"),
 }
 KAPPAS = {"minus-one": "-1", "exp-overflow": "exp(1000*x)", "one-over-zero": "1/0",
           "zero-to-minus-one": "0^-1", "root-of-minus-two": "(-2)^0.5", "ten-to-400": "10^400"}
@@ -137,6 +139,12 @@ BAD_INPUTS = {
     "name-not-a-string": run({**MESHED, "name": 3}, "field 'name'"),
     "kappa-not-a-string": run({**MESHED, "kappa": 4}, "field 'kappa'"),
     "kappa-syntax": run({**MESHED, "kappa": "1 +"}, "field 'kappa'"),
+    "kappa-unexpected-character": run({**MESHED, "kappa": "1 $ x"}, "field 'kappa'",
+                                      "unexpected character '$' (at position 2)"),
+    "kappa-malformed-number": run({**MESHED, "kappa": "1.2.3"}, "field 'kappa'",
+                                  "malformed number (at position 0)"),
+    "kappa-function-without-parenthesis": run({**MESHED, "kappa": "sin x"}, "field 'kappa'",
+                                              "expected '(' (at position 4)"),
     "kappa-nested-parentheses": run({**MESHED, "kappa": "(" * 200 + "1" + ")" * 200},
                                     "field 'kappa'", "nested deeper"),
     "kappa-nested-minuses": run({**MESHED, "kappa": "-" * 1000 + "1"}, "field 'kappa'",

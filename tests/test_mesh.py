@@ -13,6 +13,8 @@ from softfem.mesh import (
     refine_spec,
 )
 
+from test_inputs import SQUARE_MESH
+
 
 def test_cartesian_1d_counts_and_lengths():
     mesh = build_cartesian_mesh([[0.0, 0.25, 0.5, 1.0]])
@@ -338,9 +340,6 @@ def test_jittered_triangulation_face_table(kind, n, seed):
     interior = 3 * n * n - 2 * n if kind == "unit-square" else 9 * n * n - 4 * n
     assert len(mesh.interfaces) == interior
     check_face_table(mesh)
-
-
-SQUARE_MESH = "nodes 4\n0 0\n1 0\n1 1\n0 1\nelements 2\n0 1 2\n0 2 3\n"
 
 
 @st.composite

@@ -23,11 +23,11 @@ from softfem.assembly import (
     build_space,
 )
 from softfem.coefficient import UNIT, parse_coefficient
-from softfem.mesh import Mesh, mesh_from_spec
+from softfem.mesh import InvalidMeshError, Mesh, mesh_from_spec
 from softfem.polyref import MAX_DEGREE, ReferenceBasis, cuboid_rule, simplex_rule
 
 from oracles import interpolate
-from test_inputs import BAD_INPUTS, check
+from test_inputs import BAD_INPUTS, SQUARE_MESH, check
 
 
 @pytest.fixture(scope="module")
@@ -1329,9 +1329,6 @@ def test_cli_trace_check_catches_a_too_large_eta_max(capsys, monkeypatch, kind, 
     assert "status=violated" in capsys.readouterr().out
 
 
-SQUARE_MESH = "nodes 4\n0 0\n1 0\n1 1\n0 1\nelements 2\n0 1 2\n0 2 3\n"
-
-
 def test_high_order_reference_on_a_mesh_file(tmp_path):
     mesh_path = tmp_path / "square.mesh"
     mesh_path.write_text(SQUARE_MESH)
@@ -1346,9 +1343,18 @@ def test_high_order_reference_on_a_mesh_file(tmp_path):
     assert [float(r.split(",")[2]) for r in rows] == expected.tolist()
 
 
+def test_the_mesh_spec_is_checked_before_the_reference_spec(tmp_path):
+    """A high-order reference refines the run's mesh spec; a fault of that
+    spec is the mesh's, not the field 'reference_refine's."""
+    cfg = {"name": "o", "mesh": {"type": "uniform", "d": 1}, "reference": "high-order"}
+    with pytest.raises(InvalidMeshError, match="^mesh spec type 'uniform' needs the field 'n'"):
+        speclab.run_experiment(cfg, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_mesh_info(tmp_path, capsys):
     path = tmp_path / "m.mesh"
-    path.write_text("nodes 4\n0 0\n1 0\n1 1\n0 1\nelements 2\n0 1 2\n0 2 3\n")
+    path.write_text(SQUARE_MESH)
     assert cli.main(["mesh-info", str(path)]) == 0
     out = capsys.readouterr().out
     assert "elements=2" in out and "interfaces=1" in out
