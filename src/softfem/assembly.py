@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coefficient import UNIT
-from .mesh import Mesh
+from .mesh import Mesh, _tensor_grid
 from .polyref import ReferenceBasis, cuboid_rule, simplex_rule
 
 
@@ -56,19 +56,21 @@ class FeSpace:
         """(quadrature rule, basis values V and gradients G at its nodes,
         ElementMap) of the element integrals, built on first use; K and M
         share them, and S its ElementMap."""
-        p, mesh = self.p, self.mesh
-        quad = cuboid_rule(mesh.d, p + 2) if mesh.kind == "tensor" else simplex_rule(2 * p + 2)
-        V, G = self.basis.eval(quad.nodes)
-        return quad, V, G, element_map(self)
+        return (*self._tables(self.p + 2, 2 * self.p + 2), element_map(self))
 
     @functools.cached_property
     def error_tables(self):
         """(quadrature rule of degree >= 2p+6, basis values V and gradients
         G at its nodes) of eigenfunction errors, built on first use."""
-        p, mesh = self.p, self.mesh
-        quad = cuboid_rule(mesh.d, p + 5) if mesh.kind == "tensor" else simplex_rule(2 * p + 6)
-        V, G = self.basis.eval(quad.nodes)
-        return quad, V, G
+        return self._tables(self.p + 5, 2 * self.p + 6)
+
+    def _tables(self, points, degree):
+        """(rule, V, G): the Gauss rule of `points` points per axis on a
+        tensor cell, or of degree `degree` on a triangle, with the basis
+        values and gradients at its nodes."""
+        mesh = self.mesh
+        quad = cuboid_rule(mesh.d, points) if mesh.kind == "tensor" else simplex_rule(degree)
+        return (quad, *self.basis.eval(quad.nodes))
 
 
 def build_space(mesh, p):
@@ -81,8 +83,7 @@ def build_space(mesh, p):
 
 
 def _build_tensor_space(mesh, p):
-    d = mesh.d
-    basis = ReferenceBasis("cuboid", p, d=d)
+    basis = ReferenceBasis("cuboid", p, d=mesh.d)
     ref1 = np.unique(basis.nodes[:, 0])
     axis_nodes = [
         np.append(
@@ -90,23 +91,10 @@ def _build_tensor_space(mesh, p):
         )
         for b in mesh.axes
     ]
-    counts = tuple(len(a) for a in axis_nodes)
-    n_full = int(np.prod(counts))
-
-    # multi-indices (axis 0 fastest, as in the mesh and the reference basis)
-    # of the element cells, the local nodes and the global nodes
-    cells = tuple(len(b) - 1 for b in mesh.axes)
-    cell = np.stack(np.unravel_index(np.arange(mesh.n_elements), cells, order="F"), axis=-1)
-    local = np.stack(
-        np.unravel_index(np.arange((p + 1) ** d), (p + 1,) * d, order="F"), axis=-1
-    )
-    node = cell[:, None, :] * p + local[None, :, :]
-    element_dofs = np.ravel_multi_index(tuple(np.moveaxis(node, -1, 0)), counts, order="F")
-
-    grid = np.unravel_index(np.arange(n_full), counts, order="F")
-    node_coords = np.stack([a[i] for a, i in zip(axis_nodes, grid)], axis=1)
-    boundary = np.any([(i == 0) | (i == c - 1) for i, c in zip(grid, counts)], axis=0)
-    return _finish_space(mesh, p, basis, element_dofs, n_full, boundary, node_coords)
+    # numbered as the mesh's vertices and elements, and the reference basis
+    node_coords, grid, element_dofs = _tensor_grid(axis_nodes, p)
+    boundary = np.any([(i == 0) | (i == len(a) - 1) for i, a in zip(grid, axis_nodes)], axis=0)
+    return _finish_space(mesh, p, basis, element_dofs, len(node_coords), boundary, node_coords)
 
 
 def _build_simplicial_space(mesh, p):

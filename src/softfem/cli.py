@@ -31,7 +31,7 @@ def _load_config(target):
     if target in speclab.PRESETS:
         return dict(speclab.PRESETS[target])
     try:
-        with open(target) as fh:
+        with open(target, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config {target!r}: no such preset or file")

@@ -161,8 +161,6 @@ class Mesh:
         owner = np.argsort(index.ravel(), kind="stable") // len(local)
         first = (np.cumsum(counts) - counts)[counts == 2]
         e1, e2 = owner[first], owner[first + 1]
-        if np.any(e1 == e2):
-            raise InvalidMeshError("face adjacent to one element twice")
         vertex_ids = faces[counts == 2]
         verts = self.vertices[vertex_ids]
         if self.d == 1:
@@ -226,16 +224,25 @@ def build_cartesian_mesh(breakpoints_per_axis):
     if not 1 <= d <= 3:
         raise InvalidMeshError("dimension must be between 1 and 3")
     _check_axes(axes)
-    counts = tuple(len(b) for b in axes)
-    grid = np.unravel_index(np.arange(np.prod(counts)), counts, order="F")
-    vertices = np.stack([b[i] for b, i in zip(axes, grid)], axis=1)
-    cells = tuple(c - 1 for c in counts)
-    cell = np.unravel_index(np.arange(np.prod(cells)), cells, order="F")
-    # corner m of a cell is offset by one along each axis whose bit is set in m
-    bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
-    corner = tuple(c[:, None] + bits[:, ax] for ax, c in enumerate(cell))
-    elements = np.ravel_multi_index(corner, counts, order="F")
+    vertices, _, elements = _tensor_grid(axes, 1)
     return Mesh(d, "tensor", vertices, elements, axes=axes)
+
+
+def _tensor_grid(axes, p):
+    """The grid of the points on `axes` (one ascending array of
+    coordinates per axis) in cells of p + 1 points along each axis:
+    (coordinates (N, d) of every point, the index of each point along each
+    axis, the point ids (cells, (p + 1)^d) of every cell). Points, cells
+    and the points of a cell are all numbered with axis 0 fastest, so the
+    grid of a mesh's breakpoints at p = 1 gives its vertices and elements."""
+    counts = tuple(len(a) for a in axes)
+    grid = np.unravel_index(np.arange(math.prod(counts)), counts, order="F")
+    points = np.stack([a[i] for a, i in zip(axes, grid)], axis=1)
+    cells = tuple((c - 1) // p for c in counts)
+    cell = np.unravel_index(np.arange(math.prod(cells)), cells, order="F")
+    local = np.unravel_index(np.arange((p + 1) ** len(axes)), (p + 1,) * len(axes), order="F")
+    ids = tuple(c[:, None] * p + i for c, i in zip(cell, local))
+    return points, grid, np.ravel_multi_index(ids, counts, order="F")
 
 
 def _check_axes(axes):
@@ -293,7 +300,7 @@ def parse_mesh_text(text):
 
 def load_mesh(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
         raise InvalidMeshError(f"cannot read mesh file {path!r}: {err.strerror}") from None

@@ -275,15 +275,6 @@ _FIELDS = {
 }
 
 
-def resolve_eta(policy, p, mesh_kind, d):
-    if policy == "galerkin":
-        return 0.0
-    pars = softness_parameters(p, mesh_kind, d=d)
-    if policy == "default":
-        return pars["eta_default"]
-    return float(policy)
-
-
 @dataclass
 class SolveBundle:
     """Both spectra of a problem on the degree-`p` space of `mesh`, and the
@@ -431,7 +422,12 @@ def solve_problem(mesh, p, kappa=UNIT, *, eta_policy="default", face_weight="loc
     fem = _certified(fem, K, M)
     face_length = float(np.mean(mesh.h0)) if face_weight == "mean" else None
     S = assemble_penalty(base, kappa, face_length=face_length)
-    eta = resolve_eta(eta_policy, p, mesh.kind, mesh.d)
+    if eta_policy == "galerkin":
+        eta = 0.0
+    elif eta_policy == "default":
+        eta = softness_parameters(p, mesh.kind, d=mesh.d)["eta_default"]
+    else:
+        eta = float(eta_policy)
     bundle = SolveBundle(mesh, p, base, factors, K, M, S, fem=fem, soft=fem, eta=0.0)
     bundle = _with_eta(bundle, eta, vectors=vectors)
     if eta_policy == "default" and bundle.soft.values[0] <= 0:
@@ -546,30 +542,18 @@ def _reference_values(cfg, exact, count):
         return values
 
 
-def _exact_dimension(cfg, mesh, name):
-    """The dimension of the exact kappa = 1 Laplace modes on the unit domain
-    that config field `name` compares with; a ConfigError naming the field
-    unless kappa is 1 and the mesh covers that domain."""
+def _check_exact_modes(cfg, mesh, name):
+    """A ConfigError naming config field `name`, which compares with the
+    exact kappa = 1 Laplace modes on the unit domain, unless kappa is 1 and
+    the mesh covers [0, 1]^d to 1e-12: its bounding box is the unit cube and
+    its cells fill it."""
     if cfg.kappa.constant != 1.0:
         raise ConfigError(f"config field {name!r}: exact modes need kappa = 1")
-    if not _is_unit_domain(mesh):
+    box = np.array([mesh.vertices.min(axis=0), mesh.vertices.max(axis=0) - 1.0])
+    if not (np.abs(box).max() <= 1e-12 and abs(mesh.volumes.sum() - 1.0) <= 1e-12):
         raise ConfigError(
             f"config field {name!r}: exact modes need the unit interval, square or cube"
         )
-    return mesh.d
-
-
-def _is_unit_domain(mesh):
-    """Whether the mesh covers [0, 1]^d, to 1e-12: its bounding box is the
-    unit cube and its cells fill it."""
-    box = np.array([mesh.vertices.min(axis=0), mesh.vertices.max(axis=0) - 1.0])
-    return bool(np.abs(box).max() <= 1e-12 and abs(mesh.volumes.sum() - 1.0) <= 1e-12)
-
-
-def _reported_modes(cfg, bundle):
-    """The number of modes a run reports: `modes`, at most the dof count."""
-    n = bundle.ndof
-    return min(cfg.modes or n, n)
 
 
 CSV_BLOCK = 4096
@@ -587,8 +571,7 @@ def _format_floats(values):
 
 
 def _spectrum_rows(cfg, bundle, reference, exact=None):
-    n = bundle.ndof
-    modes = _reported_modes(cfg, bundle)
+    n, modes = bundle.ndof, bundle.fem.order
     has_soft = bundle.eta != 0.0
     relerr_fem = relerr_soft = None
     if reference is not None:
@@ -684,10 +667,10 @@ def _run_single(cfg, out_dir):
     degrees = list(cfg.degrees)
     vectors = cfg.jump_ratio or bool(cfg.eigenfunction_modes)  # the only readers
     summaries = {}
-    exact_d = None  # the dimension of the exact modes the run compares with
-    if cfg.eigenfunction_modes or cfg.reference == "exact":
+    compares_exact = bool(cfg.eigenfunction_modes) or cfg.reference == "exact"
+    if compares_exact:
         name = "eigenfunction_modes" if cfg.eigenfunction_modes else "reference"
-        exact_d = _exact_dimension(cfg, mesh, name)
+        _check_exact_modes(cfg, mesh, name)
     bundles = {
         p: solve_problem(
             mesh, p, cfg.kappa, eta_policy=cfg.eta, face_weight=cfg.face_weight,
@@ -695,17 +678,16 @@ def _run_single(cfg, out_dir):
         )
         for p in degrees
     }
-    max_count = max(_reported_modes(cfg, b) for b in bundles.values())
+    max_count = max(b.fem.order for b in bundles.values())
     exact = None
-    if exact_d is not None:  # one spectrum for the reference and the eigenfunction errors
+    if compares_exact:  # one spectrum for the reference and the eigenfunction errors
         count = max_count if cfg.reference == "exact" else max(cfg.eigenfunction_modes)
-        exact = oracle.exact_laplace_spectrum(exact_d, count + 4)
+        exact = oracle.exact_laplace_spectrum(mesh.d, count + 4)
     full_reference = _reference_values(cfg, exact, max_count)
 
     for p in degrees:
         bundle = bundles[p]
-        modes = _reported_modes(cfg, bundle)
-        reference = None if full_reference is None else full_reference[:modes]
+        reference = None if full_reference is None else full_reference[: bundle.fem.order]
         names = [f"spectrum_p{p}.csv"] + (["spectrum.csv"] if len(degrees) == 1 else [])
         summaries[str(p)] = _report(cfg, bundle, reference, exact, out_dir, names)
         if cfg.eta_sweep:
@@ -781,7 +763,6 @@ def run_experiment(config, out_dir):
 PRESETS = {
     "table1": {
         "name": "table1",
-        "eta": "default",
         "ladder": [
             {"degree": 1, "n": [8, 16, 32, 64], "track_modes": [1, 6]},
             {"degree": 2, "n": [4, 8, 16, 32, 64], "track_modes": [1, 6]},
@@ -793,7 +774,6 @@ PRESETS = {
         "name": "table3",
         "mesh": {"type": "uniform", "n": 200, "d": 1},
         "degrees": [1, 2, 3, 4, 5],
-        "eta": "default",
         "reference": "exact",
     },
     "table4": {
@@ -801,9 +781,7 @@ PRESETS = {
         "kappa": "exp(x*sin(2*pi*x))",
         "mesh": {"type": "uniform", "n": 200, "d": 1},
         "degrees": [1, 2, 3, 4, 5],
-        "eta": "default",
         "reference": "high-order",
-        "reference_degree": 7,
         "reference_refine": 2,
     },
     "table-nonuniform": {
@@ -815,24 +793,20 @@ PRESETS = {
             ],
         },
         "degrees": [1, 2, 3, 4, 5],
-        "eta": "default",
         "face_weight": "mean",
         "reference": "high-order",
-        "reference_degree": 7,
         "reference_refine": 8,
     },
     "fig1": {
         "name": "fig1",
         "mesh": {"type": "uniform", "n": 100, "d": 1},
         "degrees": [1, 2, 3],
-        "eta": "default",
         "reference": "exact",
     },
     "fig-eta-sweep": {
         "name": "fig-eta-sweep",
         "mesh": {"type": "uniform", "n": 250, "d": 1},
         "degrees": [2],
-        "eta": "default",
         "reference": "exact",
         "eta_sweep": [1.0 / 48.0, 1.0 / 24.0, 1.0 / 16.0, 1.0 / 12.0],
     },
@@ -840,7 +814,6 @@ PRESETS = {
         "name": "fig-jump-ratio",
         "mesh": {"type": "uniform", "n": 240, "d": 1},
         "degrees": [1, 2, 3, 4],
-        "eta": "default",
         "reference": "exact",
         "jump_ratio": True,
     },
@@ -848,35 +821,30 @@ PRESETS = {
         "name": "fig-2d",
         "mesh": {"type": "uniform", "n": 20, "d": 2},
         "degrees": [2, 3],
-        "eta": "default",
         "reference": "exact",
     },
     "fig-3d": {
         "name": "fig-3d",
         "mesh": {"type": "uniform", "n": 6, "d": 3},
         "degrees": [2, 3],
-        "eta": "default",
         "reference": "exact",
     },
     "fig-3d-p4": {
         "name": "fig-3d-p4",
         "mesh": {"type": "uniform", "n": 4, "d": 3},
         "degrees": [4],
-        "eta": "default",
         "reference": "exact",
     },
     "fig-simplicial": {
         "name": "fig-simplicial",
         "mesh": {"type": "unit-square", "n": 16},
         "degrees": [1, 2, 3],
-        "eta": "default",
         "reference": "exact",
     },
     "fig-lshape": {
         "name": "fig-lshape",
         "mesh": {"type": "l-shape", "n": 8},
         "degrees": [1, 2, 3],
-        "eta": "default",
         "reference": "high-order",
         "reference_degree": 4,
         "reference_refine": 1,

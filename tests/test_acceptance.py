@@ -411,6 +411,33 @@ def test_criterion_7_two_sided_bounds(bundles_1d_200, preset_runs):
     report(7, ok, f"{sum(checks)}/{len(checks)} mesh/degree combinations within bounds")
 
 
+def test_galerkin_values_lie_above_every_preset_reference(bundles_1d_200, preset_runs):
+    """The min-max lower bound lambda_fem >= lambda_ref, to 8 eps
+    lambda_max_fem of the degree, on every preset CSV with a reference: the
+    exact values, or those of a high-order space that contains the
+    problem's. The table3 pencils are those of `bundles_1d_200`."""
+    eps = np.finfo(float).eps
+    exact = oracle.exact_laplace_spectrum(1, 1000).values
+    margins = {f"table3 p={p}": (b.fem.values, exact[: b.fem.order], b.fem.lambda_max)
+               for p, b in bundles_1d_200.items()}
+    for name, (out, summary) in preset_runs.items():
+        for path in sorted(out.glob("*.csv")):
+            rows = read_spectrum_csv(path)
+            if rows[0]["lambda_ref"] is None:
+                continue
+            # spectrum.csv repeats the CSV of a run's only degree
+            p = path.stem.split("_")[1][1:] if "_" in path.stem else str(summary["degrees"][0])
+            margins[f"{name} {path.name}"] = (
+                [r["lambda_fem"] for r in rows], [r["lambda_ref"] for r in rows],
+                summary["by_degree"][p]["lambda_max_fem"],
+            )
+    assert len(margins) == 40
+    worst = {key: float(np.max(np.subtract(ref, fem))) / (eps * top)
+             for key, (fem, ref, top) in margins.items()}
+    key = max(worst, key=worst.get)
+    assert worst[key] <= 8.0, f"{key}: lambda_ref - lambda_fem = {worst[key]:.2f} eps lambda_max"
+
+
 # -- criterion 8: trace constants ----------------------------------------
 
 

@@ -225,3 +225,46 @@ def test_checks_catch_a_wrong_path(name, wrong):
     for side in SIDES:
         with pytest.raises(AssertionError):
             check(path, case, k, side)
+
+
+def l_shape(vertices=lambda v: v, relabel=False):
+    """The l-shape n=4 triangulation as explicit triangles, its vertices
+    moved by `vertices`, and with `relabel` its vertices and its elements
+    renumbered at random."""
+    base = mesh_from_spec({"type": "l-shape", "n": 4})
+    v, elements = base.vertices, base.elements
+    if relabel:
+        rng = np.random.default_rng(5)
+        new = rng.permutation(len(v))  # the new id of each vertex
+        v, elements = v[np.argsort(new)], new[elements][rng.permutation(len(elements))]
+    return Mesh(2, "simplicial", vertices(v), elements)
+
+
+ROTATION = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+# (mesh, kappa, the factor that takes its values to those of the l-shape
+# with kappa = 1)
+RELATIONS = {
+    "rotation-and-translation": (lambda: l_shape(lambda v: v @ ROTATION.T + [0.3, -1.2]), "1", 1.0),
+    "relabelling": (lambda: l_shape(relabel=True), "1", 1.0),
+    "reflection": (lambda: l_shape(lambda v: v[:, ::-1]), "1", 1.0),
+    "dilation": (lambda: l_shape(lambda v: 3.0 * v), "1", 9.0),
+    "kappa-scaling": (l_shape, "2.5", 1 / 2.5),
+}
+
+
+@functools.lru_cache(maxsize=1)
+def l_shape_spectra():
+    return [gevp.solve_gmevp(pencil.A, pencil.M) for pencil in fe(l_shape, 3)]
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_metamorphic_relation(relation):
+    """A rigid motion, a relabelling or a reflection of the mesh leaves both
+    pencils' spectra (385 dofs, dense) as they are, a dilation by 3 divides
+    them by 9, and kappa = 2.5 multiplies them by 2.5: to 16 eps lambda_max
+    of the untransformed pencil."""
+    make, kappa, factor = RELATIONS[relation]
+    for want, pencil in zip(l_shape_spectra(), fe(make, 3, kappa)):
+        got = gevp.solve_gmevp(pencil.A, pencil.M)
+        assert got.order == want.order == 385
+        assert np.abs(factor * got.values - want.values).max() <= 16 * EPS * want.lambda_max

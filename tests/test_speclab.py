@@ -663,8 +663,7 @@ def per_cell_rows(cfg, bundle, reference, exact=None):
     def fmt(x):
         return format(float(x), ".17g")
 
-    n = bundle.ndof
-    modes = speclab._reported_modes(cfg, bundle)
+    n, modes = bundle.ndof, bundle.fem.order
     has_soft = bundle.eta != 0.0
     relerr_fem = relerr_soft = None
     if reference is not None:
@@ -725,7 +724,8 @@ def test_spectrum_rows_match_the_per_cell_writer(monkeypatch, fields):
     monkeypatch.setattr(speclab, "CSV_BLOCK", 7)  # rows span several blocks
     cfg = {"name": "w", "reference": "exact", **fields}
     mesh = mesh_from_spec(cfg["mesh"])
-    bundle = speclab.solve_problem(mesh, cfg["degrees"][0], eta_policy=cfg.get("eta", "default"))
+    bundle = speclab.solve_problem(mesh, cfg["degrees"][0], eta_policy=cfg.get("eta", "default"),
+                                   modes=cfg.get("modes"))
     modes = cfg.get("modes", bundle.ndof)
     d = 2 if mesh.kind == "simplicial" else mesh.d
     reference = oracle.exact_laplace_spectrum(d, modes).values
@@ -995,6 +995,24 @@ def test_importing_the_package_skips_slow_scipy_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_reads_utf8_files_under_the_c_locale(tmp_path):
+    """Config and mesh files are read as UTF-8, whatever the locale's
+    encoding: here ASCII, with locale coercion and UTF-8 mode both off."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "résumé", "mesh": {"type": "uniform", "n": 2, "d": 1}},
+                              ensure_ascii=False), encoding="utf-8")
+    mesh = tmp_path / "square.mesh"
+    mesh.write_text("# carré unité\n" + SQUARE_MESH, encoding="utf-8")
+    for argv in (["run", str(cfg), "--out", str(tmp_path / "out")], ["mesh-info", str(mesh)]):
+        done = subprocess.run([sys.executable, "-m", "softfem.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+    assert summary["name"] == "résumé"
 
 
 def test_cli_run_prints_solver_path(tmp_path, capsys):
