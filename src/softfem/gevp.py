@@ -4,12 +4,14 @@ Pencils are scipy sparse matrices, as assembled. Full spectra are dense
 solves. A few lowest modes of a large pencil are a sparse shift-invert
 solve, and the largest eigenvalue a Lanczos Ritz value; an inertia count
 certifies each, and the dense solve is the fallback whenever a count does
-not.
+not. The lowest sums of d sorted 1D spectra, a Kronecker-sum pencil's or
+the exact Laplace one's, are a factored spectrum (`_kronecker_spectrum`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +83,49 @@ class Spectrum:
         for i in self.indices[1:, j]:
             out = np.multiply.outer(out, X[:, i]).ravel()
         return _fix_signs(out[:, None], [0])[:, 0]
+
+
+def _kronecker_sums(parts):
+    """mu0[i0] + (mu1[i1] + (... + mu_last[i_last])) over the index tuples of
+    the 1D value arrays `parts`, raveled with the first axis slowest."""
+    values = parts[-1]
+    for mu in parts[-2::-1]:
+        values = np.add.outer(mu, values).ravel()
+    return values
+
+
+def _kronecker_spectrum(spectrum, d, k=None):
+    """The factored spectrum of the lowest k modes (all if k is None) of the
+    d-fold Kronecker sum of a 1D pencil: the stably sorted sums of d 1D
+    eigenvalues, with the index tuple of each (slowest axis first) into the
+    sign-fixed 1D `spectrum`.
+
+    Only the sums over the first m 1D modes are formed, m doubling until
+    every sum outside that block lies strictly above the k-th one found. The
+    least such sum puts mu[m] in one place and mu[0] in the others (IEEE
+    addition is monotone). The block's ravel order is the full grid's
+    restricted to it, so the stable sort gives the full one's first k and
+    ties; lambda_max, mu[-1] summed d times, is the full maximum."""
+    mu = spectrum.values
+    n = len(mu)
+    k = n**d if k is None else min(k, n**d)
+    m = min(n, math.ceil(k ** (1 / d)))  # the least m with m^d >= k, up to rounding
+    while True:
+        values = _kronecker_sums([mu[:m]] * d)
+        order = np.argsort(values, kind="stable")[:k]
+        if m == n or (len(order) == k and
+                      _kronecker_sums([mu[[0, m]]] * d)[1:].min() > values[order[-1]]):
+            break
+        m = min(2 * m, n)
+    return Spectrum(
+        values=values[order],
+        vectors=None,
+        # -inf for an empty pencil
+        lambda_max=float(_kronecker_sums([mu[-1:]] * d).max(initial=-np.inf)),
+        path="kronecker",
+        indices=np.array(np.unravel_index(order, (m,) * d)),
+        factor=spectrum,
+    )
 
 
 def _fix_signs(vectors, columns):

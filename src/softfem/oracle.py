@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gevp
 from .coefficient import parse_coefficient
 from .mesh import mesh_from_spec, refine_spec
 
@@ -56,23 +57,12 @@ def exact_laplace_spectrum(d, count):
         raise ValueError("dimension must be 1, 2, or 3")
     if count < 1:
         raise ValueError("count must be >= 1")
-    # a little fewer than V r^d index tuples in {1, 2, ...}^d have |k| <= r,
-    # V the volume of the positive orthant of the unit ball; the added d
-    # covers the shortfall at the coordinate planes, and the check below
-    # stays the guard
-    orthant = {1: 1.0, 2: math.pi / 4, 3: math.pi / 6}[d]
-    m = max(2, math.ceil((count / orthant) ** (1.0 / d)) + d)
-    while True:
-        # every index tuple in {1..m}^d, the last axis fastest
-        tuples = np.indices((m,) * d).reshape(d, -1).T + 1
-        lam = (tuples * tuples).sum(axis=1) * math.pi**2
-        order = np.argsort(lam, kind="stable")
-        # valid while the cutoff is below the smallest omitted eigenvalue
-        if len(lam) >= count and lam[order[count - 1]] <= (m + 1) ** 2 * math.pi**2:
-            values = lam[order][:count]
-            indices = list(map(tuple, tuples[order[:count]].tolist()))
-            return ExactSpectrum(d=d, values=values, indices=indices)
-        m += 2
+    # pi^2 (k_1^2 + ... + k_d^2) is the d-fold Kronecker sum of the 1D
+    # spectrum pi^2 k^2; the squares sum exactly and are scaled once
+    squares = gevp.Spectrum(values=np.arange(1.0, count + 1) ** 2, vectors=None)
+    sums = gevp._kronecker_spectrum(squares, d, count)
+    indices = list(map(tuple, (sums.indices.T + 1).tolist()))
+    return ExactSpectrum(d=d, values=sums.values * math.pi**2, indices=indices)
 
 
 def reference_spectrum(problem, count, degree, refine, richardson=False):

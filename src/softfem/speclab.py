@@ -195,6 +195,10 @@ class ExperimentConfig(SimpleNamespace):
         if cfg.ladder is None:
             if cfg.mesh is None:
                 raise ConfigError("config field 'mesh' (or 'ladder') is required")
+            top = max(cfg.eigenfunction_modes, default=0)
+            if cfg.modes is not None and top > cfg.modes:
+                raise ConfigError("config fields 'eigenfunction_modes' and 'modes': "
+                                  f"mode {top} is above the {cfg.modes} modes reported")
             return cfg
         # a ladder refines uniform 1D meshes and scores them against the
         # exact kappa = 1 spectrum
@@ -461,7 +465,7 @@ def _solve(A, M, k, vectors, factors):
     1D pencil is solved in full instead, and the result is the factored
     spectrum of the lowest k modes of its d-fold Kronecker sum."""
     if factors > 1:
-        return _kronecker_spectrum(_solve(A, M, None, vectors, 1), factors, k)
+        return gevp._kronecker_spectrum(_solve(A, M, None, vectors, 1), factors, k)
     spectrum = gevp.solve_gmevp(A, M, k)
     return spectrum if vectors else replace(spectrum, vectors=None)
 
@@ -471,49 +475,6 @@ def _certified(spectrum, A, M):
     if spectrum.lambda_max is None:
         spectrum = replace(spectrum, lambda_max=gevp.largest_eigenvalue(A, M))
     return spectrum
-
-
-def _kronecker_sums(parts):
-    """mu0[i0] + (mu1[i1] + (... + mu_last[i_last])) over the index tuples of
-    the 1D value arrays `parts`, raveled with the first axis slowest."""
-    values = parts[-1]
-    for mu in parts[-2::-1]:
-        values = np.add.outer(mu, values).ravel()
-    return values
-
-
-def _kronecker_spectrum(spectrum, d, k=None):
-    """The factored spectrum of the lowest k modes (all if k is None) of the
-    d-fold Kronecker sum of a 1D pencil: the stably sorted sums of d 1D
-    eigenvalues, with the index tuple of each (slowest axis first) into the
-    sign-fixed 1D `spectrum`.
-
-    Only the sums over the first m 1D modes are formed, m doubling until
-    every sum outside that block lies strictly above the k-th one found. The
-    least such sum puts mu[m] in one place and mu[0] in the others (IEEE
-    addition is monotone). The block's ravel order is the full grid's
-    restricted to it, so the stable sort gives the full one's first k and
-    ties; lambda_max, mu[-1] summed d times, is the full maximum."""
-    mu = spectrum.values
-    n = len(mu)
-    k = n**d if k is None else min(k, n**d)
-    m = min(n, math.ceil(k ** (1 / d)))  # the least m with m^d >= k, up to rounding
-    while True:
-        values = _kronecker_sums([mu[:m]] * d)
-        order = np.argsort(values, kind="stable")[:k]
-        if m == n or (len(order) == k and
-                      _kronecker_sums([mu[[0, m]]] * d)[1:].min() > values[order[-1]]):
-            break
-        m = min(2 * m, n)
-    return gevp.Spectrum(
-        values=values[order],
-        vectors=None,
-        # -inf for an empty pencil
-        lambda_max=float(_kronecker_sums([mu[-1:]] * d).max(initial=-np.inf)),
-        path="kronecker",
-        indices=np.array(np.unravel_index(order, (m,) * d)),
-        factor=spectrum,
-    )
 
 
 def _fmt(x):

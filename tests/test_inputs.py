@@ -153,6 +153,13 @@ BAD_INPUTS = {
     "jump-ratio-not-a-bool": run({**MESHED, "jump_ratio": 1}, "field 'jump_ratio'"),
     "eigenfunction-modes-zero": run({**MESHED, "eigenfunction_modes": [0]},
                                     "field 'eigenfunction_modes'"),
+    # no degree reports a mode above `modes`, so none would carry its errors
+    "eigenfunction-mode-above-modes": run(
+        {**MESHED, "degrees": [2], "eigenfunction_modes": [1, 5], "modes": 4},
+        "fields 'eigenfunction_modes' and 'modes'", "mode 5"),
+    "eigenfunction-mode-above-modes-flag": run(
+        {**MESHED, "degrees": [2], "eigenfunction_modes": [1, 5]},
+        "fields 'eigenfunction_modes' and 'modes'", "mode 5", flags=["--modes", "4"]),
     "face-weight-median": run({**MESHED, "face_weight": "median"}, "field 'face_weight'"),
     "ladder-block-without-n": ladder({"degree": 2}),
     "ladder-degree-not-an-integer": ladder({"degree": "x", "n": [4]}),

@@ -340,7 +340,7 @@ def test_kronecker_lowest_k_is_the_full_sorts_first_k(d):
         order = np.argsort(values, kind="stable")
         indices = np.array(np.unravel_index(order, (n,) * d))
         for k in [*range(1, n**d + 1), n**d + 5, None]:
-            got = speclab._kronecker_spectrum(spectrum, d, k)
+            got = gevp._kronecker_spectrum(spectrum, d, k)
             want = slice(None) if k is None else slice(k)
             assert got.values.tobytes() == values[order][want].tobytes()
             assert np.array_equal(got.indices, indices[:, want])
