@@ -100,8 +100,7 @@ def _build_tensor_space(mesh, p):
 def _build_simplicial_space(mesh, p):
     basis = ReferenceBasis("simplex", p, d=2)
     nv, ne, el = len(mesh.vertices), mesh.n_elements, mesh.elements
-    lattice = [(i, j) for j in range(p + 1) for i in range(p + 1 - j)]
-    slot = {ij: m for m, ij in enumerate(lattice)}
+    slot = {ij: m for m, ij in enumerate(map(tuple, basis.lattice.tolist()))}
     element_dofs = np.empty((ne, basis.ndof), dtype=np.int64)
 
     # vertex dofs at the corners of the lattice
@@ -118,14 +117,14 @@ def _build_simplicial_space(mesh, p):
                 nv + mesh.face_ids[:, f] * (p - 1) + np.where(forward, t - 1, p - 1 - t)
             )
     # interior dofs last, element by element
-    interior = [m for m, (i, j) in enumerate(lattice) if i > 0 and j > 0 and i + j < p]
+    interior = np.flatnonzero((basis.lattice > 0).all(axis=1) & (basis.lattice.sum(axis=1) < p))
     interior_base = nv + len(mesh.faces) * (p - 1)
     n_full = interior_base + ne * len(interior)
     element_dofs[:, interior] = np.arange(interior_base, n_full).reshape(ne, len(interior))
 
     # nodes shared by several elements take the coordinates computed in the
     # last of them
-    i, j = np.array(lattice, dtype=float).T[:, :, None] / p
+    i, j = basis.nodes.T[:, :, None]
     v = mesh.vertices[el][:, :, None, :]
     node_coords = np.empty((n_full, 2))
     node_coords[element_dofs] = v[:, 0] + i * (v[:, 1] - v[:, 0]) + j * (v[:, 2] - v[:, 0])
@@ -260,7 +259,8 @@ def assemble_stiffness(space, kappa=UNIT):
 
 def _face_quadrature(space):
     """Physical quadrature points (nf, nqf, d) and weights (nf, nqf) on every
-    interior face."""
+    interior face, whose lowest- and highest-numbered vertices are opposite
+    corners: a segment's ends, or the diagonal of a tensor grid's face."""
     mesh, d = space.mesh, space.mesh.d
     faces = mesh.interfaces
     a, b = mesh.vertices[faces.vertex_ids[:, 0]], mesh.vertices[faces.vertex_ids[:, -1]]

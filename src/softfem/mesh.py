@@ -24,10 +24,12 @@ class InvalidMeshError(ValueError):
 
 
 class Mesh:
-    """Geometric partition of the domain.
-
-    kind is 'tensor' (elements are intervals/cuboids with 2^d vertices in
-    lexicographic order, axis 0 fastest) or 'simplicial' (CCW triangles).
+    """Geometric partition of the domain, in one of two forms. A tensor
+    mesh, Mesh(d, "tensor", axes=axes), is the grid of d = 1 to 3 lists of
+    strictly ascending breakpoints: `_tensor_grid(axes, 1)` derives its
+    vertices and elements, axis 0 fastest, as it orders the 2^d vertices of
+    each element. Mesh(2, "simplicial", vertices, elements) takes explicit
+    triangles. Any other input raises InvalidMeshError.
 
     Topology, as read-only arrays:
       faces       (nF, k) sorted vertex ids of every face, lexicographic;
@@ -38,17 +40,24 @@ class Mesh:
                   of `faces`, with fields `elements` (e1 < e2), `vertex_ids`,
                   `measure`, `normal` (unit, pointing from e1 to e2) and `h_f`.
 
-    Construction checks that there are elements, each a tuple of 2^d (tensor)
-    or d + 1 (simplicial) vertex ids, that the ids are integers in range,
-    distinct in each element and cover every vertex, and that the
-    coordinates are finite, and turns clockwise triangles counterclockwise.
-    A simplicial mesh builds its topology then too, which checks it. A
-    tensor mesh builds it on first read: its breakpoints, checked by
-    `build_cartesian_mesh`, always give well-formed faces, and a run on the
-    Kronecker path or a reference solve of K and M reads none of it.
+    Construction checks that there are triangles, each a triple of distinct
+    integer vertex ids in range, covering every vertex, with finite
+    coordinates; it turns clockwise triangles counterclockwise and builds
+    their topology, which checks it. A tensor mesh builds its topology on
+    first read: a Kronecker run or a reference solve of K and M reads none.
     """
 
-    def __init__(self, d, kind, vertices, elements, axes=None):
+    def __init__(self, d, kind, vertices=None, elements=None, axes=None):
+        if kind == "tensor":
+            if (vertices is not None or elements is not None or axes is None
+                    or not 1 <= d == len(axes) <= 3):
+                raise InvalidMeshError("a tensor mesh takes 'axes' alone, d = 1 to 3 lists")
+            axes = [np.asarray(b, dtype=float) for b in axes]
+            _check_axes(axes)
+            vertices, _, elements = _tensor_grid(axes, 1)
+        elif kind != "simplicial" or d != 2 or axes is not None:
+            raise InvalidMeshError(f"a mesh is 'tensor' (d = 1 to 3) or 'simplicial' (d = 2, "
+                                   f"without 'axes'), not {kind!r} with d = {d}")
         self.d = d
         self.kind = kind
         self.vertices = np.asarray(vertices, dtype=float).reshape(len(vertices), d)
@@ -61,13 +70,12 @@ class Mesh:
             raise InvalidMeshError("mesh has no element")
         if ids is None or ids.ndim != 2 or ids.shape[1] != expected:
             bad = next((i for i, el in enumerate(elements) if np.shape(el) != (expected,)), 0)
-            tuple_name = "triple" if expected == 3 else f"{expected}-tuple"
-            raise InvalidMeshError(f"element {bad} {elements[bad]!r} is not a vertex {tuple_name}")
+            raise InvalidMeshError(f"element {bad} {elements[bad]!r} is not a vertex triple")
         if ids.dtype.kind not in "iuf":
             raise InvalidMeshError("vertex ids must be integers")
         with np.errstate(invalid="ignore"):  # nan and inf ids fail the test below
             self.elements = ids.astype(int)  # a copy: triangles may be turned
-        self.axes = axes  # per-axis breakpoints for tensor meshes
+        self.axes = axes  # per-axis breakpoints of a tensor mesh, else None
         nv = len(self.vertices)
         bad = np.flatnonzero((self.elements != ids).any(axis=1))
         if len(bad):
@@ -88,7 +96,22 @@ class Mesh:
         for arr in (self.vertices, self.elements, self.volumes, self.h, self.h0):
             arr.setflags(write=False)
         if kind == "simplicial":
-            self._topology  # built now, so that a malformed mesh raises here
+            self._check_conforming()  # builds the topology now: a malformed mesh raises here
+
+    def _check_conforming(self):
+        """InvalidMeshError for a hanging node: inside a boundary edge to 1e-12 of its length."""
+        edges = self.faces[self.on_boundary]
+        ends = np.unique(edges)  # such a vertex ends boundary edges, unless elements overlap
+        step = 1 + 2**20 // len(ends)  # edge-vertex pairs per block
+        for start in range(0, len(edges), step):
+            a, b = self.vertices[edges[start : start + step].T][:, :, None]
+            t = (b - a) / ((b - a) ** 2).sum(axis=2, keepdims=True)  # r.t, r x t in edge lengths
+            r = self.vertices[ends] - a
+            along, across = (r * t).sum(axis=2), t[..., 0] * r[..., 1] - t[..., 1] * r[..., 0]
+            e, v = np.nonzero((1e-12 < along) & (along < 1 - 1e-12) & (np.abs(across) <= 1e-12))
+            if len(e):
+                raise InvalidMeshError(f"vertex {ends[v[0]]} lies inside the boundary edge "
+                                       f"{tuple(edges[start + e[0]].tolist())}: a hanging node")
 
     @functools.cached_property
     def _topology(self):
@@ -125,9 +148,6 @@ class Mesh:
         verts = self.vertices[self.elements]
         if self.kind == "tensor":
             edges = verts.max(axis=1) - verts.min(axis=1)
-            bad = np.flatnonzero((edges <= 0).any(axis=1))
-            if len(bad):
-                raise InvalidMeshError(f"degenerate cuboid element {bad[0]}")
             self.h = np.sqrt((edges**2).sum(axis=1))  # the diagonal
             self.volumes = edges.prod(axis=1)
             self.h0 = edges.min(axis=1)
@@ -219,13 +239,7 @@ def build_cartesian_mesh(breakpoints_per_axis):
     Elements are numbered lexicographically with axis 0 fastest, matching
     the vertex ordering within each element.
     """
-    axes = [np.asarray(b, dtype=float) for b in breakpoints_per_axis]
-    d = len(axes)
-    if not 1 <= d <= 3:
-        raise InvalidMeshError("dimension must be between 1 and 3")
-    _check_axes(axes)
-    vertices, _, elements = _tensor_grid(axes, 1)
-    return Mesh(d, "tensor", vertices, elements, axes=axes)
+    return Mesh(len(breakpoints_per_axis), "tensor", axes=breakpoints_per_axis)
 
 
 def _tensor_grid(axes, p):

@@ -126,10 +126,10 @@ def _legendre_tables(x, p):
 class ReferenceBasis:
     """Nodal Lagrange basis on a reference cell.
 
-    kind is 'cuboid' (d = 1, 2 or 3) or 'simplex' (d = 2). The interpolation
-    nodes are Gauss-Lobatto tensor points on cuboids and the principal
-    lattice on the simplex. Evaluators are pure and reusable. Construction
-    raises BasisError if the basis is not nodal to NODAL_TOL.
+    kind is 'cuboid' (d = 1, 2 or 3) or 'simplex' (d = 2). Nodes are Gauss-
+    Lobatto tensor points on cuboids, and on the simplex the principal
+    lattice, whose integer points (i, j) it holds as `lattice`. Evaluators
+    are pure; construction raises BasisError unless nodal to NODAL_TOL.
     """
 
     def __init__(self, kind, p, d=None):
@@ -154,11 +154,11 @@ class ReferenceBasis:
             if d != 2:
                 raise ValueError("only 2D simplices are supported")
             self.d = 2
-            # the principal lattice (i, j)/p, i + j <= p; the same (a, b)
-            # index the products L_a(2x-1) L_b(2y-1), which span P_p
-            lattice = [(i, j) for j in range(p + 1) for i in range(p + 1 - j)]
-            self.nodes = np.array(lattice, dtype=float) / p
-            self._ab = np.array(lattice).T
+            # the principal lattice (i, j), i + j <= p, of the nodes (i, j)/p; the
+            # same (a, b) index the products L_a(2x-1) L_b(2y-1), which span P_p
+            self.lattice = np.array([(i, j) for j in range(p + 1) for i in range(p + 1 - j)])
+            self.lattice.setflags(write=False)
+            self.nodes = self.lattice / p
             self._coeff = np.linalg.inv(self._legendre_products(self.nodes)[0])
             _check_nodal(kind, p, *self._eval_simplex(self.nodes))
         else:
@@ -207,7 +207,7 @@ class ReferenceBasis:
 
     def _legendre_products(self, pts):
         """Values, x- and y-derivatives of L_a(2x-1) L_b(2y-1) at the points."""
-        a, b = self._ab
+        a, b = self.lattice.T
         Vx, Dx = _legendre_tables(2.0 * pts[:, 0] - 1.0, self.p)
         Vy, Dy = _legendre_tables(2.0 * pts[:, 1] - 1.0, self.p)
         return Vx[:, a] * Vy[:, b], 2.0 * Dx[:, a] * Vy[:, b], 2.0 * Vx[:, a] * Dy[:, b]

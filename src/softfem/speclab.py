@@ -507,11 +507,16 @@ def _check_exact_modes(cfg, mesh, name):
     """A ConfigError naming config field `name`, which compares with the
     exact kappa = 1 Laplace modes on the unit domain, unless kappa is 1 and
     the mesh covers [0, 1]^d to 1e-12: its bounding box is the unit cube and
-    its cells fill it."""
+    its cells fill it, and each boundary edge of a triangle mesh lies on a
+    side of the square (a tensor mesh reads no face table here)."""
     if cfg.kappa.constant != 1.0:
         raise ConfigError(f"config field {name!r}: exact modes need kappa = 1")
     box = np.array([mesh.vertices.min(axis=0), mesh.vertices.max(axis=0) - 1.0])
-    if not (np.abs(box).max() <= 1e-12 and abs(mesh.volumes.sum() - 1.0) <= 1e-12):
+    sides = True
+    if mesh.kind == "simplicial":  # both ends of each edge at x = c or y = c, c = 0 or 1
+        ends = mesh.vertices[mesh.faces[mesh.on_boundary]][..., None] - [0.0, 1.0]
+        sides = (np.abs(ends) <= 1e-12).all(axis=1).any(axis=(1, 2)).all()
+    if not (np.abs(box).max() <= 1e-12 and abs(mesh.volumes.sum() - 1.0) <= 1e-12 and sides):
         raise ConfigError(
             f"config field {name!r}: exact modes need the unit interval, square or cube"
         )

@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from softfem.assembly import (
@@ -17,7 +18,7 @@ from softfem.assembly import (
     softness_parameters,
 )
 from softfem.coefficient import parse_coefficient
-from softfem.mesh import build_cartesian_mesh, mesh_from_spec
+from softfem.mesh import InvalidMeshError, Mesh, build_cartesian_mesh, mesh_from_spec
 from softfem.polyref import ReferenceBasis
 
 from oracles import interpolate
@@ -211,6 +212,37 @@ def test_penalty_dominated_by_stiffness(mesh, p, bound):
     for _ in range(1000):
         x = rng.standard_normal(space.ndof)
         assert x @ S @ x <= bound * (x @ K @ x) * (1 + 1e-10)
+
+
+CUBES = {"cartesian": build_cartesian_mesh([[0, 0.3, 1], [0, 0.5, 0.7, 1], [0, 0.4, 1]]),
+         "uniform": mesh_from_spec({"type": "uniform", "n": 2, "d": 3})}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", CUBES)
+def test_3d_penalty_within_its_coercivity_bound(name, p):
+    """lambda_max(S, K) <= 1 / eta_max = 2p(p+1) in 3D, with variable kappa
+    (2.24, 7.95 and 16.86 on the Cartesian mesh, 2.00, 8.02 and 18.02 on
+    the uniform one)."""
+    kappa = parse_coefficient("1 + x*y")
+    space = build_space(CUBES[name], p)
+    K = assemble_stiffness(space, kappa).toarray()
+    S = assemble_penalty(space, kappa).toarray()
+    assert scipy.linalg.eigh(S, K, eigvals_only=True)[-1] <= 2 * p * (p + 1) * (1 + 1e-10)
+
+
+def test_relabelled_tensor_vertices_are_refused():
+    """Face quadrature reads a tensor face's lowest- and highest-numbered
+    vertices as opposite corners. The uniform cube with its vertex ids
+    permuted as here broke that (kappa = 1, p = 2: lambda_max(S, K) = 60.8,
+    over the bound 12); `Mesh` refuses tensor arrays and derives them from
+    the breakpoints."""
+    cube = CUBES["uniform"]
+    perm = np.random.default_rng(0).permutation(len(cube.vertices))
+    vertices = np.empty_like(cube.vertices)
+    vertices[perm] = cube.vertices
+    with pytest.raises(InvalidMeshError, match="'axes' alone"):
+        Mesh(3, "tensor", vertices, perm[cube.elements], axes=cube.axes)
 
 
 def test_variable_kappa_scales_linearly():

@@ -43,6 +43,8 @@ LADDER = {"name": "bad", "ladder": [{"degree": 1, "n": [4, 8]}]}
 FILE_MESH = {"name": "f", "mesh": {"type": "file", "path": "$TMP/bad.mesh"}}
 SQUARE_MESH = "nodes 4\n0 0\n1 0\n1 1\n0 1\nelements 2\n0 1 2\n0 2 3\n"
 # the unit square in 2 x 2 cells, 8 triangles
+# the unit square cut along its diagonal: coincident vertices, no shared edge
+SLIT_SQUARE = "nodes 6\n0 0\n1 0\n1 1\n0 1\n0 0\n1 1\nelements 2\n0 1 2\n4 5 3\n"
 SQUARE_MESH_8 = ("nodes 9\n0 0\n.5 0\n1 0\n0 .5\n.5 .5\n1 .5\n0 1\n.5 1\n1 1\nelements 8\n"
                  "0 1 4\n0 4 3\n1 2 5\n1 5 4\n3 4 7\n3 7 6\n4 5 8\n4 8 7\n")
 NOT_AN_OBJECT = "config: expected a non-empty JSON object"
@@ -81,6 +83,14 @@ MESH_FILES = {
                "lie on the same side of their shared face"),
     "repeated-vertex": ("nodes 3\n0 0\n1 0\n0 1\nelements 1\n0 0 1\n",
                         "element 0 repeats a vertex"),
+    # hanging nodes: the unshared halves of a split edge would be Dirichlet
+    # edges inside the domain (lambda_1 49.47 for 2 pi^2 = 19.74 at p = 4)
+    "hanging-node-on-the-diagonal": (
+        "nodes 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\nelements 3\n0 1 2\n0 4 3\n4 2 3\n",
+        "vertex 4 lies inside the boundary edge (0, 2)"),
+    "hanging-node-inside": (
+        "nodes 6\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n0.75 0.25\nelements 5\n"
+        "0 1 5\n0 5 4\n1 2 4\n2 3 4\n3 0 4\n", "vertex 5 lies inside the boundary edge (1, 4)"),
 }
 KAPPAS = {"minus-one": "-1", "exp-overflow": "exp(1000*x)", "one-over-zero": "1/0",
           "zero-to-minus-one": "0^-1", "root-of-minus-two": "(-2)^0.5", "ten-to-400": "10^400"}
@@ -251,6 +261,14 @@ BAD_INPUTS = {
                                     reference="exact", leaves=()),
     "exact-reference-interval-0-3": mesh({"type": "cartesian", "breakpoints": [[0, 1, 2, 3]]},
                                          "field 'reference'", reference="exact", leaves=()),
+    # the slit square passes the box and area tests, not the boundary-edge one
+    # (lambda_1 53.01 for 2 pi^2 = 19.74 at p = 4)
+    "exact-reference-slit-square": run({**FILE_MESH, "degrees": [4], "reference": "exact"},
+                                       "field 'reference'", files={"bad.mesh": SLIT_SQUARE},
+                                       leaves=()),
+    "eigenfunction-modes-slit-square": run(
+        {**FILE_MESH, "degrees": [2], "eigenfunction_modes": [1]}, "field 'eigenfunction_modes'",
+        files={"bad.mesh": SLIT_SQUARE}, leaves=()),
     **{f"eigenfunction-modes-{name}": mesh(spec, "field 'eigenfunction_modes'", kappa=kappa,
                                            degrees=[2], eigenfunction_modes=[1, 2], leaves=())
        for name, kappa, spec in [

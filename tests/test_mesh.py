@@ -234,6 +234,31 @@ def test_non_integer_vertex_ids_are_rejected(elements, bad):
     assert mesh.elements.tolist() == [[0, 1, 2]]
 
 
+SQUARE = build_cartesian_mesh([[0.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "args,axes,says",
+    [
+        ((2, "tensor", SQUARE.vertices, SQUARE.elements), SQUARE.axes, "'axes' alone"),
+        ((2, "tensor", SQUARE.vertices, SQUARE.elements), None, "'axes' alone"),
+        ((2, "tensor"), [[0.0, 1.0]], "'axes' alone"),
+        ((4, "tensor"), [[0.0, 1.0]] * 4, "'axes' alone"),
+        ((1, "simplicial", [(0,), (1,)], [(0, 1)]), None, "not 'simplicial' with d = 1"),
+        ((3, "simplicial", np.eye(4, 3), [(0, 1, 2, 3)]), None, "not 'simplicial' with d = 3"),
+        ((2, "quad", SQUARE.vertices, SQUARE.elements), None, "not 'quad' with d = 2"),
+    ],
+    ids=["tensor-arrays", "tensor-without-axes", "tensor-axes-not-d", "tensor-four-axes",
+         "simplicial-1d", "simplicial-3d", "unknown-kind"],
+)
+def test_mesh_is_a_tensor_grid_or_2d_triangles(args, axes, says):
+    """A tensor mesh is its breakpoints alone, numbered as `_tensor_grid`
+    numbers them; explicit arrays are 2D triangles. Anything else is refused
+    at construction."""
+    with pytest.raises(InvalidMeshError, match=says):
+        Mesh(*args, axes=axes)
+
+
 def test_mesh_rejects_mismatched_dimension():
     with pytest.raises(InvalidMeshError):
         Mesh(2, "simplicial", np.zeros((3, 2)), [[0, 1]])
