@@ -188,17 +188,17 @@ class ElementMap(NamedTuple):
 def element_map(space):
     """The affine maps of every element of the space's mesh.
 
-    Tensor cells map [-1,1]^d from their lowest corner with J = diag(span/2);
-    triangles map the unit simplex from v0 with the edge vectors v1 - v0 and
-    v2 - v0 as the columns of J.
+    Tensor cells map [-1,1]^d from their first vertex with J = diag(span/2),
+    the span to their last; triangles map the unit simplex from v0 with the
+    edge vectors v1 - v0 and v2 - v0 as the columns of J.
     """
     mesh = space.mesh
-    verts = mesh.vertices[mesh.elements]
     if mesh.kind == "tensor":
-        lo = verts.min(axis=1)
-        half = 0.5 * (verts.max(axis=1) - lo)
+        lo = mesh.vertices[mesh.elements[:, 0]]
+        half = 0.5 * (mesh.vertices[mesh.elements[:, -1]] - lo)
         J, Jinv = half[:, :, None] * np.eye(mesh.d), (1.0 / half)[:, :, None] * np.eye(mesh.d)
         return ElementMap(lo, -np.ones(mesh.d), J, Jinv, half.prod(axis=1))
+    verts = mesh.vertices[mesh.elements]
     v0 = verts[:, 0]
     B = np.stack([verts[:, 1] - v0, verts[:, 2] - v0], axis=2)
     return ElementMap(v0, np.zeros(2), B, np.linalg.inv(B), np.linalg.det(B))

@@ -24,12 +24,12 @@ class InvalidMeshError(ValueError):
 
 
 class Mesh:
-    """Geometric partition of the domain, in one of two forms. A tensor
-    mesh, Mesh(d, "tensor", axes=axes), is the grid of d = 1 to 3 lists of
-    strictly ascending breakpoints: `_tensor_grid(axes, 1)` derives its
-    vertices and elements, axis 0 fastest, as it orders the 2^d vertices of
-    each element. Mesh(2, "simplicial", vertices, elements) takes explicit
-    triangles. Any other input raises InvalidMeshError.
+    """Geometric partition of the domain. A tensor mesh, Mesh(d, "tensor",
+    axes=axes), is the grid of d = 1 to 3 lists of strictly ascending
+    breakpoints: `_tensor_grid(axes, 1)` numbers its vertices, its elements
+    and the vertices of each, axis 0 fastest, so a cell or a face spans its
+    first to its last vertex. Mesh(2, "simplicial", vertices, elements)
+    takes explicit triangles. Any other input raises InvalidMeshError.
 
     Topology, as read-only arrays:
       faces       (nF, k) sorted vertex ids of every face, lexicographic;
@@ -40,10 +40,10 @@ class Mesh:
                   of `faces`, with fields `elements` (e1 < e2), `vertex_ids`,
                   `measure`, `normal` (unit, pointing from e1 to e2) and `h_f`.
 
-    Construction checks that there are triangles, each a triple of distinct
-    integer vertex ids in range, covering every vertex, with finite
-    coordinates; it turns clockwise triangles counterclockwise and builds
-    their topology, which checks it. A tensor mesh builds its topology on
+    Only triangles are checked: that there are some, each a triple of
+    distinct integer vertex ids in range, covering every vertex, with finite
+    coordinates; clockwise ones are turned counterclockwise, and their
+    topology is built and checked. A tensor mesh builds its topology on
     first read: a Kronecker run or a reference solve of K and M reads none.
     """
 
@@ -54,44 +54,44 @@ class Mesh:
                 raise InvalidMeshError("a tensor mesh takes 'axes' alone, d = 1 to 3 lists")
             axes = [np.asarray(b, dtype=float) for b in axes]
             _check_axes(axes)
-            vertices, _, elements = _tensor_grid(axes, 1)
+            self.vertices, _, self.elements = _tensor_grid(axes, 1)
         elif kind != "simplicial" or d != 2 or axes is not None:
             raise InvalidMeshError(f"a mesh is 'tensor' (d = 1 to 3) or 'simplicial' (d = 2, "
                                    f"without 'axes'), not {kind!r} with d = {d}")
+        else:
+            self.vertices = np.asarray(vertices, dtype=float).reshape(len(vertices), d)
+            try:
+                ids = np.asarray(elements)
+            except ValueError:  # a ragged list
+                ids = None
+            if ids is not None and not ids.size:
+                raise InvalidMeshError("mesh has no element")
+            if ids is None or ids.ndim != 2 or ids.shape[1] != 3:
+                bad = next((i for i, el in enumerate(elements) if np.shape(el) != (3,)), 0)
+                raise InvalidMeshError(f"element {bad} {elements[bad]!r} is not a vertex triple")
+            if ids.dtype.kind not in "iuf":
+                raise InvalidMeshError("vertex ids must be integers")
+            with np.errstate(invalid="ignore"):  # nan and inf ids fail the test below
+                self.elements = ids.astype(int)  # a copy: triangles may be turned
+            nv = len(self.vertices)
+            bad = np.flatnonzero((self.elements != ids).any(axis=1))
+            if len(bad):
+                raise InvalidMeshError(f"element {bad[0]} has a vertex id that is not an integer")
+            bad = np.flatnonzero(((self.elements < 0) | (self.elements >= nv)).any(axis=1))
+            if len(bad):
+                raise InvalidMeshError(f"element {bad[0]} references an invalid vertex")
+            ids = np.sort(self.elements, axis=1)
+            bad = np.flatnonzero((ids[:, 1:] == ids[:, :-1]).any(axis=1))
+            if len(bad):
+                raise InvalidMeshError(f"element {bad[0]} repeats a vertex")
+            if not np.isfinite(self.vertices).all():
+                raise InvalidMeshError("vertex coordinates must be finite")
+            unused = np.flatnonzero(np.bincount(self.elements.ravel(), minlength=nv) == 0)
+            if len(unused):
+                raise InvalidMeshError(f"vertex {unused[0]} belongs to no element")
         self.d = d
         self.kind = kind
-        self.vertices = np.asarray(vertices, dtype=float).reshape(len(vertices), d)
-        expected = 2**d if kind == "tensor" else d + 1
-        try:
-            ids = np.asarray(elements)
-        except ValueError:  # a ragged list
-            ids = None
-        if ids is not None and not ids.size:
-            raise InvalidMeshError("mesh has no element")
-        if ids is None or ids.ndim != 2 or ids.shape[1] != expected:
-            bad = next((i for i, el in enumerate(elements) if np.shape(el) != (expected,)), 0)
-            raise InvalidMeshError(f"element {bad} {elements[bad]!r} is not a vertex triple")
-        if ids.dtype.kind not in "iuf":
-            raise InvalidMeshError("vertex ids must be integers")
-        with np.errstate(invalid="ignore"):  # nan and inf ids fail the test below
-            self.elements = ids.astype(int)  # a copy: triangles may be turned
         self.axes = axes  # per-axis breakpoints of a tensor mesh, else None
-        nv = len(self.vertices)
-        bad = np.flatnonzero((self.elements != ids).any(axis=1))
-        if len(bad):
-            raise InvalidMeshError(f"element {bad[0]} has a vertex id that is not an integer")
-        bad = np.flatnonzero(((self.elements < 0) | (self.elements >= nv)).any(axis=1))
-        if len(bad):
-            raise InvalidMeshError(f"element {bad[0]} references an invalid vertex")
-        ids = np.sort(self.elements, axis=1)
-        bad = np.flatnonzero((ids[:, 1:] == ids[:, :-1]).any(axis=1))
-        if len(bad):
-            raise InvalidMeshError(f"element {bad[0]} repeats a vertex")
-        if not np.isfinite(self.vertices).all():
-            raise InvalidMeshError("vertex coordinates must be finite")
-        unused = np.flatnonzero(np.bincount(self.elements.ravel(), minlength=nv) == 0)
-        if len(unused):
-            raise InvalidMeshError(f"vertex {unused[0]} belongs to no element")
         self._build_geometry()
         for arr in (self.vertices, self.elements, self.volumes, self.h, self.h0):
             arr.setflags(write=False)
@@ -145,13 +145,13 @@ class Mesh:
     # -- geometry ---------------------------------------------------------
 
     def _build_geometry(self):
-        verts = self.vertices[self.elements]
-        if self.kind == "tensor":
-            edges = verts.max(axis=1) - verts.min(axis=1)
+        if self.kind == "tensor":  # a cell spans its first to its last vertex
+            edges = self.vertices[self.elements[:, -1]] - self.vertices[self.elements[:, 0]]
             self.h = np.sqrt((edges**2).sum(axis=1))  # the diagonal
             self.volumes = edges.prod(axis=1)
             self.h0 = edges.min(axis=1)
         else:
+            verts = self.vertices[self.elements]
             diffs = verts[:, :, None, :] - verts[:, None, :, :]
             self.h = np.sqrt((diffs**2).sum(axis=3)).max(axis=(1, 2))
             area2 = _area2(verts)
@@ -183,16 +183,13 @@ class Mesh:
         e1, e2 = owner[first], owner[first + 1]
         vertex_ids = faces[counts == 2]
         verts = self.vertices[vertex_ids]
-        if self.d == 1:
-            measure, normal = np.ones(len(e1)), np.ones((len(e1), 1))
-        elif self.d == 2:  # a segment
+        if self.d == 2:  # a segment
             t = verts[:, 1] - verts[:, 0]
             measure = _norms(t)
             normal = np.stack([t[:, 1], -t[:, 0]], axis=1) / measure[:, None]
-        else:  # an axis-aligned rectangle
-            span = verts.max(axis=1) - verts.min(axis=1)
-            measure = np.where(span > 1e-14, span, 1.0).prod(axis=1)
-            normal = np.eye(self.d)[np.argmin(np.abs(span), axis=1)]
+        else:  # a tensor grid's point or rectangle, spanning its first to its last vertex
+            span = verts[:, -1] - verts[:, 0]  # exactly 0 along the normal
+            measure, normal = np.where(span == 0, 1.0, span).prod(axis=1), (span == 0) * 1.0
         # the signed distances of both element centres from the face: of
         # opposite signs unless the two elements fold over each other
         centers = self.vertices[self.elements].mean(axis=1)

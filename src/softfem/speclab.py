@@ -34,7 +34,7 @@ from .mesh import (
     build_cartesian_mesh,
     mesh_from_spec,
 )
-from .polyref import MAX_DEGREE, BasisError
+from .polyref import MAX_DEGREE, BasisError, ReferenceBasis
 
 
 class ConfigError(ValueError):
@@ -350,10 +350,11 @@ def _is_kronecker_sum(mesh, kappa):
 
 def _check_sizes(cfg, mesh=None):
     """Check every space of the run against the size rule (see
-    mesh.MAX_ENTRIES), and that each ladder level has its track modes. From
-    the config alone, so before anything is built, unless `mesh` is given:
-    a file mesh, whose spaces are known once it is read."""
-    spaces = []  # (outline, degree, the fields it names, whether the d-dimensional space is read)
+    mesh.MAX_ENTRIES), that its simplex basis, if any, is nodal, and that
+    each ladder level has its track modes. From the config alone, so before
+    anything is built, unless `mesh` is given: a file mesh, whose spaces
+    are known once it is read."""
+    spaces = []  # (outline, degree, fields named, d-dimensional space read, degree field)
     if cfg.ladder is not None:
         for block in cfg.ladder:
             p, track = block["degree"], max(block.get("track_modes", [1]))
@@ -364,19 +365,20 @@ def _check_sizes(cfg, mesh=None):
                         f"mode count {n * p - 1} of degree {p} at n={n}"
                     )
                 spaces.append((MeshOutline("tensor", 1, n, None), p, "config field 'ladder'",
-                               False))
+                               False, "ladder"))
     else:
         outline = _spec_outline(cfg.mesh) if mesh is None else mesh
-        spaces = [(outline, p, "config fields 'mesh' and 'degrees'", bool(cfg.eigenfunction_modes))
-                  for p in cfg.degrees]
+        spaces = [(outline, p, "config fields 'mesh' and 'degrees'", bool(cfg.eigenfunction_modes),
+                   "degrees") for p in cfg.degrees]
         if cfg.reference == "high-order":
             try:
                 reference = _spec_outline(cfg.mesh, cfg.reference_refine) if mesh is None else mesh
             except InvalidMeshError as err:
                 raise ConfigError(f"config field 'reference_refine': {err}") from None
             spaces.append((reference, cfg.reference_degree,
-                           "config fields 'reference_degree' and 'reference_refine'", False))
-    for outline, p, fields, dimensional in spaces:
+                           "config fields 'reference_degree' and 'reference_refine'", False,
+                           "reference_degree"))
+    for outline, p, fields, dimensional, name in spaces:
         if outline is None:  # a file spec, checked once read
             continue
         # a solve on the Kronecker path builds the 1D space of axis 0
@@ -386,13 +388,18 @@ def _check_sizes(cfg, mesh=None):
             _check_entries(outline.kind, outline.d, outline.n_elements, p, fields)
         except InvalidMeshError as err:
             raise ConfigError(str(err)) from None
+        if outline.kind == "simplicial":  # cuboid bases are nodal up to MAX_DEGREE
+            try:
+                ReferenceBasis("simplex", p, d=2)
+            except BasisError as err:
+                raise ConfigError(f"config field {name!r}: {err}") from None
 
 
 def _galerkin(mesh, p, kappa, modes, vectors):
     """(base, factors, K, M, fem): the Galerkin half of `solve_problem`, with
     `base` the 1D space and `factors` d where `_is_kronecker_sum` holds (else
-    the space and 1), and lambda_max not certified. A BasisError
-    propagates, so that each caller names its own config field."""
+    the space and 1), and lambda_max not certified. A run checks first that
+    its bases are nodal (see `_check_sizes`)."""
     factors = mesh.d if _is_kronecker_sum(mesh, kappa) else 1
     base = build_space(build_cartesian_mesh(mesh.axes[:1]) if factors > 1 else mesh, p)
     K = assemble_stiffness(base, kappa)
@@ -414,14 +421,11 @@ def solve_problem(mesh, p, kappa=UNIT, *, eta_policy="default", face_weight="loc
     lambda_max. With `vectors` False, neither spectrum keeps its
     eigenvectors (see `_solve`).
     """
-    try:
-        base, factors, K, M, fem = _galerkin(mesh, p, kappa, modes, vectors)
-    except BasisError as err:
-        raise ConfigError(f"config field 'degrees' (or 'ladder'): {err}") from None
+    base, factors, K, M, fem = _galerkin(mesh, p, kappa, modes, vectors)
     if base.ndof == 0:
         raise ConfigError(
-            f"config fields 'mesh' and 'degrees' (or 'ladder'): the degree-{p} space "
-            "on this mesh has no interior degree of freedom"
+            f"config fields 'mesh' and 'degrees': the degree-{p} space on this mesh has no "
+            "interior degree of freedom"
         )
     fem = _certified(fem, K, M)
     face_length = float(np.mean(mesh.h0)) if face_weight == "mean" else None
@@ -486,15 +490,12 @@ def _reference_values(cfg, exact, count):
     if cfg.reference == "exact":
         return exact.values[:count]
     if cfg.reference == "high-order":
-        try:
-            values = oracle.reference_spectrum(
-                {"kappa": cfg.kappa.text, "mesh": cfg.mesh},
-                count,
-                degree=cfg.reference_degree,
-                refine=cfg.reference_refine,
-            )
-        except BasisError as err:
-            raise ConfigError(f"config field 'reference_degree': {err}") from None
+        values = oracle.reference_spectrum(
+            {"kappa": cfg.kappa.text, "mesh": cfg.mesh},
+            count,
+            degree=cfg.reference_degree,
+            refine=cfg.reference_refine,
+        )
         if len(values) < count:
             raise ConfigError(
                 "config fields 'reference_degree' and 'reference_refine': the "

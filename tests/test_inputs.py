@@ -277,12 +277,16 @@ BAD_INPUTS = {
            ("square-variable-kappa", "1 + x", {"type": "uniform", "n": 3, "d": 2}),
            ("triangles-variable-kappa", "1 + x", {"type": "unit-square", "n": 2})]},
     # at p = 20 the simplex basis is far from nodal (lambda_1 on this mesh
-    # would be 13.85, below 2 pi^2 = 19.74)
+    # would be 13.85, below 2 pi^2 = 19.74); each degree is checked from the
+    # config, before any is solved
     "degree-20-not-nodal": mesh({"type": "unit-square", "n": 2}, "field 'degrees'",
-                                "is not nodal", degrees=[20], reference="exact", leaves=()),
+                                "is not nodal", degrees=[20], reference="exact"),
+    "degree-14-after-a-nodal-degree": mesh({"type": "unit-square", "n": 2}, "field 'degrees'",
+                                           "degree-14 simplex basis is not nodal",
+                                           degrees=[2, 14]),
     "reference-degree-16-not-nodal": mesh(
         {"type": "unit-square", "n": 2}, "field 'reference_degree'", "is not nodal",
-        degrees=[2], reference="high-order", reference_degree=16, reference_refine=1, leaves=()),
+        degrees=[2], reference="high-order", reference_degree=16, reference_refine=1),
     **{f"run-on-mesh-file-{name}": run(FILE_MESH, says, files={"bad.mesh": text}, leaves=())
        for name, (text, says) in MESH_FILES.items()},
     # with the mean h_F the faces of the two small cells are overweighted and

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softfem.assembly import build_space, element_map
 from softfem.mesh import (
     InvalidMeshError,
     Mesh,
@@ -29,13 +30,30 @@ def test_cartesian_1d_counts_and_lengths():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_tensor_cell_h_is_the_largest_vertex_distance(d):
     """A cuboid's h, its diagonal, is bit for bit the largest distance
-    between two of its vertices."""
+    between two of its vertices; its volume, h0, element map and the
+    measure and normal of each interior face, read from the first and the
+    last vertex, are bit for bit those of the min/max over all its
+    vertices."""
     rng = np.random.default_rng(d)
     axes = [np.sort(np.r_[0.0, rng.uniform(0.0, 3.0, 5), 3.0]) for _ in range(d)]
     mesh = build_cartesian_mesh(axes)
     verts = mesh.vertices[mesh.elements]
     diffs = verts[:, :, None, :] - verts[:, None, :, :]
     assert mesh.h.tobytes() == np.sqrt((diffs**2).sum(axis=3)).max(axis=(1, 2)).tobytes()
+    lo, edges = verts.min(axis=1), verts.max(axis=1) - verts.min(axis=1)
+    assert mesh.volumes.tobytes() == edges.prod(axis=1).tobytes()
+    assert mesh.h0.tobytes() == edges.min(axis=1).tobytes()
+    half = 0.5 * edges
+    emap = element_map(build_space(mesh, 1))
+    assert emap.v.tobytes() == lo.tobytes()
+    assert emap.J.tobytes() == (half[:, :, None] * np.eye(d)).tobytes()
+    assert emap.Jinv.tobytes() == ((1.0 / half)[:, :, None] * np.eye(d)).tobytes()
+    assert emap.detj.tobytes() == half.prod(axis=1).tobytes()
+    faces = mesh.interfaces
+    fverts = mesh.vertices[faces.vertex_ids]
+    span = fverts.max(axis=1) - fverts.min(axis=1)
+    assert faces.measure.tobytes() == np.where(span > 0, span, 1.0).prod(axis=1).tobytes()
+    assert np.abs(faces.normal).tobytes() == np.eye(d)[np.argmin(span, axis=1)].tobytes()
 
 
 def test_cartesian_2d_interface_count_and_normals():

@@ -268,3 +268,16 @@ def test_metamorphic_relation(relation):
         got = gevp.solve_gmevp(pencil.A, pencil.M)
         assert got.order == want.order == 385
         assert np.abs(factor * got.values - want.values).max() <= 16 * EPS * want.lambda_max
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tensor_dilation(d):
+    """A tensor mesh dilated by 1e-15 multiplies both pencils' spectra by
+    1e30, to 16 eps lambda_max as in `test_metamorphic_relation`: face
+    measures far below 1 are measures like any other."""
+    axes, s = [[0.0, 0.3, 1.0], [0.0, 0.5, 1.0], [0.0, 0.4, 1.0]][:d], 1e-15
+    unscaled = fe(lambda: build_cartesian_mesh(axes), 2)
+    scaled = fe(lambda: build_cartesian_mesh([np.multiply(s, b) for b in axes]), 2)
+    for want, pencil in zip(unscaled, scaled):
+        want, got = gevp.solve_gmevp(want.A, want.M), gevp.solve_gmevp(pencil.A, pencil.M)
+        assert np.abs(s**2 * got.values - want.values).max() <= 16 * EPS * want.lambda_max
