@@ -266,9 +266,9 @@ def _face_quadrature(space):
     a, b = mesh.vertices[faces.vertex_ids[:, 0]], mesh.vertices[faces.vertex_ids[:, -1]]
     span = b - a
     rule = cuboid_rule(d - 1, space.p + 1)  # in 1D the point rule of weight 1
-    if d == 2:  # a segment, axis-aligned or not
+    if mesh.kind == "simplicial":  # a segment
         edges = span[:, None, :]
-    else:  # a point or an axis-aligned rectangle: one edge per axis it spans
+    else:  # a point, segment or rectangle of a grid: one edge per axis it spans
         tangent = np.argsort(span == 0.0, axis=1, kind="stable")[:, : d - 1]
         edges = np.eye(d)[tangent] * span[:, None, :]
     pts = a[:, None, :] + 0.5 * (rule.nodes + 1.0) @ edges

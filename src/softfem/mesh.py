@@ -171,37 +171,36 @@ class Mesh:
         """The topology arrays, checked: each face has one or two elements."""
         local = self.local_faces
         keys = np.sort(self.elements[:, local], axis=2).reshape(-1, local.shape[1])
-        faces, index, counts = np.unique(
-            keys, axis=0, return_inverse=True, return_counts=True
-        )
+        # a face is named by its first and last vertex id, which a triangle edge
+        # has alone and a tensor face spans: names sort as the rows of keys do
+        name = keys[:, 0].astype(np.int64) * len(self.vertices) + keys[:, -1]
+        _, first, index, counts = np.unique(name, return_index=True, return_inverse=True,
+                                            return_counts=True)
         if np.any(counts > 2):
             raise InvalidMeshError("face shared by more than two elements")
-
-        # the elements of every face, grouped by face and ascending in each group
-        owner = np.argsort(index.ravel(), kind="stable") // len(local)
-        first = (np.cumsum(counts) - counts)[counts == 2]
-        e1, e2 = owner[first], owner[first + 1]
-        vertex_ids = faces[counts == 2]
+        # a face's first and last occurrence lie in its elements e1 < e2
+        last = len(name) - 1 - np.unique(name[::-1], return_index=True)[1]
+        faces, shared = keys[first], counts == 2
+        e1, e2 = first[shared] // len(local), last[shared] // len(local)
+        vertex_ids = faces[shared]
         verts = self.vertices[vertex_ids]
-        if self.d == 2:  # a segment
+        if self.kind == "tensor":  # a grid's point, segment or rectangle, with e2 on its + side
+            span = verts[:, -1] - verts[:, 0]  # exactly 0 along the normal
+            measure, normal = np.where(span == 0, 1.0, span).prod(axis=1), (span == 0) * 1.0
+        else:  # a segment
             t = verts[:, 1] - verts[:, 0]
             measure = _norms(t)
             normal = np.stack([t[:, 1], -t[:, 0]], axis=1) / measure[:, None]
-        else:  # a tensor grid's point or rectangle, spanning its first to its last vertex
-            span = verts[:, -1] - verts[:, 0]  # exactly 0 along the normal
-            measure, normal = np.where(span == 0, 1.0, span).prod(axis=1), (span == 0) * 1.0
-        # the signed distances of both element centres from the face: of
-        # opposite signs unless the two elements fold over each other
-        centers = self.vertices[self.elements].mean(axis=1)
-        side1, side2 = (((centers[e] - verts[:, 0]) * normal).sum(axis=1) for e in (e1, e2))
-        folded = np.flatnonzero(side1 * side2 >= 0)
-        if len(folded):
-            f = folded[0]
-            raise InvalidMeshError(
-                f"elements {e1[f]} and {e2[f]} lie on the same side of their shared "
-                f"face {tuple(vertex_ids[f].tolist())}"
-            )
-        normal = np.where((side2 < 0)[:, None], -normal, normal)  # from e1 to e2
+            # the signed distances of both element centres from the face: of
+            # opposite signs unless the two elements fold over each other
+            centers = self.vertices[self.elements].mean(axis=1)
+            side1, side2 = (((centers[e] - verts[:, 0]) * normal).sum(axis=1) for e in (e1, e2))
+            folded = np.flatnonzero(side1 * side2 >= 0)
+            if len(folded):
+                f = folded[0]
+                raise InvalidMeshError(f"elements {e1[f]} and {e2[f]} lie on the same side of "
+                                       f"their shared face {tuple(vertex_ids[f].tolist())}")
+            normal = np.where((side2 < 0)[:, None], -normal, normal)  # from e1 to e2
         interfaces = np.rec.fromarrays(
             [np.stack([e1, e2], axis=1), vertex_ids, measure, normal,
              np.minimum(self.h0[e1], self.h0[e2])],

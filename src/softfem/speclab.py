@@ -27,6 +27,7 @@ from .assembly import (
 )
 from .coefficient import UNIT, CoefficientParseError, parse_coefficient
 from .mesh import (
+    MAX_ENTRIES,
     InvalidMeshError,
     MeshOutline,
     _check_entries,
@@ -350,10 +351,11 @@ def _is_kronecker_sum(mesh, kappa):
 
 def _check_sizes(cfg, mesh=None):
     """Check every space of the run against the size rule (see
-    mesh.MAX_ENTRIES), that its simplex basis, if any, is nodal, and that
-    each ladder level has its track modes. From the config alone, so before
-    anything is built, unless `mesh` is given: a file mesh, whose spaces
-    are known once it is read."""
+    mesh.MAX_ENTRIES), and so the factored spectrum of each degree on the
+    Kronecker path (its values and their d indices), that its simplex basis,
+    if any, is nodal, and that each ladder level has its track modes. From
+    the config alone, so before anything is built, unless `mesh` is given: a
+    file mesh, whose spaces are known once it is read."""
     spaces = []  # (outline, degree, fields named, d-dimensional space read, degree field)
     if cfg.ladder is not None:
         for block in cfg.ladder:
@@ -381,13 +383,24 @@ def _check_sizes(cfg, mesh=None):
     for outline, p, fields, dimensional, name in spaces:
         if outline is None:  # a file spec, checked once read
             continue
-        # a solve on the Kronecker path builds the 1D space of axis 0
-        if _is_kronecker_sum(outline, cfg.kappa) and not dimensional:
-            outline = MeshOutline("tensor", 1, len(outline.axes[0]) - 1, None)
+        spectrum = 0  # the values and d indices of a factored spectrum
+        if _is_kronecker_sum(outline, cfg.kappa):
+            cells = len(outline.axes[0]) - 1
+            if name == "degrees":  # the reference holds no more modes than they report
+                modes = min(cfg.modes or math.inf, (cells * p - 1) ** outline.d)
+                spectrum = (outline.d + 1) * modes
+            if not dimensional:  # a solve on the Kronecker path builds the 1D space of axis 0
+                outline = MeshOutline("tensor", 1, cells, None)
         try:
             _check_entries(outline.kind, outline.d, outline.n_elements, p, fields)
         except InvalidMeshError as err:
             raise ConfigError(str(err)) from None
+        if spectrum > MAX_ENTRIES:
+            raise ConfigError(
+                f"config fields 'mesh', 'degrees' and 'modes': the degree-{p} spectrum of "
+                f"{modes} modes is over the size limit ({spectrum} > {MAX_ENTRIES} values "
+                "and indices); set 'modes'"
+            )
         if outline.kind == "simplicial":  # cuboid bases are nodal up to MAX_DEGREE
             try:
                 ReferenceBasis("simplex", p, d=2)
@@ -553,12 +566,11 @@ def _spectrum_rows(cfg, bundle, reference, exact=None):
         h1, l2 = [""] * modes, [""] * modes
         target = bundle.soft if has_soft else bundle.fem
         for mode in cfg.eigenfunction_modes:
-            if mode <= modes:
-                try:
-                    errs = eigenfunction_errors(bundle.space, target, exact, mode - 1)
-                except MultiplicityError:
-                    continue
-                h1[mode - 1], l2[mode - 1] = _fmt(errs["h1"]), _fmt(errs["l2"])
+            try:
+                errs = eigenfunction_errors(bundle.space, target, exact, mode - 1)
+            except MultiplicityError:
+                continue
+            h1[mode - 1], l2[mode - 1] = _fmt(errs["h1"]), _fmt(errs["l2"])
     # one "%" per row, with every float column formatted by _format_floats
     number = np.arange(1, modes + 1)
     columns = [
@@ -645,6 +657,11 @@ def _run_single(cfg, out_dir):
         )
         for p in degrees
     }
+    top = max(cfg.eigenfunction_modes, default=0)  # every degree reports each listed mode
+    for p in degrees:
+        if bundles[p].fem.order < top:
+            raise ConfigError(f"config field 'eigenfunction_modes': mode {top} is above the "
+                              f"{bundles[p].fem.order} modes of degree {p}")
     max_count = max(b.fem.order for b in bundles.values())
     exact = None
     if compares_exact:  # one spectrum for the reference and the eigenfunction errors

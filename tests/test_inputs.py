@@ -170,6 +170,13 @@ BAD_INPUTS = {
     "eigenfunction-mode-above-modes-flag": run(
         {**MESHED, "degrees": [2], "eigenfunction_modes": [1, 5]},
         "fields 'eigenfunction_modes' and 'modes'", "mode 5", flags=["--modes", "4"]),
+    # refused once solved, before any file is written: no degree has that mode
+    "eigenfunction-mode-above-every-mode": run(
+        {**MESHED, "degrees": [1], "eigenfunction_modes": [10**12]},
+        "field 'eigenfunction_modes'", "mode 1000000000000", "3 modes of degree 1", leaves=()),
+    "eigenfunction-mode-above-the-degree-modes": run(
+        {**MESHED, "degrees": [2], "eigenfunction_modes": [50]},
+        "field 'eigenfunction_modes'", "mode 50", "7 modes of degree 2", leaves=()),
     "face-weight-median": run({**MESHED, "face_weight": "median"}, "field 'face_weight'"),
     "ladder-block-without-n": ladder({"degree": 2}),
     "ladder-degree-not-an-integer": ladder({"degree": "x", "n": [4]}),
@@ -224,6 +231,10 @@ BAD_INPUTS = {
     "kronecker-eigenfunctions-oversized": mesh({"type": "uniform", "n": 64, "d": 3},
                                                "fields 'mesh' and 'degrees'", degrees=[3],
                                                eigenfunction_modes=[1]),
+    # a 1,919-dof 1D space, but a factored spectrum of 7.07e9 modes (52.7 GiB of values)
+    "kronecker-spectrum-oversized": mesh({"type": "uniform", "n": 64, "d": 3},
+                                         "fields 'mesh', 'degrees' and 'modes'", "set 'modes'",
+                                         degrees=[30]),
     # 1.37M dofs, and element matrices of 8.6 GB
     "default-reference-3d-oversized": mesh(
         {"type": "uniform", "n": 4, "d": 3}, "fields 'reference_degree' and 'reference_refine'",

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softfem.assembly import build_space, element_map
+from softfem.assembly import assemble_penalty, build_space, element_map
 from softfem.mesh import (
     InvalidMeshError,
     Mesh,
@@ -383,6 +383,89 @@ def test_jittered_triangulation_face_table(kind, n, seed):
     interior = 3 * n * n - 2 * n if kind == "unit-square" else 9 * n * n - 4 * n
     assert len(mesh.interfaces) == interior
     check_face_table(mesh)
+
+
+def row_wise_topology(mesh):
+    """The topology arrays by the row-wise algorithm: np.unique over the rows
+    of sorted face vertex ids, the elements of each face regrouped by a
+    stable argsort of the inverse, a 2D face taken as a segment, and every
+    normal turned from e1 to e2 by the signed distances of the element
+    centres."""
+    local = mesh.local_faces
+    keys = np.sort(mesh.elements[:, local], axis=2).reshape(-1, local.shape[1])
+    faces, index, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    owner = np.argsort(index.ravel(), kind="stable") // len(local)
+    first = (np.cumsum(counts) - counts)[counts == 2]
+    e1, e2 = owner[first], owner[first + 1]
+    ids = faces[counts == 2]
+    verts = mesh.vertices[ids]
+    if mesh.d == 2:
+        t = verts[:, 1] - verts[:, 0]
+        measure = np.sqrt(np.matmul(t[:, None, :], t[:, :, None]))[:, 0, 0]
+        normal = np.stack([t[:, 1], -t[:, 0]], axis=1) / measure[:, None]
+    else:
+        span = verts[:, -1] - verts[:, 0]
+        measure, normal = np.where(span == 0, 1.0, span).prod(axis=1), (span == 0) * 1.0
+    centers = mesh.vertices[mesh.elements].mean(axis=1)
+    side2 = ((centers[e2] - verts[:, 0]) * normal).sum(axis=1)
+    normal = np.where((side2 < 0)[:, None], -normal, normal)
+    interfaces = np.rec.fromarrays(
+        [np.stack([e1, e2], axis=1), ids, measure, normal, np.minimum(mesh.h0[e1], mesh.h0[e2])],
+        dtype=mesh.interfaces.dtype,
+    )
+    return faces, index.reshape(mesh.n_elements, len(local)), counts == 1, interfaces
+
+
+def jittered_file_mesh(tmp_path):
+    """The unit-square n = 4 triangulation with its interior vertices moved up
+    to h/5 and its triangles listed clockwise, read from a mesh file."""
+    base = mesh_from_spec({"type": "unit-square", "n": 4})
+    v, rng = base.vertices, np.random.default_rng(3)
+    v = v + np.all((v > 0) & (v < 1), axis=1)[:, None] * rng.uniform(-0.05, 0.05, v.shape)
+    lines = [f"nodes {len(v)}", *(f"{x!r} {y!r}" for x, y in v.tolist()),
+             f"elements {base.n_elements}", *(f"{a} {c} {b}" for a, b, c in base.elements)]
+    (tmp_path / "jittered.mesh").write_text("\n".join(lines) + "\n")
+    return load_mesh(tmp_path / "jittered.mesh")
+
+
+def random_tensor_mesh(d):
+    """A tensor mesh on [0, 2]^d with 4 + d cells of random widths per axis."""
+    rng = np.random.default_rng(10 + d)
+    return build_cartesian_mesh(
+        [np.sort(np.r_[0.0, rng.uniform(0.0, 2.0, 3 + d), 2.0]) for _ in range(d)])
+
+
+FACE_TABLE_MESHES = {
+    **{f"tensor-{d}d": (lambda d=d: random_tensor_mesh(d)) for d in (1, 2, 3)},
+    "unit-square": lambda: mesh_from_spec({"type": "unit-square", "n": 3}),
+    "l-shape": lambda: mesh_from_spec({"type": "l-shape", "n": 2}),
+}
+
+
+@pytest.mark.parametrize("name", [*FACE_TABLE_MESHES, "jittered-file"])
+def test_face_tables_match_the_row_wise_algorithm(name, tmp_path):
+    """The face tables are byte for byte those of the row-wise algorithm,
+    but for the sign of a zero in a normal (a 2D grid's normals were once
+    turned by the element centres), and so is the penalty matrix built on
+    them for p = 1 to 3."""
+    build = FACE_TABLE_MESHES.get(name, lambda: jittered_file_mesh(tmp_path))
+    mesh = build()
+    expected = row_wise_topology(mesh)
+    for arr, want in zip((mesh.faces, mesh.face_ids, mesh.on_boundary), expected):
+        assert arr.dtype == want.dtype and arr.shape == want.shape
+        assert arr.tobytes() == want.tobytes()
+    faces, want = mesh.interfaces, expected[3]
+    assert faces.dtype == want.dtype and faces.shape == want.shape
+    for field in ("elements", "vertex_ids", "measure", "h_f"):
+        assert faces[field].tobytes() == want[field].tobytes()
+    assert np.array_equal(faces.normal, want.normal)
+    reference = build()
+    reference.__dict__["_topology"] = expected  # the cached topology, replaced
+    for p in (1, 2, 3):
+        S, R = (assemble_penalty(build_space(m, p)) for m in (mesh, reference))
+        assert S.shape == R.shape
+        for part in ("data", "indices", "indptr"):
+            assert getattr(S, part).tobytes() == getattr(R, part).tobytes()
 
 
 @st.composite
