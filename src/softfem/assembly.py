@@ -315,19 +315,13 @@ def soften(K, S, eta):
     return K - eta * S
 
 
-def softness_parameters(p, mesh_kind, d=None):
-    """The softness constants of degree p on a mesh kind: the coercivity
-    limit `eta_max`, the default value `eta_default`, and `gamma`, the
-    constant of gamma * lambda_j <= lambda_soft_j at the default. gamma is
+def softness_parameters(p):
+    """The softness constants of degree p, the same on tensor cells of every
+    dimension and on triangles: the coercivity limit `eta_max`, the default
+    value `eta_default`, and `gamma`, the constant of
+    gamma * lambda_j <= lambda_soft_j at the default. gamma is
     1 - eta_default / eta_max, kept in the closed form that rounds once."""
     if p < 1:
         raise ValueError("degree must be >= 1")
-    if mesh_kind == "tensor":
-        eta_max, gamma = 1.0 / (2 * p * (p + 1)), 2.0 / (p + 2)
-    elif mesh_kind == "simplicial":
-        if d not in (2, 3):
-            raise ValueError("simplicial meshes require d in {2, 3}")
-        eta_max, gamma = 1.0 / (2 * p * (p + d - 1)), (4.0 - d) / (p + 4.0 - d)
-    else:
-        raise ValueError(f"unknown mesh kind {mesh_kind!r}")
-    return {"eta_max": eta_max, "eta_default": 1.0 / (2 * (p + 1) * (p + 2)), "gamma": gamma}
+    return {"eta_max": 1.0 / (2 * p * (p + 1)), "eta_default": 1.0 / (2 * (p + 1) * (p + 2)),
+            "gamma": 2.0 / (p + 2)}

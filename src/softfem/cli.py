@@ -88,7 +88,7 @@ def cmd_trace_check(args):
             mesh = mesh_from_spec({"type": "uniform", "n": 2, "d": 2})
         else:
             mesh = mesh_from_spec({"type": "unit-square", "n": 2})
-        bound = 1.0 / assembly.softness_parameters(p, mesh.kind, d=mesh.d)["eta_max"]
+        bound = 1.0 / assembly.softness_parameters(p)["eta_max"]
         try:
             space = assembly.build_space(mesh, p)
         except BasisError as err:

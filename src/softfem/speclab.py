@@ -434,6 +434,8 @@ def solve_problem(mesh, p, kappa=UNIT, *, eta_policy="default", face_weight="loc
     lambda_max. With `vectors` False, neither spectrum keeps its
     eigenvectors (see `_solve`).
     """
+    if face_weight not in ("local", "mean"):
+        raise ValueError(f"face_weight must be 'local' or 'mean', not {face_weight!r}")
     base, factors, K, M, fem = _galerkin(mesh, p, kappa, modes, vectors)
     if base.ndof == 0:
         raise ConfigError(
@@ -446,7 +448,7 @@ def solve_problem(mesh, p, kappa=UNIT, *, eta_policy="default", face_weight="loc
     if eta_policy == "galerkin":
         eta = 0.0
     elif eta_policy == "default":
-        eta = softness_parameters(p, mesh.kind, d=mesh.d)["eta_default"]
+        eta = softness_parameters(p)["eta_default"]
     else:
         eta = float(eta_policy)
     bundle = SolveBundle(mesh, p, base, factors, K, M, S, fem=fem, soft=fem, eta=0.0)
@@ -604,8 +606,7 @@ def _top_decile_mean(relerr):
 
 
 def _degree_summary(bundle, relerr_fem, relerr_soft):
-    mesh = bundle.mesh
-    pars = softness_parameters(bundle.p, mesh.kind, d=mesh.d)
+    pars = softness_parameters(bundle.p)
     out = {
         "p": bundle.p,
         "n_dofs": bundle.ndof,

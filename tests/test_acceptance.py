@@ -367,7 +367,7 @@ def test_criterion_6_coercivity_sharpness():
         K = assemble_stiffness(space)
         M = assemble_mass(space)
         S = assemble_penalty(space)
-        eta_max = softness_parameters(p, "tensor")["eta_max"]
+        eta_max = softness_parameters(p)["eta_max"]
         lo = solve_gmevp(soften(K, S, 0.95 * eta_max), M, 1).values[0]
         hi = -largest_eigenvalue(-soften(K, S, 1.05 * eta_max), M)
         details.append(f"p={p}: margin(0.95)={lo:.3e} margin(1.05)={hi:.3e}")
@@ -391,18 +391,16 @@ def check_bounds(lam_fem, lam_soft, gamma):
 def test_criterion_7_two_sided_bounds(bundles_1d_200, preset_runs):
     checks = []
     for p in range(1, 6):
-        gamma = softness_parameters(p, "tensor")["gamma"]
+        gamma = softness_parameters(p)["gamma"]
         b200 = bundles_1d_200[p]
         checks.append(check_bounds(b200.fem.values, b200.soft.values, gamma))
         b50 = speclab.solve_problem(uniform_1d(50), p)
         checks.append(check_bounds(b50.fem.values, b50.soft.values, gamma))
     for name in ["fig-2d", "fig-3d", "fig-simplicial", "fig-lshape"]:
         out, summary = preset_runs[name]
-        mesh_kind = "simplicial" if name in ("fig-simplicial", "fig-lshape") else "tensor"
-        d = 3 if name == "fig-3d" else 2
         for p_str in summary["by_degree"]:
             p = int(p_str)
-            gamma = softness_parameters(p, mesh_kind, d=d)["gamma"]
+            gamma = softness_parameters(p)["gamma"]
             rows = read_spectrum_csv(out / f"spectrum_p{p}.csv")
             fem = [r["lambda_fem"] for r in rows]
             soft = [r["lambda_soft"] for r in rows]

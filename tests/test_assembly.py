@@ -377,13 +377,11 @@ def test_soften_and_parameters():
     S = assemble_penalty(space)
     eta = 1.0 / 12.0
     assert np.allclose(soften(K, S, eta).toarray(), K.toarray() - eta * S.toarray())
-    pars = softness_parameters(1, "tensor")
+    pars = softness_parameters(1)
     assert abs(pars["eta_max"] - 1.0 / 4.0) < 1e-15
     assert abs(pars["eta_default"] - 1.0 / 12.0) < 1e-15
-    pars = softness_parameters(2, "simplicial", d=2)
+    pars = softness_parameters(2)
     assert abs(pars["eta_max"] - 1.0 / (2 * 2 * 3)) < 1e-15
-    pars3 = softness_parameters(3, "simplicial", d=3)
-    assert abs(pars3["eta_max"] - 1.0 / (2 * 3 * 5)) < 1e-15
 
 
 def test_mass_is_spd_and_symmetric():

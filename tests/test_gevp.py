@@ -127,7 +127,7 @@ def test_lowest_eigenvalue_on_a_softened_pencil(factor):
     eigenvalue of -A) 1D pencils."""
     space = build_space(mesh_from_spec({"type": "uniform", "n": 100}), 2)
     M = assemble_mass(space)
-    eta = factor * softness_parameters(2, "tensor")["eta_max"]
+    eta = factor * softness_parameters(2)["eta_max"]
     A = soften(assemble_stiffness(space), assemble_penalty(space), eta)
     dense = solve_gmevp(A, M).values[0]
     assert (_lowest_modes(A, M, 1) is None) == (factor > 1)
@@ -151,7 +151,7 @@ def assert_dense_slice(A, M, k):
 
 def test_indefinite_pencil_takes_the_dense_path():
     space, K, M = pencil({"type": "uniform", "n": 6, "d": 2}, 2)
-    eta = 3 * softness_parameters(2, "tensor")["eta_max"]
+    eta = 3 * softness_parameters(2)["eta_max"]
     A = soften(K, assemble_penalty(space), eta)
     assert _inertia(A)[1] > 0
     assert _lowest_modes(A, M, 5) is None

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from softfem.assembly import (
 )
 from softfem.gevp import solve_gmevp
 from softfem.mesh import mesh_from_spec
-from softfem.polyref import cuboid_rule
+from softfem.polyref import MAX_DEGREE, cuboid_rule
 
 from oracles import (
     branch_roots,
@@ -166,9 +167,14 @@ def test_full_branch_spectrum_matches_assembly(p):
 
 
 def test_gamma_p_values():
-    assert abs(softness_parameters(2, "tensor")["gamma"] - 0.5) < 1e-15
-    assert abs(softness_parameters(2, "simplicial", d=2)["gamma"] - 2.0 / 4.0) < 1e-15
-    assert abs(softness_parameters(2, "simplicial", d=3)["gamma"] - 1.0 / 3.0) < 1e-15
+    """Each constant is its closed form rounded once, and gamma is
+    1 - eta_default / eta_max exactly, at every degree."""
+    for p in range(1, MAX_DEGREE + 1):
+        eta_max, eta_default = Fraction(1, 2 * p * (p + 1)), Fraction(1, 2 * (p + 1) * (p + 2))
+        assert 1 - eta_default / eta_max == Fraction(2, p + 2)
+        assert softness_parameters(p) == {"eta_max": float(eta_max),
+                                          "eta_default": float(eta_default),
+                                          "gamma": float(Fraction(2, p + 2))}
 
 
 def test_superconvergence_bound_formula():

@@ -66,7 +66,7 @@ def fe(mesh, p, kappa="1", face_weight="local"):
     m = mesh() if callable(mesh) else mesh_from_spec(mesh)
     kappa = parse_coefficient(kappa)
     h = float(np.mean(m.h0)) if face_weight == "mean" else None
-    eta = softness_parameters(p, m.kind, d=m.d)["eta_default"]
+    eta = softness_parameters(p)["eta_default"]
 
     def pair(space):
         K, M = assemble_stiffness(space, kappa), assemble_mass(space)

@@ -77,6 +77,15 @@ def test_eigenfunction_errors_reject_clusters():
         speclab.eigenfunction_errors(bundle.space, bundle.fem, exact, 1)
 
 
+def test_solve_problem_refuses_an_unknown_face_weight():
+    """Only 'local' and 'mean' name an h_F; any other value is refused by
+    name rather than read as 'local'."""
+    mesh = mesh_from_spec({"type": "cartesian", "breakpoints": [[0, 0.1, 0.3, 0.6, 1]]})
+    for face_weight in ["Mean", "median", None]:
+        with pytest.raises(ValueError, match=repr(face_weight)):
+            speclab.solve_problem(mesh, 2, face_weight=face_weight)
+
+
 def test_jump_energy_ratio_bounds(small_bundle):
     ratios = speclab.jump_energy_ratio(
         small_bundle.soft, small_bundle.eta, small_bundle.K, small_bundle.S
