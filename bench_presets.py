@@ -23,7 +23,9 @@ FILE, default BENCH_<short commit>[-dirty].json) holds, per target:
 and the machine: core count, platform, Python, numpy and scipy versions,
 the BLAS entry of numpy's build config (without its install directories),
 the *_NUM_THREADS variables of the child and the git commit, with `dirty`
-set when tracked files differ from it.
+set when tracked files differ from it and `diff` the sha256 of
+`git diff HEAD` then (null on a clean tree), so that a dirty record still
+names the tree it measured.
 
 --compare prints, per target, the files whose sha256 differs between two
 records (or "identical") and the wall-time ratio B/A, and exits 1 if any
@@ -51,9 +53,9 @@ NOTE = ("dense_ndof3 counts only the degrees a run prints: its reference and "
 
 
 def _git(*args):
+    """The stdout bytes of `git *args` in this checkout, or None if it fails."""
     try:
-        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
-                              check=True).stdout.strip()
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
     except (OSError, subprocess.CalledProcessError):
         return None
 
@@ -69,6 +71,8 @@ def child_env():
 
 def machine(env):
     status = _git("status", "--porcelain", "--untracked-files=no")
+    commit = _git("rev-parse", "HEAD")
+    diff = _git("diff", "HEAD") if status else None
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "cores": os.cpu_count(),
@@ -78,8 +82,9 @@ def machine(env):
         "scipy": scipy.__version__,
         "blas": {k: v for k, v in blas.items() if "directory" not in k},
         "threads": {k: v for k, v in sorted(env.items()) if k.endswith("_NUM_THREADS")},
-        "commit": _git("rev-parse", "HEAD"),
+        "commit": None if commit is None else commit.decode().strip(),
         "dirty": None if status is None else bool(status),
+        "diff": None if diff is None else hashlib.sha256(diff).hexdigest(),
     }
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -88,11 +88,38 @@ def eigenfunction_errors(space, spectrum, exact, j):
     """H1-seminorm and L2 errors of discrete mode j against the exact one.
 
     Modes are 0-based here. The discrete eigenfunction is sign-aligned with
-    the exact one through their L2 inner product.
+    the exact one through their L2 inner product. A factored spectrum (the
+    Kronecker path, with `space` its 1D space) compares each mode with the
+    exact mode of its own index tuple, from the 1D factors alone; any other
+    compares mode j with exact mode j, and only where both are simple.
     """
+    if spectrum.factor is not None:
+        return _factored_errors(space, spectrum, j)
     _require_simple(spectrum.values, j)
     _require_simple(exact.values, j)
     return _coefficient_errors(space, spectrum.vector(j), exact, j)[0]
+
+
+def _factored_errors(space, spectrum, j):
+    """Errors of factored mode j, prod_t a_t(x_t), against the exact mode
+    prod_t b_t(x_t), b_t = sqrt(2) sin(k_t pi x), k = indices[::-1, j] + 1
+    (axis 0 first), from 1D errors alone. As ||a_t|| = ||b_t|| = 1, with
+    e_t = ||a_t - b_t||^2, h_t = |a_t - b_t|_1^2 and P_t the product of
+    1 - e_s / 2 over s != t, the L2 error is 2 - 2 prod_t (1 - e_t / 2) and
+    the H1 error sum_t (|a_t|_1^2 + k_t^2 pi^2)(1 - P_t) + h_t P_t.
+    """
+    k = spectrum.indices[::-1, j] + 1
+    exact = oracle.exact_laplace_spectrum(1, int(k.max()))
+    K1 = assemble_stiffness(space)  # |a_t|_1^2 = a_t'K1 a_t: kappa = 1, as the exact modes need
+    factors = [spectrum.factor.vector(i) for i in k - 1]
+    errs = [_coefficient_errors(space, a, exact, kt - 1)[0] for a, kt in zip(factors, k)]
+    logs = np.log1p([-0.5 * e["l2"] ** 2 for e in errs])
+    h1_sq = 0.0
+    for t, (a, kt, e) in enumerate(zip(factors, k, errs)):
+        log_p = np.delete(logs, t).sum()
+        h1_sq += (a @ (K1 @ a) + (kt * math.pi) ** 2) * -math.expm1(log_p)
+        h1_sq += e["h1"] ** 2 * math.exp(log_p)
+    return {"h1": math.sqrt(h1_sq), "l2": math.sqrt(-2.0 * math.expm1(logs.sum()))}
 
 
 def _coefficient_errors(space, coeffs, exact, j):
@@ -286,9 +313,9 @@ class SolveBundle:
     pencil K, M, S as assembled on the space `base`.
 
     `factors` is d on the Kronecker path: `base` is the 1D space on
-    `mesh.axes[0]`, both spectra are factored over its spectra, and the
-    d-dimensional space is built when `space` is first read. Otherwise
-    `factors` is 1 and `base` is the space.
+    `mesh.axes[0]`, both spectra are factored over its spectra, and no
+    d-dimensional space is built. Otherwise `factors` is 1 and `base` is
+    the space.
     """
 
     mesh: object
@@ -301,20 +328,10 @@ class SolveBundle:
     fem: object
     soft: object
     eta: float
-    built_space: object = field(default=None, repr=False)
 
     @property
     def ndof(self):
         return self.base.ndof ** self.factors
-
-    @property
-    def space(self):
-        """The degree-p FE space on the mesh."""
-        if self.factors == 1:
-            return self.base
-        if self.built_space is None:
-            self.built_space = build_space(self.mesh, self.p)
-        return self.built_space
 
     @property
     def solver(self):
@@ -356,7 +373,7 @@ def _check_sizes(cfg, mesh=None):
     if any, is nodal, and that each ladder level has its track modes. From
     the config alone, so before anything is built, unless `mesh` is given: a
     file mesh, whose spaces are known once it is read."""
-    spaces = []  # (outline, degree, fields named, d-dimensional space read, degree field)
+    spaces = []  # (outline, degree, fields named, degree field)
     if cfg.ladder is not None:
         for block in cfg.ladder:
             p, track = block["degree"], max(block.get("track_modes", [1]))
@@ -367,20 +384,20 @@ def _check_sizes(cfg, mesh=None):
                         f"mode count {n * p - 1} of degree {p} at n={n}"
                     )
                 spaces.append((MeshOutline("tensor", 1, n, None), p, "config field 'ladder'",
-                               False, "ladder"))
+                               "ladder"))
     else:
         outline = _spec_outline(cfg.mesh) if mesh is None else mesh
-        spaces = [(outline, p, "config fields 'mesh' and 'degrees'", bool(cfg.eigenfunction_modes),
-                   "degrees") for p in cfg.degrees]
+        spaces = [(outline, p, "config fields 'mesh' and 'degrees'", "degrees")
+                  for p in cfg.degrees]
         if cfg.reference == "high-order":
             try:
                 reference = _spec_outline(cfg.mesh, cfg.reference_refine) if mesh is None else mesh
             except InvalidMeshError as err:
                 raise ConfigError(f"config field 'reference_refine': {err}") from None
             spaces.append((reference, cfg.reference_degree,
-                           "config fields 'reference_degree' and 'reference_refine'", False,
+                           "config fields 'reference_degree' and 'reference_refine'",
                            "reference_degree"))
-    for outline, p, fields, dimensional, name in spaces:
+    for outline, p, fields, name in spaces:
         if outline is None:  # a file spec, checked once read
             continue
         spectrum = 0  # the values and d indices of a factored spectrum
@@ -389,8 +406,8 @@ def _check_sizes(cfg, mesh=None):
             if name == "degrees":  # the reference holds no more modes than they report
                 modes = min(cfg.modes or math.inf, (cells * p - 1) ** outline.d)
                 spectrum = (outline.d + 1) * modes
-            if not dimensional:  # a solve on the Kronecker path builds the 1D space of axis 0
-                outline = MeshOutline("tensor", 1, cells, None)
+            # a run on the Kronecker path builds only the 1D space of axis 0
+            outline = MeshOutline("tensor", 1, cells, None)
         try:
             _check_entries(outline.kind, outline.d, outline.n_elements, p, fields)
         except InvalidMeshError as err:
@@ -564,12 +581,12 @@ def _spectrum_rows(cfg, bundle, reference, exact=None):
     if cfg.jump_ratio and has_soft:
         ratios = jump_energy_ratio(bundle.soft, bundle.eta, bundle.K, bundle.S)
     h1 = l2 = None
-    if cfg.eigenfunction_modes:  # only the rows of the listed simple modes have these
+    if cfg.eigenfunction_modes:  # listed modes only, and simple ones off the Kronecker path
         h1, l2 = [""] * modes, [""] * modes
         target = bundle.soft if has_soft else bundle.fem
         for mode in cfg.eigenfunction_modes:
             try:
-                errs = eigenfunction_errors(bundle.space, target, exact, mode - 1)
+                errs = eigenfunction_errors(bundle.base, target, exact, mode - 1)
             except MultiplicityError:
                 continue
             h1[mode - 1], l2[mode - 1] = _fmt(errs["h1"]), _fmt(errs["l2"])
@@ -701,7 +718,7 @@ def _run_ladder(cfg):
                 out, lam = modes[str(m)], exact.values[m - 1]
                 out["relerr"].append(abs(float(bundle.soft.values[m - 1]) - lam) / lam)
                 floors[str(m)].append(rounding_floor(bundle.soft, m - 1))
-                errs = eigenfunction_errors(bundle.space, bundle.soft, exact, m - 1)
+                errs = eigenfunction_errors(bundle.base, bundle.soft, exact, m - 1)
                 out["h1"].append(errs["h1"])
                 out["l2"].append(errs["l2"])
         hs = [1.0 / n for n in ns]

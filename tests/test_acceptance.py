@@ -293,7 +293,7 @@ def test_criterion_4_table1():
                     RESOLVED_MULTIPLE * eps * soft[-1] / soft[mode - 1]
                 )
                 errs = speclab.eigenfunction_errors(
-                    bundle.space, bundle.soft, exact, mode - 1
+                    bundle.base, bundle.soft, exact, mode - 1
                 )
                 ours[f"h1_{tag}"].append(errs["h1"])
                 ours[f"l2_{tag}"].append(errs["l2"])

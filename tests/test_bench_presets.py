@@ -1,8 +1,10 @@
 """`bench_presets.py` on two tiny configs, a dense 1D one and a Kronecker 2D
-one: every field of its record, the sha256 of every file a run writes, and
-`--compare` of a record with itself and with an altered copy."""
+one: every field of its record, the sha256 of every file a run writes,
+`--compare` of a record with itself and with an altered copy, and the
+machine entry of a clean and a dirty tree."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -14,6 +16,10 @@ import pytest
 from softfem import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location("bench_presets",
+                                               os.path.join(ROOT, "bench_presets.py"))
+bench_presets = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_presets)
 CONFIGS = {
     "dense-1d": ({"name": "dense-1d", "mesh": {"type": "uniform", "n": 4, "d": 1},
                   "degrees": [1, 2]},
@@ -49,13 +55,14 @@ def test_the_record_has_every_field(record, tmp_path, capsys):
     data, _, paths = record
     machine = data["machine"]
     assert set(machine) == {"cores", "platform", "python", "numpy", "scipy", "blas", "threads",
-                            "commit", "dirty"}
+                            "commit", "dirty", "diff"}
     assert machine["cores"] >= 1 and machine["threads"]["OPENBLAS_NUM_THREADS"] == "1"
     assert all(name.endswith("_NUM_THREADS") for name in machine["threads"])
     assert isinstance(machine["blas"], dict)
     if os.path.isdir(os.path.join(ROOT, ".git")):
         assert re.fullmatch("[0-9a-f]{40}", machine["commit"])
         assert isinstance(machine["dirty"], bool)
+        assert (machine["diff"] is None) == (not machine["dirty"])
     assert "not counted" in data["note"]
     assert list(data["presets"]) == paths
     for path, (config, degrees) in zip(paths, CONFIGS.values()):
@@ -90,3 +97,24 @@ def test_compare(record, tmp_path):
     differ = bench("--compare", out, str(altered))
     assert differ.returncode == 1
     assert differ.stdout.splitlines()[1].startswith(f"{paths[1]}: summary.json; wall")
+
+
+@pytest.mark.parametrize("diff", [b"", b"diff --git a/x b/x\n-old\n+new\n"])
+def test_the_machine_names_a_dirty_tree_by_the_hash_of_its_diff(monkeypatch, diff):
+    """A clean tree is its commit alone; a dirty one adds the sha256 of the
+    bytes of `git diff HEAD`, so two dirty trees on one commit differ."""
+    out = {("status", "--porcelain", "--untracked-files=no"): b" M x\n" if diff else b"",
+           ("rev-parse", "HEAD"): b"0123456789abcdef0123456789abcdef01234567\n",
+           ("diff", "HEAD"): diff}
+    calls = []
+
+    def git(*args):
+        calls.append(args)
+        return out[args]
+
+    monkeypatch.setattr(bench_presets, "_git", git)
+    machine = bench_presets.machine({})
+    assert machine["commit"] == "0123456789abcdef0123456789abcdef01234567"
+    assert machine["dirty"] is bool(diff)
+    assert machine["diff"] == (hashlib.sha256(diff).hexdigest() if diff else None)
+    assert (("diff", "HEAD") in calls) is bool(diff)

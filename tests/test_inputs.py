@@ -227,10 +227,6 @@ BAD_INPUTS = {
     "ladder-track-mode-oversized": ladder({"degree": 1, "n": [4], "track_modes": [10**23]}),
     "reference-refine-oversized": run({**MESHED, "reference": "high-order",
                                        "reference_refine": 10**24}, "field 'reference_refine'"),
-    # on the Kronecker path the run builds the 3D space only to read eigenfunctions
-    "kronecker-eigenfunctions-oversized": mesh({"type": "uniform", "n": 64, "d": 3},
-                                               "fields 'mesh' and 'degrees'", degrees=[3],
-                                               eigenfunction_modes=[1]),
     # a 1,919-dof 1D space, but a factored spectrum of 7.07e9 modes (52.7 GiB of values)
     "kronecker-spectrum-oversized": mesh({"type": "uniform", "n": 64, "d": 3},
                                          "fields 'mesh', 'degrees' and 'modes'", "set 'modes'",

@@ -60,21 +60,24 @@ def test_convergence_rates_synthetic():
 def test_eigenfunction_errors_decrease_with_refinement(small_bundle):
     exact = oracle.exact_laplace_spectrum(1, 8)
     coarse = speclab.solve_problem(mesh_from_spec({"type": "uniform", "n": 4, "d": 1}), 2)
-    e_coarse = speclab.eigenfunction_errors(coarse.space, coarse.soft, exact, 0)
+    e_coarse = speclab.eigenfunction_errors(coarse.base, coarse.soft, exact, 0)
     e_fine = speclab.eigenfunction_errors(
-        small_bundle.space, small_bundle.soft, exact, 0
+        small_bundle.base, small_bundle.soft, exact, 0
     )
     assert e_fine["h1"] < e_coarse["h1"] / 3
     assert e_fine["l2"] < e_coarse["l2"] / 6
 
 
 def test_eigenfunction_errors_reject_clusters():
-    mesh = mesh_from_spec({"type": "uniform", "n": 6, "d": 2})
+    """Off the Kronecker path a mode is compared only where it is simple: on
+    triangles the discrete pair of modes 2 and 3 splits, but the exact modes
+    share the eigenvalue 5 pi^2."""
+    mesh = mesh_from_spec({"type": "unit-square", "n": 6})
     bundle = speclab.solve_problem(mesh, 1)
     exact = oracle.exact_laplace_spectrum(2, 6)
-    # modes 2 and 3 share the eigenvalue 5 pi^2
+    assert len(gevp.cluster_eigenvalues(bundle.fem.values[1:3])) == 2
     with pytest.raises(speclab.MultiplicityError):
-        speclab.eigenfunction_errors(bundle.space, bundle.fem, exact, 1)
+        speclab.eigenfunction_errors(bundle.base, bundle.fem, exact, 1)
 
 
 def test_solve_problem_refuses_an_unknown_face_weight():
@@ -144,10 +147,10 @@ def pythagorean_residual(space, spectrum, exact, j, eta, kappa=UNIT):
 
 
 def test_embed_preserves_energy(small_bundle):
-    space_hi = build_space(small_bundle.space.mesh, small_bundle.space.p + 2)
+    space_hi = build_space(small_bundle.base.mesh, small_bundle.base.p + 2)
     K_hi = assemble_stiffness(space_hi)
     x = small_bundle.fem.vectors[:, 2]
-    y = embed_coefficients(small_bundle.space, x, space_hi)
+    y = embed_coefficients(small_bundle.base, x, space_hi)
     e_lo = float(x @ (small_bundle.K @ x))
     e_hi = float(y @ (K_hi @ y))
     assert abs(e_lo - e_hi) < 1e-10 * e_lo
@@ -175,7 +178,7 @@ def test_pythagorean_residual_small(small_bundle):
     exact = oracle.exact_laplace_spectrum(1, 8)
     for j in [0, 2]:
         out = pythagorean_residual(
-            small_bundle.space, small_bundle.soft, exact, j, small_bundle.eta
+            small_bundle.base, small_bundle.soft, exact, j, small_bundle.eta
         )
         assert out["residual"] <= 10.0 * out["scale"]
 
@@ -357,9 +360,10 @@ def test_kronecker_lowest_k_is_the_full_sorts_first_k(d):
 
 
 @pytest.mark.parametrize("d,efn_modes", [(2, []), (3, []), (2, [1, 2]), (3, [1, 2])])
-def test_kronecker_run_builds_the_d_dimensional_space_on_demand(
-    tmp_path, monkeypatch, d, efn_modes
-):
+def test_kronecker_run_builds_only_the_1d_space(tmp_path, monkeypatch, d, efn_modes):
+    """A Kronecker run builds the 1D space of one axis and nothing
+    d-dimensional, eigenfunction errors included; a bundle holds no other
+    space."""
     built = []
 
     def spy(mesh, p):
@@ -373,16 +377,14 @@ def test_kronecker_run_builds_the_d_dimensional_space_on_demand(
     summary = speclab.run_experiment(cfg, str(tmp_path))
     assert summary["solver"] == {"2": "kronecker"}
     assert summary["by_degree"]["2"]["n_dofs"] == 5**d
-    # the 1D space, and the d-dimensional one only for eigenfunction errors
-    assert built == ([1, d] if efn_modes else [1])
+    assert built == [1]
+    rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
+    assert [j for j, row in enumerate(rows, 1) if row.split(",")[7]] == efn_modes
 
     built.clear()
     bundle = speclab.solve_problem(mesh_from_spec(mesh), 2)
-    assert built == [1] and bundle.ndof == 5**d
-    space, want = bundle.space, build_space(bundle.mesh, 2)
-    assert bundle.space is space and built == [1, d]
-    assert space.ndof == want.ndof == bundle.ndof
-    assert np.array_equal(space.element_dofs, want.element_dofs)
+    assert built == [1] and bundle.ndof == 5**d and bundle.base.mesh.d == 1
+    assert not hasattr(bundle, "space") and not hasattr(bundle, "built_space")
 
 
 def test_kronecker_spectrum_is_factored_bit_for_bit():
@@ -401,6 +403,70 @@ def test_kronecker_spectrum_is_factored_bit_for_bit():
     full *= np.where(gevp._start_vector(len(full)) @ full < 0, -1.0, 1.0)
     for j in range(spectrum.order):
         assert spectrum.vector(j).tobytes() == full[:, j].tobytes()
+
+
+# -- eigenfunction errors on the Kronecker path ---------------------------
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_factored_eigenfunction_errors_match_the_d_dimensional_ones(d, p):
+    """The errors from the 1D factors equal those of the d-dimensional
+    quadrature of `vector(j)` against the exact mode of the same index
+    tuple (axis 0 first), degenerate modes included."""
+    mesh = mesh_from_spec({"type": "uniform", "n": 6, "d": d})
+    bundle = speclab.solve_problem(mesh, p, modes=12)
+    space = build_space(mesh, p)
+    exact = oracle.exact_laplace_spectrum(d, 60)
+    for j in range(12):
+        k = tuple((bundle.soft.indices[::-1, j] + 1).tolist())
+        want = speclab._coefficient_errors(space, bundle.soft.vector(j), exact,
+                                           exact.indices.index(k))[0]
+        got = speclab.eigenfunction_errors(bundle.base, bundle.soft, exact, j)
+        for q in ("h1", "l2"):
+            assert abs(got[q] - want[q]) <= 1e-12 * want[q], (j, q)
+
+
+def test_kronecker_run_writes_the_errors_of_degenerate_modes(tmp_path):
+    """On the 2D n=8 p=2 mesh only modes 1, 4, 11 and 20 of the lowest 20
+    are simple; every listed row has both errors."""
+    cfg = {"name": "e", "mesh": {"type": "uniform", "n": 8, "d": 2}, "degrees": [2],
+           "eigenfunction_modes": list(range(1, 21))}
+    speclab.run_experiment(cfg, str(tmp_path))
+    rows = [row.split(",") for row in (tmp_path / "spectrum.csv").read_text().splitlines()[1:]]
+    assert all(float(row[7]) > 0 and float(row[8]) > 0 for row in rows[:20])
+    assert rows[1][7:9] == rows[2][7:9]  # the modes (2, 1) and (1, 2) mirror each other
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_degenerate_kronecker_modes_converge_at_the_optimal_rates(d, p):
+    """Modes 2 and 3, each in a cluster of d, at H1 rate p and L2 rate p + 1."""
+    errors = {m: [] for m in (2, 3)}
+    ns = [8, 16, 32]
+    for n in ns:
+        bundle = speclab.solve_problem(mesh_from_spec({"type": "uniform", "n": n, "d": d}), p,
+                                       modes=3)
+        for m in errors:
+            errors[m].append(speclab.eigenfunction_errors(bundle.base, bundle.soft, None, m - 1))
+    hs = [1.0 / n for n in ns]
+    for m, errs in errors.items():
+        for q, rate in (("h1", p), ("l2", p + 1)):
+            fit = speclab.convergence_rates(hs, [e[q] for e in errs])
+            assert abs(fit["rate"] - rate) <= 0.15 and fit["dropped_levels"] == [], (m, q, fit)
+
+
+def test_kronecker_eigenfunctions_of_a_7m_dof_run(tmp_path, capsys):
+    """A 6,967,871-dof 3D run is a 191-dof 1D pencil, eigenfunction errors
+    included: it exits 0 and writes the errors of each listed mode."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "k", "mesh": {"type": "uniform", "n": 64, "d": 3},
+                               "degrees": [3], "modes": 20,
+                               "eigenfunction_modes": [1, 2, 3, 7]}))
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "ndof=6967871 solver=kronecker" in capsys.readouterr().out
+    rows = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()[1:]
+    assert [j for j, row in enumerate(rows, 1) if row.split(",")[7]] == [1, 2, 3, 7]
 
 
 def test_kronecker_path_scales_to_3d_n8_p3(tmp_path):
@@ -688,7 +754,7 @@ def per_cell_rows(cfg, bundle, reference, exact=None):
         for mode in cfg.eigenfunction_modes:
             if mode <= modes:
                 try:
-                    efn[mode] = speclab.eigenfunction_errors(bundle.space, target, exact, mode - 1)
+                    efn[mode] = speclab.eigenfunction_errors(bundle.base, target, exact, mode - 1)
                 except speclab.MultiplicityError:
                     pass
     lines = [speclab.CSV_HEADER]
@@ -721,12 +787,13 @@ def assert_rows_match_per_cell(cfg, bundle, reference, exact=None):
     [
         # a 3D Kronecker run
         {"mesh": {"type": "uniform", "n": 3, "d": 3}, "degrees": [2]},
-        # eigenfunction errors on some rows only (modes 2 and 3 are a
-        # degenerate pair, so only 1 and 4 have them), and the jump ratio
+        # eigenfunction errors on every listed row, mode 2 of the
+        # degenerate pair 2 and 3 too, and the jump ratio
         {"mesh": {"type": "uniform", "n": 4, "d": 2}, "degrees": [2], "jump_ratio": True,
          "eigenfunction_modes": [1, 2, 4], "modes": 9},
+        # off the Kronecker path the exact pair leaves row 2 blank
         {"mesh": {"type": "unit-square", "n": 2}, "degrees": [2], "jump_ratio": True,
-         "eigenfunction_modes": [1, 4], "eta": "galerkin"},
+         "eigenfunction_modes": [1, 2, 4], "eta": "galerkin"},
     ],
 )
 def test_spectrum_rows_match_the_per_cell_writer(monkeypatch, fields):
@@ -744,7 +811,7 @@ def test_spectrum_rows_match_the_per_cell_writer(monkeypatch, fields):
     assert len(rows) == modes
     if "eigenfunction_modes" in cfg:
         with_errors = [j for j, row in enumerate(rows, 1) if row[7]]
-        assert with_errors == [1, 4]
+        assert with_errors == ([1, 2, 4] if mesh.kind == "tensor" else [1, 4])
 
 
 def test_spectrum_rows_match_the_per_cell_writer_on_special_values(small_bundle):
@@ -1259,7 +1326,7 @@ def test_eigenfunction_modes_on_the_unit_domain(tmp_path, mesh):
     assert all(row.split(",")[7] == "" for row in rows[2:])
     bundle = speclab.solve_problem(mesh_from_spec(mesh), 2)
     exact = oracle.exact_laplace_spectrum(2, 5)
-    errs = speclab.eigenfunction_errors(bundle.space, bundle.soft, exact, 0)
+    errs = speclab.eigenfunction_errors(bundle.base, bundle.soft, exact, 0)
     assert (h1err, l2err) == (errs["h1"], errs["l2"])
     assert l2err < 0.02
 
