@@ -38,10 +38,11 @@ class Spectrum:
 
     A dense solve sets `lambda_max` from the full spectrum it computed; a
     sparse partial solve leaves it None (see `largest_eigenvalue`). A
-    factored spectrum (the Kronecker path) has no `vectors`: eigenvector j
-    is the Kronecker product of the columns `indices[:, j]` of its 1D
-    spectrum `factor`, slowest axis first, formed by `vector(j)`. A spectrum
-    solved without eigenvectors holds neither, and reading one raises.
+    factored spectrum (the Kronecker path, or the exact Laplace spectrum)
+    has no `vectors`: mode j is the product over axes t of the 1D modes
+    `indices[t, j]` of its spectrum `factor`, and `vector(j)` forms it as
+    the Kronecker product of their columns. A spectrum solved without
+    eigenvectors holds neither, and reading one raises.
     """
 
     values: np.ndarray
@@ -74,13 +75,13 @@ class Spectrum:
         return X
 
     def vector(self, j):
-        """Eigenvector j; a factored one with its sign fixed as `_fix_signs`
-        fixes a column."""
+        """Eigenvector j; a factored one in the dof order of a tensor grid,
+        axis 0 fastest, with its sign fixed as `_fix_signs` fixes a column."""
         X = self.checked_vectors()
         if self.factor is None:
             return X[:, j]
-        out = X[:, self.indices[0, j]]
-        for i in self.indices[1:, j]:
+        out = X[:, self.indices[-1, j]]
+        for i in self.indices[-2::-1, j]:
             out = np.multiply.outer(out, X[:, i]).ravel()
         return _fix_signs(out[:, None], [0])[:, 0]
 
@@ -97,7 +98,7 @@ def _kronecker_sums(parts):
 def _kronecker_spectrum(spectrum, d, k=None):
     """The factored spectrum of the lowest k modes (all if k is None) of the
     d-fold Kronecker sum of a 1D pencil: the stably sorted sums of d 1D
-    eigenvalues, with the index tuple of each (slowest axis first) into the
+    eigenvalues, with the index tuple of each (row t is axis t) into the
     sign-fixed 1D `spectrum`.
 
     Only the sums over the first m 1D modes are formed, m doubling until
@@ -123,7 +124,8 @@ def _kronecker_spectrum(spectrum, d, k=None):
         # -inf for an empty pencil
         lambda_max=float(_kronecker_sums([mu[-1:]] * d).max(initial=-np.inf)),
         path="kronecker",
-        indices=np.array(np.unravel_index(order, (m,) * d)),
+        # the sums are symmetric in the axes: row t is axis t, axis 0 fastest
+        indices=np.array(np.unravel_index(order, (m,) * d, order="F")),
         factor=spectrum,
     )
 

@@ -8,7 +8,7 @@ closed forms, which only the tests read, are in `tests/oracles.py`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,42 +17,9 @@ from .coefficient import parse_coefficient
 from .mesh import mesh_from_spec, refine_spec
 
 
-@dataclass
-class ExactSpectrum:
-    """Sorted exact Laplace eigenvalues with index tuples and evaluators."""
-
-    d: int
-    values: np.ndarray
-    indices: list
-
-    def eigenfunction(self, j):
-        """L2-normalized eigenfunction (value, gradient) closures for mode j."""
-        ks = self.indices[j]
-        scale = math.sqrt(2.0) ** self.d
-
-        def value(points):
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            out = np.full(pts.shape[0], scale)
-            for ax, k in enumerate(ks):
-                out = out * np.sin(k * math.pi * pts[:, ax])
-            return out
-
-        def gradient(points):
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            grads = np.empty((pts.shape[0], self.d))
-            for gx in range(self.d):
-                comp = np.full(pts.shape[0], scale)
-                for ax, k in enumerate(ks):
-                    t = k * math.pi * pts[:, ax]
-                    comp = comp * (k * math.pi * np.cos(t) if ax == gx else np.sin(t))
-                grads[:, gx] = comp
-            return grads
-
-        return value, gradient
-
-
 def exact_laplace_spectrum(d, count):
-    """First `count` Dirichlet Laplace eigenvalues on the unit d-cube."""
+    """The lowest `count` Dirichlet Laplace modes on the unit d-cube, as a
+    factored `gevp.Spectrum`: mode j is `laplace_mode(indices[:, j] + 1)`."""
     if d not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2, or 3")
     if count < 1:
@@ -61,8 +28,34 @@ def exact_laplace_spectrum(d, count):
     # spectrum pi^2 k^2; the squares sum exactly and are scaled once
     squares = gevp.Spectrum(values=np.arange(1.0, count + 1) ** 2, vectors=None)
     sums = gevp._kronecker_spectrum(squares, d, count)
-    indices = list(map(tuple, (sums.indices.T + 1).tolist()))
-    return ExactSpectrum(d=d, values=sums.values * math.pi**2, indices=indices)
+    return replace(sums, values=sums.values * math.pi**2, lambda_max=None)
+
+
+def laplace_mode(ks):
+    """L2-normalized (value, gradient) closures of the Laplace mode
+    prod_t sqrt(2) sin(k_t pi x_t) on the unit d-cube, d = len(ks)."""
+    d = len(ks)
+    scale = math.sqrt(2.0) ** d
+
+    def value(points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.full(pts.shape[0], scale)
+        for ax, k in enumerate(ks):
+            out = out * np.sin(k * math.pi * pts[:, ax])
+        return out
+
+    def gradient(points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        grads = np.empty((pts.shape[0], d))
+        for gx in range(d):
+            comp = np.full(pts.shape[0], scale)
+            for ax, k in enumerate(ks):
+                t = k * math.pi * pts[:, ax]
+                comp = comp * (k * math.pi * np.cos(t) if ax == gx else np.sin(t))
+            grads[:, gx] = comp
+        return grads
+
+    return value, gradient
 
 
 def reference_spectrum(problem, count, degree, refine, richardson=False):

@@ -84,49 +84,52 @@ def _require_simple(values, j):
             )
 
 
-def eigenfunction_errors(space, spectrum, exact, j):
-    """H1-seminorm and L2 errors of discrete mode j against the exact one.
+def eigenfunction_errors(bundle, exact, j):
+    """H1-seminorm and L2 errors of the bundle's softened mode j against the
+    exact mode of the factored spectrum `exact`.
 
     Modes are 0-based here. The discrete eigenfunction is sign-aligned with
-    the exact one through their L2 inner product. A factored spectrum (the
-    Kronecker path, with `space` its 1D space) compares each mode with the
-    exact mode of its own index tuple, from the 1D factors alone; any other
-    compares mode j with exact mode j, and only where both are simple.
+    the exact one through their L2 inner product. On the Kronecker path each
+    mode is compared with the exact mode of its own index tuple, from the 1D
+    factors alone; off it, mode j with exact mode j, and only where both are
+    simple.
     """
+    spectrum = bundle.soft
     if spectrum.factor is not None:
-        return _factored_errors(space, spectrum, j)
+        return _factored_errors(bundle, j)
     _require_simple(spectrum.values, j)
     _require_simple(exact.values, j)
-    return _coefficient_errors(space, spectrum.vector(j), exact, j)[0]
+    return _coefficient_errors(bundle.base, spectrum.vector(j), exact.indices[:, j] + 1)[0]
 
 
-def _factored_errors(space, spectrum, j):
+def _factored_errors(bundle, j):
     """Errors of factored mode j, prod_t a_t(x_t), against the exact mode
-    prod_t b_t(x_t), b_t = sqrt(2) sin(k_t pi x), k = indices[::-1, j] + 1
-    (axis 0 first), from 1D errors alone. As ||a_t|| = ||b_t|| = 1, with
-    e_t = ||a_t - b_t||^2, h_t = |a_t - b_t|_1^2 and P_t the product of
-    1 - e_s / 2 over s != t, the L2 error is 2 - 2 prod_t (1 - e_t / 2) and
-    the H1 error sum_t (|a_t|_1^2 + k_t^2 pi^2)(1 - P_t) + h_t P_t.
+    prod_t b_t(x_t), b_t = sqrt(2) sin(k_t pi x), k = indices[:, j] + 1, from
+    1D errors alone. As ||a_t|| = ||b_t|| = 1, with e_t = ||a_t - b_t||^2,
+    h_t = |a_t - b_t|_1^2 and P_t the product of 1 - e_s / 2 over s != t,
+    the L2 error is 2 - 2 prod_t (1 - e_t / 2) and the H1 error
+    sum_t (|a_t|_1^2 + k_t^2 pi^2)(1 - P_t) + h_t P_t, with |a_t|_1^2 =
+    a_t'K a_t: the bundle's 1D K, as kappa = 1 wherever exact modes are.
     """
-    k = spectrum.indices[::-1, j] + 1
-    exact = oracle.exact_laplace_spectrum(1, int(k.max()))
-    K1 = assemble_stiffness(space)  # |a_t|_1^2 = a_t'K1 a_t: kappa = 1, as the exact modes need
+    spectrum = bundle.soft
+    k = spectrum.indices[:, j] + 1
     factors = [spectrum.factor.vector(i) for i in k - 1]
-    errs = [_coefficient_errors(space, a, exact, kt - 1)[0] for a, kt in zip(factors, k)]
+    errs = [_coefficient_errors(bundle.base, a, (kt,))[0] for a, kt in zip(factors, k)]
     logs = np.log1p([-0.5 * e["l2"] ** 2 for e in errs])
     h1_sq = 0.0
     for t, (a, kt, e) in enumerate(zip(factors, k, errs)):
         log_p = np.delete(logs, t).sum()
-        h1_sq += (a @ (K1 @ a) + (kt * math.pi) ** 2) * -math.expm1(log_p)
+        h1_sq += (a @ (bundle.K @ a) + (kt * math.pi) ** 2) * -math.expm1(log_p)
         h1_sq += e["h1"] ** 2 * math.exp(log_p)
     return {"h1": math.sqrt(h1_sq), "l2": math.sqrt(-2.0 * math.expm1(logs.sum()))}
 
 
-def _coefficient_errors(space, coeffs, exact, j):
+def _coefficient_errors(space, coeffs, ks):
     """({'h1', 'l2'}, sign): errors of the FE function with reduced
-    coefficients `coeffs` against exact mode j, after multiplying it by the
-    sign that makes its L2 inner product with the mode nonnegative."""
-    uval, ugrad = exact.eigenfunction(j)
+    coefficients `coeffs` against the Laplace mode of index tuple `ks` (see
+    `oracle.laplace_mode`), after multiplying it by the sign that makes
+    their L2 inner product nonnegative."""
+    uval, ugrad = oracle.laplace_mode(ks)
     quad, V, G = space.error_tables
     emap = space.element_tables[3]
     pts = emap.to_phys(quad.nodes).reshape(-1, space.mesh.d)
@@ -150,8 +153,8 @@ def jump_energy_ratio(spectrum, eta, K, S):
     """
     X = spectrum.checked_vectors()
     energy = np.array([[x @ (A @ x) for x in X.T] for A in (K, S)])
-    if spectrum.factor is not None:
-        energy = energy[:, spectrum.indices].sum(axis=1)
+    if spectrum.factor is not None:  # axes summed last first, which fixes the ratios' rounding
+        energy = energy[:, np.flip(spectrum.indices, 0)].sum(axis=1)
     kx, sx = energy
     if np.any(kx <= 0):
         raise ValueError("nonpositive stiffness energy")
@@ -583,10 +586,9 @@ def _spectrum_rows(cfg, bundle, reference, exact=None):
     h1 = l2 = None
     if cfg.eigenfunction_modes:  # listed modes only, and simple ones off the Kronecker path
         h1, l2 = [""] * modes, [""] * modes
-        target = bundle.soft if has_soft else bundle.fem
         for mode in cfg.eigenfunction_modes:
             try:
-                errs = eigenfunction_errors(bundle.base, target, exact, mode - 1)
+                errs = eigenfunction_errors(bundle, exact, mode - 1)
             except MultiplicityError:
                 continue
             h1[mode - 1], l2[mode - 1] = _fmt(errs["h1"]), _fmt(errs["l2"])
@@ -718,7 +720,7 @@ def _run_ladder(cfg):
                 out, lam = modes[str(m)], exact.values[m - 1]
                 out["relerr"].append(abs(float(bundle.soft.values[m - 1]) - lam) / lam)
                 floors[str(m)].append(rounding_floor(bundle.soft, m - 1))
-                errs = eigenfunction_errors(bundle.base, bundle.soft, exact, m - 1)
+                errs = eigenfunction_errors(bundle, exact, m - 1)
                 out["h1"].append(errs["h1"])
                 out["l2"].append(errs["l2"])
         hs = [1.0 / n for n in ns]

@@ -292,9 +292,7 @@ def test_criterion_4_table1():
                 floors[f"lam{mode}"][lvl] = (
                     RESOLVED_MULTIPLE * eps * soft[-1] / soft[mode - 1]
                 )
-                errs = speclab.eigenfunction_errors(
-                    bundle.base, bundle.soft, exact, mode - 1
-                )
+                errs = speclab.eigenfunction_errors(bundle, exact, mode - 1)
                 ours[f"h1_{tag}"].append(errs["h1"])
                 ours[f"l2_{tag}"].append(errs["l2"])
         hs = np.array([1.0 / n for n in block["n"]])

@@ -60,24 +60,22 @@ def test_convergence_rates_synthetic():
 def test_eigenfunction_errors_decrease_with_refinement(small_bundle):
     exact = oracle.exact_laplace_spectrum(1, 8)
     coarse = speclab.solve_problem(mesh_from_spec({"type": "uniform", "n": 4, "d": 1}), 2)
-    e_coarse = speclab.eigenfunction_errors(coarse.base, coarse.soft, exact, 0)
-    e_fine = speclab.eigenfunction_errors(
-        small_bundle.base, small_bundle.soft, exact, 0
-    )
+    e_coarse = speclab.eigenfunction_errors(coarse, exact, 0)
+    e_fine = speclab.eigenfunction_errors(small_bundle, exact, 0)
     assert e_fine["h1"] < e_coarse["h1"] / 3
     assert e_fine["l2"] < e_coarse["l2"] / 6
 
 
 def test_eigenfunction_errors_reject_clusters():
     """Off the Kronecker path a mode is compared only where it is simple: on
-    triangles the discrete pair of modes 2 and 3 splits, but the exact modes
+    triangles the softened pair of modes 2 and 3 splits, but the exact modes
     share the eigenvalue 5 pi^2."""
     mesh = mesh_from_spec({"type": "unit-square", "n": 6})
     bundle = speclab.solve_problem(mesh, 1)
     exact = oracle.exact_laplace_spectrum(2, 6)
-    assert len(gevp.cluster_eigenvalues(bundle.fem.values[1:3])) == 2
+    assert bundle.eta > 0 and len(gevp.cluster_eigenvalues(bundle.soft.values[1:3])) == 2
     with pytest.raises(speclab.MultiplicityError):
-        speclab.eigenfunction_errors(bundle.base, bundle.fem, exact, 1)
+        speclab.eigenfunction_errors(bundle, exact, 1)
 
 
 def test_solve_problem_refuses_an_unknown_face_weight():
@@ -123,7 +121,8 @@ def pythagorean_residual(space, spectrum, exact, j, eta, kappa=UNIT):
     speclab._require_simple(spectrum.values, j)
     lam = float(exact.values[j])
     lam_soft = float(spectrum.values[j])
-    uval, _ = exact.eigenfunction(j)
+    ks = exact.indices[:, j] + 1
+    uval, _ = oracle.laplace_mode(ks)
 
     space_hi = build_space(space.mesh, space.p + 4)
     K = assemble_stiffness(space_hi, kappa)
@@ -131,7 +130,7 @@ def pythagorean_residual(space, spectrum, exact, j, eta, kappa=UNIT):
     M = assemble_mass(space_hi)
 
     u_interp = interpolate(space_hi, uval)
-    errs, sign = speclab._coefficient_errors(space, spectrum.vector(j), exact, j)
+    errs, sign = speclab._coefficient_errors(space, spectrum.vector(j), ks)
 
     u_h = sign * embed_coefficients(space, spectrum.vector(j), space_hi)
     e_vec = u_interp - u_h
@@ -139,7 +138,7 @@ def pythagorean_residual(space, spectrum, exact, j, eta, kappa=UNIT):
     rhs = lam * float(e_vec @ (M @ e_vec)) + lam_soft - lam
 
     # interpolation error of the exact mode in the fine space
-    ierr, _ = speclab._coefficient_errors(space_hi, u_interp, exact, j)
+    ierr, _ = speclab._coefficient_errors(space_hi, u_interp, ks)
     e_energy = errs["h1"] + math.sqrt(lam) * errs["l2"]
     i_energy = ierr["h1"] + math.sqrt(lam) * ierr["l2"]
     scale = i_energy * (i_energy + 2.0 * e_energy) + 1e-14 * lam
@@ -355,7 +354,7 @@ def test_kronecker_lowest_k_is_the_full_sorts_first_k(d):
             got = gevp._kronecker_spectrum(spectrum, d, k)
             want = slice(None) if k is None else slice(k)
             assert got.values.tobytes() == values[order][want].tobytes()
-            assert np.array_equal(got.indices, indices[:, want])
+            assert np.array_equal(got.indices[::-1], indices[:, want])
             assert got.lambda_max == values.max()
 
 
@@ -388,13 +387,13 @@ def test_kronecker_run_builds_only_the_1d_space(tmp_path, monkeypatch, d, efn_mo
 
 
 def test_kronecker_spectrum_is_factored_bit_for_bit():
-    """Value j is mu[i0] + (mu[i1] + mu[i2]) over the index tuple of mode j,
-    and vector(j) is column j of the full Kronecker product matrix (slowest
-    axis first), negated where its inner product with the start vector is
-    negative."""
+    """Value j is mu[i2] + (mu[i1] + mu[i0]) over the index tuple (i0, i1, i2)
+    of mode j, row t of `indices` axis t, and vector(j) is column j of the
+    full Kronecker product matrix (axis 2 slowest, as the dofs run), negated
+    where its inner product with the start vector is negative."""
     bundle = speclab.solve_problem(mesh_from_spec({"type": "uniform", "n": 3, "d": 3}), 2)
     spectrum = bundle.soft
-    mu, X, idx = spectrum.factor.values, spectrum.factor.vectors, spectrum.indices
+    mu, X, idx = spectrum.factor.values, spectrum.factor.vectors, spectrum.indices[::-1]
     assert spectrum.vectors is None and idx.shape == (3, spectrum.order)
     assert np.array_equal(spectrum.values, mu[idx[0]] + (mu[idx[1]] + mu[idx[2]]))
     full = X[:, idx[0]]
@@ -413,18 +412,58 @@ def test_kronecker_spectrum_is_factored_bit_for_bit():
 def test_factored_eigenfunction_errors_match_the_d_dimensional_ones(d, p):
     """The errors from the 1D factors equal those of the d-dimensional
     quadrature of `vector(j)` against the exact mode of the same index
-    tuple (axis 0 first), degenerate modes included."""
+    tuple (row t is axis t), degenerate modes included."""
     mesh = mesh_from_spec({"type": "uniform", "n": 6, "d": d})
     bundle = speclab.solve_problem(mesh, p, modes=12)
     space = build_space(mesh, p)
-    exact = oracle.exact_laplace_spectrum(d, 60)
     for j in range(12):
-        k = tuple((bundle.soft.indices[::-1, j] + 1).tolist())
-        want = speclab._coefficient_errors(space, bundle.soft.vector(j), exact,
-                                           exact.indices.index(k))[0]
-        got = speclab.eigenfunction_errors(bundle.base, bundle.soft, exact, j)
+        want = speclab._coefficient_errors(space, bundle.soft.vector(j),
+                                           bundle.soft.indices[:, j] + 1)[0]
+        got = speclab.eigenfunction_errors(bundle, None, j)
         for q in ("h1", "l2"):
             assert abs(got[q] - want[q]) <= 1e-12 * want[q], (j, q)
+
+
+@pytest.mark.parametrize("n,d", [(8, 2), (4, 3)])
+def test_exact_and_discrete_modes_share_one_index_tuple(n, d):
+    """Row t of `indices` is axis t for the exact and the discrete spectrum
+    alike: each of the lowest 20 discrete modes, formed on the d-dimensional
+    space, is within rounding of the exact mode of the same tuple, whose
+    L2 inner product with it is at least 0.99 in magnitude."""
+    mesh = mesh_from_spec({"type": "uniform", "n": n, "d": d})
+    fem = speclab.solve_problem(mesh, 2, modes=20).fem
+    exact = oracle.exact_laplace_spectrum(d, 20)
+    space = build_space(mesh, 2)
+    quad, V, _ = space.error_tables
+    emap = space.element_tables[3]
+    pts = emap.to_phys(quad.nodes).reshape(-1, d)
+    w = (quad.weights * emap.detj[:, None]).ravel()
+    for j in range(20):
+        assert np.array_equal(exact.indices[:, j], fem.indices[:, j]), j
+        uval, _ = oracle.laplace_mode(exact.indices[:, j] + 1)
+        vh = (speclab._full_coefficients(space, fem.vector(j))[space.element_dofs] @ V.T).ravel()
+        assert abs(np.sum(w * vh * uval(pts))) >= 0.99, j
+
+
+def test_factored_errors_assemble_nothing(monkeypatch):
+    """The errors of listed modes of a 3D Kronecker bundle read its own 1D K:
+    no stiffness matrix is assembled while they are written."""
+    bundle = speclab.solve_problem(mesh_from_spec({"type": "uniform", "n": 4, "d": 3}), 2,
+                                   modes=12)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return assemble_stiffness(*args, **kwargs)
+
+    monkeypatch.setattr(speclab, "assemble_stiffness", spy)
+    cfg = speclab.ExperimentConfig.from_dict({
+        "name": "k", "mesh": {"type": "uniform", "n": 4, "d": 3}, "degrees": [2], "modes": 12,
+        "eigenfunction_modes": list(range(1, 11))})
+    rows = speclab._spectrum_rows(cfg, bundle, None, oracle.exact_laplace_spectrum(3, 14))[0]
+    assert [j for j, row in enumerate(rows.splitlines()[1:], 1) if row.split(",")[7]] == \
+        list(range(1, 11))
+    assert calls == []
 
 
 def test_kronecker_run_writes_the_errors_of_degenerate_modes(tmp_path):
@@ -448,7 +487,7 @@ def test_degenerate_kronecker_modes_converge_at_the_optimal_rates(d, p):
         bundle = speclab.solve_problem(mesh_from_spec({"type": "uniform", "n": n, "d": d}), p,
                                        modes=3)
         for m in errors:
-            errors[m].append(speclab.eigenfunction_errors(bundle.base, bundle.soft, None, m - 1))
+            errors[m].append(speclab.eigenfunction_errors(bundle, None, m - 1))
     hs = [1.0 / n for n in ns]
     for m, errs in errors.items():
         for q, rate in (("h1", p), ("l2", p + 1)):
@@ -750,11 +789,10 @@ def per_cell_rows(cfg, bundle, reference, exact=None):
         ratios = speclab.jump_energy_ratio(bundle.soft, bundle.eta, bundle.K, bundle.S)
     efn = {}
     if cfg.eigenfunction_modes and exact is not None:
-        target = bundle.soft if has_soft else bundle.fem
         for mode in cfg.eigenfunction_modes:
             if mode <= modes:
                 try:
-                    efn[mode] = speclab.eigenfunction_errors(bundle.base, target, exact, mode - 1)
+                    efn[mode] = speclab.eigenfunction_errors(bundle, exact, mode - 1)
                 except speclab.MultiplicityError:
                     pass
     lines = [speclab.CSV_HEADER]
@@ -1326,7 +1364,7 @@ def test_eigenfunction_modes_on_the_unit_domain(tmp_path, mesh):
     assert all(row.split(",")[7] == "" for row in rows[2:])
     bundle = speclab.solve_problem(mesh_from_spec(mesh), 2)
     exact = oracle.exact_laplace_spectrum(2, 5)
-    errs = speclab.eigenfunction_errors(bundle.base, bundle.soft, exact, 0)
+    errs = speclab.eigenfunction_errors(bundle, exact, 0)
     assert (h1err, l2err) == (errs["h1"], errs["l2"])
     assert l2err < 0.02
 
